@@ -2,39 +2,57 @@
 
 For a horizon of N steps the predicted states [x_1; ...; x_N] equal
 Phi @ u + Upsilon @ x, with Phi block lower-triangular (block (i, j) is
-A^(i-j) B) and Upsilon stacking A, A^2, ..., A^N. The stage weights live
-in the block-diagonal Qbar (N-1 copies of Q, then the terminal P), and
-G = Qbar^(1/2) Phi, H = -Qbar^(1/2) Upsilon turn the summed quadratic
-cost into the single residual ||G u - H x||^2.
+A^(i-j) B) and Upsilon stacking A, A^2, ..., A^N. With Rbar the block
+diagonal of the weight factors (N-1 copies of R_Q, then R_P, R^T R the
+weight), G = Rbar Phi, H = -Rbar Upsilon turn the summed quadratic cost
+into the single residual ||G u - H x||^2. Rbar is never formed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConfigError, DimensionMismatch
-from .numerics import as_matrix, as_vector, cholesky
+from .numerics import as_matrix, as_vector, cholesky, sym_eigenvalues, symmetrize
 from .plant import PlantModel
 
 
 @dataclass(frozen=True)
 class HorizonData:
-    """Lifted matrices for one (plant, Q, P, N) combination."""
+    """Lifted matrices for one (plant, Q, P, N); derived ones cached on first use."""
 
     N: int
     Phi: np.ndarray          # (n N, N)
     Upsilon: np.ndarray      # (n N, n)
-    Qbar: np.ndarray         # (n N, n N)
-    sqrt_weight: np.ndarray  # (n N, n N) block factor R with R.T @ R == Qbar
-    G: np.ndarray            # sqrt_weight @ Phi
-    H: np.ndarray            # -sqrt_weight @ Upsilon
+    G: np.ndarray            # Rbar @ Phi
+    H: np.ndarray            # -Rbar @ Upsilon
 
     @property
     def n(self) -> int:
         return self.Upsilon.shape[1]
+
+    @cached_property
+    def col_norms(self) -> np.ndarray:
+        """Euclidean norm of each column of G."""
+        return _frozen(np.sqrt(np.einsum("ij,ij->j", self.G, self.G)))
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """G^T G, the Gram matrix of the weighted input map."""
+        return _frozen(symmetrize(self.G.T @ self.G))
+
+    @cached_property
+    def lipschitz(self) -> float:
+        """Largest eigenvalue of G^T G."""
+        return float(sym_eigenvalues(self.gram)[-1])
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 def build_horizon(plant: PlantModel, Q, P, N: int) -> HorizonData:
@@ -53,32 +71,21 @@ def build_horizon(plant: PlantModel, Q, P, N: int) -> HorizonData:
     P = as_matrix(P, "P")
     if Q.shape != (n, n) or P.shape != (n, n):
         raise DimensionMismatch(f"Q and P must be {n} x {n}")
-    rq = cholesky(Q).T
-    rp = cholesky(P).T
-
-    ab = [plant.B[:, 0]]
-    for _ in range(N - 1):
-        ab.append(plant.A @ ab[-1])
-    phi = np.zeros((n * N, N))
-    for j in range(N):
-        for i in range(j, N):
-            phi[i * n:(i + 1) * n, j] = ab[i - j]
-
-    powers = [plant.A]
-    for _ in range(N - 1):
-        powers.append(plant.A @ powers[-1])
-    upsilon = np.vstack(powers)
-
-    blocks = [Q] * (N - 1) + [P]
-    qbar = scipy.linalg.block_diag(*blocks)
-    sqrt_weight = scipy.linalg.block_diag(*([rq] * (N - 1) + [rp]))
-
-    g = sqrt_weight @ phi
-    h = -(sqrt_weight @ upsilon)
-    for arr in (phi, upsilon, qbar, sqrt_weight, g, h):
-        arr.setflags(write=False)
-    return HorizonData(N=N, Phi=phi, Upsilon=upsilon, Qbar=qbar,
-                       sqrt_weight=sqrt_weight, G=g, H=h)
+    factors = np.array([cholesky(Q).T] * (N - 1) + [cholesky(P).T])   # (N, n, n)
+    ab = np.empty((N, n))           # A^k B
+    powers = np.empty((N, n, n))    # A^(k+1)
+    ab[0] = plant.B[:, 0]
+    powers[0] = plant.A
+    for k in range(1, N):
+        ab[k] = plant.A @ ab[k - 1]
+        powers[k] = plant.A @ powers[k - 1]
+    lag = np.subtract.outer(np.arange(N), np.arange(N))     # i - j
+    phi = np.where((lag >= 0)[:, :, None], ab[np.maximum(lag, 0)], 0.0)
+    phi = phi.transpose(0, 2, 1)                            # block rows (N, n, N)
+    return HorizonData(N=N, Phi=_frozen(phi.reshape(n * N, N)),
+                       Upsilon=_frozen(powers.reshape(n * N, n)),
+                       G=_frozen((factors @ phi).reshape(n * N, N)),
+                       H=_frozen(-(factors @ powers).reshape(n * N, n)))
 
 
 def stage_cost(h: HorizonData, u, x) -> float:

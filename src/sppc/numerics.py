@@ -3,7 +3,8 @@
 Everything here operates on float64 ndarrays and treats inputs as
 immutable, so the routines are safe to call from concurrent contexts.
 Matrices are tiny (state dimension <= 20, horizon <= 64); robustness is
-preferred over speed throughout.
+preferred over speed here, so hot loops such as the OMP kernel keep their
+own incremental factorizations instead of calling in once per iteration.
 """
 
 from __future__ import annotations

@@ -10,13 +10,15 @@ for the fixed-bound baseline it is compared against.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateInput, DimensionMismatch, Infeasible, NoConvergence
+from .errors import (ConfigError, DegenerateInput, DimensionMismatch, Infeasible,
+                     NoConvergence, RankDeficient)
 from .lifting import HorizonData
-from .numerics import as_matrix, as_vector, solve_least_squares, sym_eigenvalues
+from .numerics import RANK_REL_TOL, as_matrix, as_vector, solve_least_squares
 
 FEASIBILITY_REL_SLACK = 1e-7
 # below this absolute scale the threshold sits in the denormal range where
@@ -32,10 +34,12 @@ class ControlPacket:
     """A designed input sequence with its sparsity bookkeeping.
 
     support lists exactly the indices with nonzero coefficients, so
-    len(support) is the l0 count. residual_sq is ||G coeffs - H x||^2 at
-    the solution and threshold the bound it was designed against (state
-    dependent for OMP and the oracle, caller supplied for the l1 solver,
-    which does not promise residual_sq <= threshold).
+    len(support) is the l0 count; a picked index whose coefficient comes
+    out as exactly 0.0 is not counted, so l0 may fall below iterations.
+    residual_sq is ||G coeffs - H x||^2 at the solution and threshold the
+    bound it was designed against (state dependent for OMP and the oracle,
+    caller supplied for the l1 solver, which does not promise
+    residual_sq <= threshold).
     """
 
     coeffs: np.ndarray
@@ -73,12 +77,46 @@ def _design_inputs(h: HorizonData, W, x):
     return x, y, eps
 
 
-def _refit(G: np.ndarray, support: np.ndarray, y: np.ndarray):
-    """Least-squares coefficients on the given columns and the new residual."""
-    cols = G[:, support]
-    sol = solve_least_squares(cols, y)
-    r = y - cols @ sol
-    return sol, r
+def _greedy_picks(h: HorizonData, y: np.ndarray, eps: float, normalize: bool):
+    """The OMP loop: returns (picks in pick order, coefficients, ||r||^2).
+
+    G[:, picks] = B R gains one Gram-Schmidt step with re-orthogonalization
+    per pick (B stored by rows); the coefficients are R^-1 (B^T y).
+    """
+    G, norms = h.G, h.col_norms
+    basis = np.empty((h.N, G.shape[0]))
+    r_inv = np.zeros((h.N, h.N))
+    picks: list[int] = []
+    coeffs = np.zeros(h.N)
+    r = y
+    rr = float(r @ r)
+    while rr > eps and len(picks) < h.N:
+        score = np.abs(r @ G) / (norms if normalize else 1.0)
+        score[picks] = -np.inf
+        j = int(score.argmax())
+        k = len(picks)
+        s = basis[:k] @ G[:, j]
+        v = G[:, j] - s @ basis[:k]
+        s2 = basis[:k] @ v
+        v -= s2 @ basis[:k]
+        pivot = math.sqrt(v @ v)
+        if pivot <= RANK_REL_TOL * norms[j]:
+            raise RankDeficient(f"column {j} is numerically in the span of "
+                                f"columns {sorted(picks)}")
+        basis[k] = v / pivot
+        r_inv[:k, k] = r_inv[:k, :k] @ (s + s2) / -pivot
+        r_inv[k, k] = 1.0 / pivot
+        picks.append(j)
+        coeffs[picks] = r_inv[:k + 1, :k + 1] @ (basis[:k + 1] @ y)
+        r = y - G @ coeffs
+        rr = float(r @ r)
+    return picks, coeffs, rr
+
+
+def _check_feasible(rr: float, eps: float) -> None:
+    if rr > eps * (1.0 + FEASIBILITY_REL_SLACK) + FEASIBILITY_ABS_FLOOR:
+        raise Infeasible(f"full-support residual {rr:.6e} exceeds threshold {eps:.6e}; "
+                         "the synthesis that produced W is inconsistent")
 
 
 def omp_design(h: HorizonData, W, x, *, normalize: bool = True) -> ControlPacket:
@@ -92,31 +130,9 @@ def omp_design(h: HorizonData, W, x, *, normalize: bool = True) -> ControlPacket
     x^T (P - Q) x, which sits below the threshold by the margin x^T E x.
     """
     x, y, eps = _design_inputs(h, W, x)
-    G = h.G
-    r = y
-    rr = float(r @ r)
-    in_support = np.zeros(h.N, dtype=bool)
-    coeffs = np.zeros(h.N)
-    iterations = 0
-    col_norms = np.sqrt(np.einsum("ij,ij->j", G, G)) if normalize else None
-    while rr > eps and iterations < h.N:
-        corr = np.abs(G.T @ r)
-        if normalize:
-            corr = corr / col_norms
-        corr[in_support] = -np.inf
-        in_support[int(np.argmax(corr))] = True
-        support = np.flatnonzero(in_support)
-        sol, r = _refit(G, support, y)
-        rr = float(r @ r)
-        iterations += 1
-        coeffs = np.zeros(h.N)
-        coeffs[support] = sol
-    if rr > eps * (1.0 + FEASIBILITY_REL_SLACK) + FEASIBILITY_ABS_FLOOR:
-        raise Infeasible(
-            f"full-support residual {rr:.6e} exceeds threshold {eps:.6e}; "
-            "the synthesis that produced W is inconsistent"
-        )
-    return _packet(coeffs, rr, eps, iterations)
+    picks, coeffs, rr = _greedy_picks(h, y, eps, normalize)
+    _check_feasible(rr, eps)
+    return _packet(coeffs, rr, eps, len(picks))
 
 
 def exhaustive_design(h: HorizonData, W, x, max_N: int = 12) -> ControlPacket:
@@ -130,30 +146,23 @@ def exhaustive_design(h: HorizonData, W, x, max_N: int = 12) -> ControlPacket:
     if h.N > max_N:
         raise ConfigError(f"horizon {h.N} exceeds exhaustive-search limit {max_N}")
     x, y, eps = _design_inputs(h, W, x)
-    G = h.G
     tried = 1
     rr = float(y @ y)
     if rr <= eps:
         return _packet(np.zeros(h.N), rr, eps, tried)
     for size in range(1, h.N + 1):
         for support in itertools.combinations(range(h.N), size):
-            cols = np.asarray(support, dtype=int)
-            sol, r = _refit(G, cols, y)
+            cols = h.G[:, support]
+            sol = solve_least_squares(cols, y)
+            r = y - cols @ sol
             rr = float(r @ r)
             tried += 1
             if rr <= eps:
                 coeffs = np.zeros(h.N)
-                coeffs[cols] = sol
+                coeffs[list(support)] = sol
                 return _packet(coeffs, rr, eps, tried)
-    if rr > eps * (1.0 + FEASIBILITY_REL_SLACK) + FEASIBILITY_ABS_FLOOR:
-        raise Infeasible(
-            f"full-support residual {rr:.6e} exceeds threshold {eps:.6e}; "
-            "the synthesis that produced W is inconsistent"
-        )
-    coeffs = np.zeros(h.N)
-    sol, r = _refit(G, np.arange(h.N), y)
-    coeffs[:] = sol
-    return _packet(coeffs, float(r @ r), eps, tried)
+    _check_feasible(rr, eps)
+    return _packet(sol, rr, eps, tried)
 
 
 def _soft_threshold(z: np.ndarray, amount: float) -> np.ndarray:
@@ -182,13 +191,12 @@ def l1_design(h: HorizonData, x, lam: float, fixed_bound: float, *,
     if x.size != h.n:
         raise DimensionMismatch(f"expected x of length {h.n}, got {x.size}")
     y = h.H @ x
-    K = h.G.T @ h.G
+    K = h.gram
     b = h.G.T @ y
     yty = float(y @ y)
-    lipschitz = float(sym_eigenvalues(K)[-1])
-    if lipschitz <= 0.0:
+    if h.lipschitz <= 0.0:
         raise DegenerateInput("lifted input map has zero energy")
-    step = 1.0 / lipschitz
+    step = 1.0 / h.lipschitz
     shrink = lam * step
 
     def objective(v: np.ndarray) -> float:

@@ -117,8 +117,7 @@ def compute_c(h: HorizonData, P, rho: float,
     if not 0.0 <= rho < 1.0:
         raise DegenerateInput(f"rho = {rho!r} outside [0, 1)")
     P = as_matrix(P, "P")
-    gram = symmetrize(h.Phi.T @ (h.Qbar @ h.Phi))
-    lam_min = float(sym_eigenvalues(gram)[0])
+    lam_min = float(sym_eigenvalues(h.gram)[0])
     if lam_min <= 0.0:
         raise NotPositiveDefinite("lifted input map lost column rank")
     n, N = h.n, h.N
@@ -130,7 +129,7 @@ def compute_c(h: HorizonData, P, rho: float,
         peak = 0.0
         for i in range(N):
             row = h.Phi[i * n:(i + 1) * n, :]
-            peak = max(peak, general_eigen_max(symmetrize(row.T @ P @ row), gram))
+            peak = max(peak, general_eigen_max(symmetrize(row.T @ P @ row), h.gram))
     else:
         raise ConfigError(
             f"unknown c interpretation {interpretation!r}; "

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import sppc
 from sppc import errors
@@ -7,11 +8,21 @@ from sppc import errors
 from conftest import random_reachable_plant, random_spd
 
 
+def dense_weights(Q, P, N):
+    """Reference block diagonals: Qbar and its blockwise factor Rbar."""
+    qbar = scipy.linalg.block_diag(*([Q] * (N - 1) + [P]))
+    rbar = scipy.linalg.block_diag(*([np.linalg.cholesky(Q).T] * (N - 1)
+                                     + [np.linalg.cholesky(P).T]))
+    return qbar, rbar
+
+
 def test_scalar_horizon_matrices(scalar_case):
     plant, syn, h = scalar_case
     np.testing.assert_allclose(h.Phi, [[1.0, 0.0], [2.0, 1.0]])
     np.testing.assert_allclose(h.Upsilon, [[2.0], [4.0]])
-    np.testing.assert_allclose(h.Qbar, np.eye(2))
+    qbar, rbar = dense_weights(syn.Q, syn.P, 2)
+    np.testing.assert_allclose(qbar, np.eye(2))
+    np.testing.assert_allclose(h.G, rbar @ h.Phi)
     np.testing.assert_allclose(h.G, h.Phi)
     np.testing.assert_allclose(h.H, [[-2.0], [-4.0]])
 
@@ -20,9 +31,12 @@ def test_degenerate_horizon_single_block():
     plant = sppc.PlantModel(A=[[2.0]], B=[[1.0]])
     h = sppc.build_horizon(plant, [[1.0]], [[4.0]], 1)
     np.testing.assert_allclose(h.Phi, [[1.0]])
-    np.testing.assert_allclose(h.Qbar, [[4.0]])
-    np.testing.assert_allclose(h.sqrt_weight, [[2.0]])
+    qbar, rbar = dense_weights(np.array([[1.0]]), np.array([[4.0]]), 1)
+    np.testing.assert_allclose(qbar, [[4.0]])
+    np.testing.assert_allclose(rbar, [[2.0]])
     np.testing.assert_allclose(h.G, [[2.0]])
+    np.testing.assert_allclose(h.H, [[-4.0]])
+    np.testing.assert_allclose(h.gram, [[4.0]])
 
 
 def test_horizon_rejects_bad_n():
@@ -57,14 +71,26 @@ def test_stacked_prediction_identity():
 
 
 def test_blockwise_square_root():
+    # the blockwise G and H equal the dense Rbar Phi and -Rbar Upsilon,
+    # and G^T G equals Phi^T Qbar Phi
     rng = np.random.default_rng(22)
     for _ in range(20):
         n = int(rng.integers(1, 5))
+        N = int(rng.integers(1, 7))
         plant = random_reachable_plant(rng, n)
-        h = sppc.build_horizon(plant, random_spd(rng, n), random_spd(rng, n),
-                               int(rng.integers(1, 7)))
-        gap = np.abs(h.sqrt_weight.T @ h.sqrt_weight - h.Qbar).max()
-        assert gap <= 1e-10 * (1.0 + np.abs(h.Qbar).max())
+        Q = random_spd(rng, n)
+        P = random_spd(rng, n)
+        h = sppc.build_horizon(plant, Q, P, N)
+        qbar, rbar = dense_weights(Q, P, N)
+        gap = np.abs(rbar.T @ rbar - qbar).max()
+        assert gap <= 1e-10 * (1.0 + np.abs(qbar).max())
+        np.testing.assert_allclose(h.G, rbar @ h.Phi, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(h.H, -rbar @ h.Upsilon, rtol=1e-12, atol=1e-12)
+        reference = h.Phi.T @ qbar @ h.Phi
+        assert np.abs(h.gram - reference).max() <= 1e-10 * np.abs(reference).max()
+        assert h.lipschitz == pytest.approx(np.linalg.eigvalsh(reference)[-1], rel=1e-10)
+        np.testing.assert_allclose(h.col_norms, np.sqrt(np.diag(reference)), rtol=1e-10)
+        assert not (h.gram.flags.writeable or h.col_norms.flags.writeable)
 
 
 def test_lifted_input_map_full_column_rank():

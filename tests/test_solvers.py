@@ -4,9 +4,9 @@ import pytest
 import sppc
 from sppc import errors
 from sppc.lifting import HorizonData
-from sppc.solvers import FEASIBILITY_ABS_FLOOR, FEASIBILITY_REL_SLACK
+from sppc.solvers import FEASIBILITY_ABS_FLOOR, FEASIBILITY_REL_SLACK, _greedy_picks
 
-from conftest import random_reachable_plant, random_spd
+from conftest import EXAMPLE_X0, random_reachable_plant, random_spd
 
 
 def random_instance(rng, n_max=4, N_max=8):
@@ -29,8 +29,7 @@ def identity_horizon():
     """Hand-solvable N=2, n=1 geometry: G is the identity, H x = [1, 1]."""
     eye = np.eye(2)
     return HorizonData(N=2, Phi=eye, Upsilon=np.array([[-1.0], [-1.0]]),
-                       Qbar=eye, sqrt_weight=eye, G=eye,
-                       H=np.array([[1.0], [1.0]]))
+                       G=eye, H=np.array([[1.0], [1.0]]))
 
 
 def test_omp_zero_state(scalar_case):
@@ -72,34 +71,107 @@ def test_omp_random_feasible_and_consistent():
                                                          rel=1e-9, abs=1e-12)
 
 
+def reference_greedy(G, y, eps):
+    """Independent re-derivation of the greedy loop with plain numpy.
+
+    Returns the picks in pick order, the coefficients and the history of
+    squared residual norms.
+    """
+    support = []
+    r = y.copy()
+    history = [float(r @ r)]
+    coeffs = np.zeros(G.shape[1])
+    while history[-1] > eps and len(support) < G.shape[1]:
+        score = np.abs(G.T @ r) / np.linalg.norm(G, axis=0)
+        score[support] = -np.inf
+        support.append(int(np.argmax(score)))
+        sol = np.linalg.lstsq(G[:, support], y, rcond=None)[0]
+        coeffs = np.zeros(G.shape[1])
+        coeffs[support] = sol
+        r = y - G @ coeffs
+        history.append(float(r @ r))
+    return support, coeffs, history
+
+
 def test_omp_matches_reference_greedy():
-    # independent re-derivation of the greedy loop with plain numpy
     rng = np.random.default_rng(22)
     for _ in range(20):
         h, syn = random_instance(rng)
         x = rng.standard_normal(h.n)
         p = sppc.omp_design(h, syn.W, x)
-
-        y = h.H @ x
-        eps = float(x @ syn.W @ x)
-        support = []
-        r = y.copy()
-        history = [float(r @ r)]
-        coeffs = np.zeros(h.N)
-        while history[-1] > eps and len(support) < h.N:
-            score = np.abs(h.G.T @ r) / np.linalg.norm(h.G, axis=0)
-            score[support] = -np.inf
-            support.append(int(np.argmax(score)))
-            cols = sorted(support)
-            sol = np.linalg.lstsq(h.G[:, cols], y, rcond=None)[0]
-            r = y - h.G[:, cols] @ sol
-            history.append(float(r @ r))
-            coeffs = np.zeros(h.N)
-            coeffs[cols] = sol
-
+        support, coeffs, history = reference_greedy(h.G, h.H @ x,
+                                                    float(x @ syn.W @ x))
         assert p.iterations == len(support)
         np.testing.assert_allclose(p.coeffs, coeffs, rtol=1e-8, atol=1e-12)
         assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
+
+
+def assert_same_greedy(h, W, x):
+    """Pick order and iteration count equal the reference's; coefficients
+    agree within 1e-9 of the packet's peak. Returns the picks."""
+    y = h.H @ x
+    eps = float(x @ W @ x)
+    picks, coeffs, _ = reference_greedy(h.G, y, eps)
+    assert _greedy_picks(h, y, eps, True)[0] == picks
+    p = sppc.omp_design(h, W, x)
+    assert p.iterations == len(picks)
+    assert np.abs(p.coeffs - coeffs).max() <= 1e-9 * np.abs(coeffs).max()
+    return picks
+
+
+@pytest.mark.parametrize("N, p_drop", [(10, 0.5), (20, 0.9)])
+def test_omp_matches_reference_on_example_trajectories(example_plant, N, p_drop):
+    syn = sppc.synthesize(example_plant, None, N, 0.5)
+    h = sppc.build_horizon(example_plant, syn.Q, syn.P, N)
+    checked = 0
+    for seed in range(3):
+        trace = sppc.run_trial(example_plant, h, syn, "omp", EXAMPLE_X0, 100,
+                               seed, p_drop=p_drop)
+        for x in trace.states[:-1]:
+            # a subnormal threshold has no relative precision left, so the
+            # stop test there is decided by underflow, not by the fit
+            if float(x @ syn.W @ x) < np.finfo(float).tiny:
+                continue
+            assert_same_greedy(h, syn.W, x)
+            checked += 1
+    assert checked >= 150
+
+
+@pytest.mark.parametrize("seed", [15, 234])
+def test_omp_matches_reference_ill_conditioned(seed):
+    # random plants of the envelope (n <= 20, N <= 64) whose final support
+    # has condition number >= 1e6; the reference's pick order here is
+    # unchanged by 1e-13 relative perturbations of G and H x
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 21))
+    N = int(rng.integers(4, 65))
+    plant = random_reachable_plant(rng, n)
+    syn = sppc.synthesize(plant, None, N, 0.5)
+    h = sppc.build_horizon(plant, syn.Q, syn.P, N)
+    for _ in range(3):
+        picks = assert_same_greedy(h, syn.W, rng.standard_normal(n))
+        assert np.linalg.cond(h.G[:, picks]) >= 1e6
+
+
+def test_omp_unreachable_threshold_is_infeasible():
+    # after column 0 the residual [0, 0, 1] is orthogonal to every column:
+    # the loop still takes column 1, the smallest unpicked index, and then
+    # reports the threshold out of reach
+    G = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    h = HorizonData(N=2, Phi=G, Upsilon=-np.ones((3, 1)), G=G,
+                    H=np.array([[1.0], [0.0], [1.0]]))
+    with pytest.raises(errors.Infeasible):
+        sppc.omp_design(h, np.array([[0.5]]), np.array([1.0]))
+
+
+def test_omp_repeated_column_is_rank_deficient():
+    # column 2 repeats column 0, and the threshold is out of reach of
+    # columns 0 and 1, so the greedy loop has to pick the duplicate
+    G = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+    h = HorizonData(N=3, Phi=G, Upsilon=-np.ones((3, 1)), G=G,
+                    H=np.ones((3, 1)))
+    with pytest.raises(errors.RankDeficient):
+        sppc.omp_design(h, np.array([[0.5]]), np.array([1.0]))
 
 
 def test_omp_state_scaling_covariance():
