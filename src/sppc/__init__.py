@@ -22,13 +22,9 @@ from .errors import (
 )
 from .lifting import HorizonData, build_horizon, stage_cost
 from .netsim import (
-    BufferState,
-    ChannelModel,
     ExperimentSetup,
     MonteCarloResult,
     SimTrace,
-    buffer_apply,
-    channel_step,
     log_decay_slope,
     run_montecarlo,
     run_trial,
@@ -48,8 +44,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BufferExhausted",
-    "BufferState",
-    "ChannelModel",
     "ConfigError",
     "ControlPacket",
     "DegenerateInput",
@@ -68,9 +62,7 @@ __all__ = [
     "SimTrace",
     "SppcError",
     "SynthesisResult",
-    "buffer_apply",
     "build_horizon",
-    "channel_step",
     "check_invariants",
     "compute_c",
     "compute_rho",

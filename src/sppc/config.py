@@ -9,7 +9,7 @@ every run manifest.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from numbers import Real
 
 import numpy as np
@@ -207,18 +207,10 @@ def load_config(path: str) -> ExperimentConfig:
 def apply_overrides(config: ExperimentConfig, *, seed: int | None = None,
                     trials: int | None = None,
                     solver: str | None = None) -> ExperimentConfig:
-    """Fold command-line overrides into the document before resolution."""
-    if seed is not None:
-        _require(0 <= seed < 2 ** 64, f"seed must fit in 64 bits, got {seed}")
-        config = replace(config, seed=seed)
-    if trials is not None:
-        _require(trials >= 1, f"trials must be >= 1, got {trials}")
-        config = replace(config, trials=trials)
-    if solver is not None:
-        _require(solver in SOLVER_CHOICES,
-                 f"solver must be one of {SOLVER_CHOICES}, got {solver!r}")
-        config = replace(config, solver=solver)
-    return config
+    """Fold command-line overrides into the document and re-validate it."""
+    overrides = {"seed": seed, "trials": trials, "solver": solver}
+    return from_dict({**to_dict(config),
+                      **{k: v for k, v in overrides.items() if v is not None}})
 
 
 def build_plant(config: ExperimentConfig) -> PlantModel:

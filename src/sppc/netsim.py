@@ -2,9 +2,12 @@
 
 The controller designs a packet from the current state every step and
 sends it through an erasure channel with a bounded number of consecutive
-drops. The plant side keeps the last received packet in a buffer and
-plays successive elements while deliveries fail, so the loop survives
-any admissible dropout pattern without exhausting the buffer.
+drops. The whole channel and buffer state is one integer and one array:
+the count of consecutive drops and the last delivered packet (zeros
+before the first delivery). The plant plays the packet's element at that
+count, so the loop survives any admissible dropout pattern without
+exhausting the buffer. channel_step and buffer_apply are pure functions
+of that state; run_trial owns it.
 
 Randomness comes exclusively from the channel. Each trial owns one
 numpy PCG64 generator seeded with base_seed + trial_index, and drops
@@ -25,71 +28,34 @@ from .errors import BufferExhausted, ConfigError
 from .lifting import HorizonData
 from .numerics import as_vector
 from .plant import PlantModel, step
-from .solvers import ControlPacket, l1_design, omp_design
+from .solvers import l1_design, omp_design
 from .synthesis import SynthesisResult
 
 SOLVER_NAMES = ("omp", "l1")
 
 
-@dataclass
-class ChannelModel:
-    """Bernoulli erasure link that never drops more than max_consecutive in a row."""
-
-    p_drop: float
-    max_consecutive: int
-    consecutive_drops: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.p_drop <= 1.0:
-            raise ConfigError(f"p_drop must lie in [0, 1], got {self.p_drop!r}")
-        if self.max_consecutive < 0:
-            raise ConfigError(
-                f"max_consecutive must be non-negative, got {self.max_consecutive!r}"
-            )
-
-
-def channel_step(ch: ChannelModel, rng: np.random.Generator) -> bool:
-    """Advance the channel one transmission; True means delivered.
+def channel_step(drops: int, p_drop: float, max_consecutive: int,
+                 rng: np.random.Generator) -> bool:
+    """One transmission after `drops` consecutive losses; True means delivered.
 
     After max_consecutive drops the delivery is forced and consumes no
     random draw, which makes the drop counter a finite Markov chain.
     """
-    if ch.consecutive_drops >= ch.max_consecutive:
-        ch.consecutive_drops = 0
-        return True
-    if rng.random() < ch.p_drop:
-        ch.consecutive_drops += 1
-        return False
-    ch.consecutive_drops = 0
-    return True
+    return drops >= max_consecutive or not rng.random() < p_drop
 
 
-@dataclass
-class BufferState:
-    """Plant-side packet buffer; cursor points at the next element to apply."""
+def buffer_apply(held: np.ndarray, age: int) -> float:
+    """The input played `age` steps after the held packet was delivered.
 
-    contents: np.ndarray
-    cursor: int = 0
-
-
-def buffer_apply(buf: BufferState, delivered: ControlPacket | None) -> float:
-    """Consume one input: the head of a fresh packet or the next buffered element.
-
-    Raises BufferExhausted when asked to play past the end of the stored
-    packet, which a channel honoring its drop bound can never cause.
+    Raises BufferExhausted when asked to play past the end of the packet,
+    which a channel honoring its drop bound can never cause.
     """
-    if delivered is not None:
-        buf.contents = np.asarray(delivered.coeffs, dtype=float).copy()
-        buf.cursor = 1
-        return float(buf.contents[0])
-    if buf.cursor >= buf.contents.size:
+    if age >= held.size:
         raise BufferExhausted(
-            f"buffer of length {buf.contents.size} ran dry; "
+            f"buffer of length {held.size} ran dry; "
             "the channel exceeded its consecutive-drop bound"
         )
-    value = float(buf.contents[buf.cursor])
-    buf.cursor += 1
-    return value
+    return float(held[age])
 
 
 @dataclass(frozen=True)
@@ -132,13 +98,15 @@ def run_trial(plant: PlantModel, h: HorizonData, syn: SynthesisResult,
         raise ConfigError("l1 solver requires lam")
     if not isinstance(steps, (int, np.integer)) or steps < 0:
         raise ConfigError(f"steps must be a non-negative integer, got {steps!r}")
+    if not 0.0 <= p_drop <= 1.0:
+        raise ConfigError(f"p_drop must lie in [0, 1], got {p_drop!r}")
     x = as_vector(x0, "x0")
     if x.size != plant.n:
         raise ConfigError(f"x0 has length {x.size}, plant expects {plant.n}")
 
     rng = np.random.Generator(np.random.PCG64(seed))
-    channel = ChannelModel(p_drop=p_drop, max_consecutive=h.N - 1)
-    buffer = BufferState(contents=np.zeros(h.N))
+    drops = 0
+    held = np.zeros(h.N)
     fixed_bound = float(x @ (syn.W @ x))
 
     states = np.zeros((steps + 1, plant.n))
@@ -157,8 +125,12 @@ def run_trial(plant: PlantModel, h: HorizonData, syn: SynthesisResult,
         else:
             packet = l1_design(h, x, lam, fixed_bound)
         design_time_us[k] = (time.perf_counter() - t0) * 1e6
-        delivered = channel_step(channel, rng)
-        u = buffer_apply(buffer, packet if delivered else None)
+        delivered = channel_step(drops, p_drop, h.N - 1, rng)
+        if delivered:
+            held, drops = packet.coeffs, 0
+        else:
+            drops += 1
+        u = buffer_apply(held, drops)
         dropped[k] = 0 if delivered else 1
         l0[k] = packet.l0
         inputs[k] = u

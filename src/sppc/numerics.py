@@ -18,10 +18,6 @@ SYMMETRY_TOL = 1e-10
 PIVOT_REL_TOL = 1e-14
 RANK_REL_TOL = 1e-12
 
-# Condition-number threshold below which least squares may safely go
-# through the normal equations; above it, column-pivoted QR is used.
-_NORMAL_EQ_COND = 1e6
-
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce to a finite 2-D float64 array."""
@@ -90,8 +86,7 @@ def sym_eigenvalues(s) -> np.ndarray:
 def solve_least_squares(m, y) -> np.ndarray:
     """Minimize ||m @ u - y||_2 for m with full column rank.
 
-    Uses the normal equations with a Cholesky solve when m is well
-    conditioned, column-pivoted QR otherwise.
+    Solves through the thin SVD, which also supplies the rank test.
     """
     m = as_matrix(m, "m")
     y = as_vector(y, "y")
@@ -101,17 +96,10 @@ def solve_least_squares(m, y) -> np.ndarray:
         )
     if m.shape[0] < m.shape[1]:
         raise RankDeficient(f"{m.shape[0]} rows cannot span {m.shape[1]} columns")
-    sv = np.linalg.svd(m, compute_uv=False)
+    u, sv, vt = np.linalg.svd(m, full_matrices=False)
     if sv[0] <= 0.0 or sv[-1] <= RANK_REL_TOL * sv[0]:
         raise RankDeficient("smallest singular value below rank tolerance")
-    if sv[0] / sv[-1] < _NORMAL_EQ_COND:
-        gram = m.T @ m
-        rhs = m.T @ y
-        lower = np.linalg.cholesky(symmetrize(gram))
-        z = scipy.linalg.solve_triangular(lower, rhs, lower=True)
-        return scipy.linalg.solve_triangular(lower.T, z, lower=False)
-    sol = scipy.linalg.lstsq(m, y, lapack_driver="gelsy")[0]
-    return sol
+    return vt.T @ ((u.T @ y) / sv)
 
 
 def _congruent_spectrum(numerator: np.ndarray, spd: np.ndarray) -> np.ndarray:

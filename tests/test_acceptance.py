@@ -13,6 +13,7 @@ import numpy as np
 
 import sppc
 import sppc.cli as cli
+from sppc.netsim import buffer_apply, channel_step
 from sppc.numerics import solve_least_squares
 from sppc.solvers import FEASIBILITY_ABS_FLOOR, FEASIBILITY_REL_SLACK
 
@@ -189,11 +190,8 @@ def test_criterion_6_channel_buffer_contract():
     analytic_rate = float(p * pi[:bound].sum())
 
     rng = np.random.default_rng(106)
-    channel = sppc.ChannelModel(p_drop=p, max_consecutive=bound)
-    buffer = sppc.BufferState(contents=np.zeros(N))
-    fresh = sppc.ControlPacket(coeffs=np.arange(1.0, N + 1.0),
-                               support=tuple(range(N)),
-                               residual_sq=0.0, threshold=1.0, iterations=N)
+    held = np.zeros(N)
+    fresh = np.arange(1.0, N + 1.0)
     steps = 1_000_000
     drops = 0
     run = 0
@@ -201,14 +199,14 @@ def test_criterion_6_channel_buffer_contract():
     exhausted = False
     try:
         for _ in range(steps):
-            if sppc.channel_step(channel, rng):
-                sppc.buffer_apply(buffer, fresh)
+            if channel_step(run, p, bound, rng):
+                held = fresh
                 run = 0
             else:
-                sppc.buffer_apply(buffer, None)
                 drops += 1
                 run += 1
                 longest = max(longest, run)
+            buffer_apply(held, run)
     except sppc.BufferExhausted:
         exhausted = True
     empirical = drops / steps

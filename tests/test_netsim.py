@@ -3,51 +3,51 @@ import pytest
 
 import sppc
 from sppc import errors
-from sppc.netsim import BufferState, ChannelModel, buffer_apply, channel_step
-from sppc.solvers import ControlPacket
+from sppc.netsim import buffer_apply, channel_step
 
 
-def make_packet(values):
-    coeffs = np.asarray(values, dtype=float)
-    support = tuple(int(i) for i in np.flatnonzero(coeffs))
-    return ControlPacket(coeffs=coeffs, support=support, residual_sq=0.0,
-                         threshold=1.0, iterations=len(support))
+def run_channel(p_drop, max_consecutive, rng, n):
+    """Outcomes of n transmissions, keeping the drop count as run_trial does."""
+    drops = 0
+    outcomes = []
+    for _ in range(n):
+        delivered = channel_step(drops, p_drop, max_consecutive, rng)
+        drops = 0 if delivered else drops + 1
+        outcomes.append(delivered)
+    return outcomes
 
 
 def test_channel_never_drops_at_zero():
     rng = np.random.default_rng(0)
-    ch = ChannelModel(p_drop=0.0, max_consecutive=5)
-    assert all(channel_step(ch, rng) for _ in range(200))
-    assert ch.consecutive_drops == 0
+    assert all(run_channel(0.0, 5, rng, 200))
 
 
 def test_channel_certain_drop_hits_bound_exactly():
     rng = np.random.default_rng(0)
-    ch = ChannelModel(p_drop=1.0, max_consecutive=2)
-    outcomes = [channel_step(ch, rng) for _ in range(12)]
-    assert outcomes == [False, False, True] * 4
+    assert run_channel(1.0, 2, rng, 12) == [False, False, True] * 4
 
 
 def test_channel_forced_delivery_consumes_no_draw():
     # p = 1 alternates drop, forced delivery; only drops draw randomness
-    ch = ChannelModel(p_drop=1.0, max_consecutive=1)
     rng = np.random.default_rng(7)
-    for _ in range(10):
-        channel_step(ch, rng)
+    run_channel(1.0, 1, rng, 10)
     reference = np.random.default_rng(7)
     reference.random(5)
-    assert rng.random() == reference.random()
+    assert rng.bit_generator.state == reference.bit_generator.state
+    # a forced delivery leaves the generator untouched
+    state = rng.bit_generator.state
+    assert channel_step(1, 0.0, 1, rng)
+    assert rng.bit_generator.state == state
 
 
 def test_channel_bound_and_empirical_rate():
     rng = np.random.default_rng(99)
     p, bound = 0.5, 9
-    ch = ChannelModel(p_drop=p, max_consecutive=bound)
+    n = 100_000
     drops = 0
     run = 0
-    n = 100_000
-    for _ in range(n):
-        if channel_step(ch, rng):
+    for delivered in run_channel(p, bound, rng, n):
+        if delivered:
             run = 0
         else:
             drops += 1
@@ -58,35 +58,60 @@ def test_channel_bound_and_empirical_rate():
     assert drops / n == pytest.approx(expected, abs=0.01)
 
 
-def test_channel_validation():
-    for bad in (-0.1, 1.5):
+def test_channel_validation(example_case):
+    # the drop probability is checked where the channel is run; the drop
+    # bound is N - 1, which cannot go negative because N >= 1 is enforced
+    plant, syn, h = example_case
+    x0 = np.array([0.5, 0.5, 0.5, 0.5])
+    for bad in (-0.1, 1.5, float("nan")):
         with pytest.raises(errors.ConfigError):
-            ChannelModel(p_drop=bad, max_consecutive=3)
+            sppc.run_trial(plant, h, syn, "omp", x0, 5, 0, p_drop=bad)
     with pytest.raises(errors.ConfigError):
-        ChannelModel(p_drop=0.5, max_consecutive=-1)
+        sppc.build_horizon(plant, syn.Q, syn.P, 0)
 
 
 def test_buffer_plays_packet_then_tail():
-    buf = BufferState(contents=np.zeros(3))
-    assert buffer_apply(buf, make_packet([5.0, 6.0, 7.0])) == 5.0
-    assert buffer_apply(buf, None) == 6.0
-    assert buffer_apply(buf, None) == 7.0
+    held = np.array([5.0, 6.0, 7.0])
+    assert [buffer_apply(held, age) for age in range(3)] == [5.0, 6.0, 7.0]
     with pytest.raises(errors.BufferExhausted):
-        buffer_apply(buf, None)
+        buffer_apply(np.arange(3.0), 3)
 
 
-def test_buffer_fresh_packet_resets_cursor():
-    buf = BufferState(contents=np.zeros(2))
-    assert buffer_apply(buf, make_packet([1.0, 2.0])) == 1.0
-    assert buffer_apply(buf, None) == 2.0
-    assert buffer_apply(buf, make_packet([3.0, 4.0])) == 3.0
-    assert buffer_apply(buf, None) == 4.0
+def test_buffer_fresh_packet_resets_cursor(example_case):
+    # every delivery plays the head of the packet designed at that step
+    plant, syn, h = example_case
+    x0 = np.array([0.5, 0.5, 0.5, 0.5])
+    tr = sppc.run_trial(plant, h, syn, "omp", x0, 40, 0, p_drop=0.5)
+    delivered = np.flatnonzero(tr.dropped[:tr.steps] == 0)
+    assert delivered.size > 0
+    for k in delivered:
+        assert tr.inputs[k] == sppc.omp_design(h, syn.W, tr.states[k]).coeffs[0]
 
 
-def test_buffer_starts_zero_filled():
-    buf = BufferState(contents=np.zeros(4))
-    assert buffer_apply(buf, None) == 0.0
-    assert buf.cursor == 1
+def test_buffer_starts_zero_filled(example_case):
+    assert buffer_apply(np.zeros(4), 0) == 0.0
+    # at p = 1 the first N - 1 packets are lost and the plant plays zeros
+    plant, syn, h = example_case
+    x0 = np.array([0.5, 0.5, 0.5, 0.5])
+    tr = sppc.run_trial(plant, h, syn, "omp", x0, h.N, 0, p_drop=1.0)
+    assert np.all(tr.dropped[:h.N - 1] == 1) and tr.dropped[h.N - 1] == 0
+    assert np.all(tr.inputs[:h.N - 1] == 0.0)
+
+
+def test_trial_playout_uses_packet_element_at_drop_age(example_case):
+    # inputs[k] is element age[k] of the packet designed at k - age[k],
+    # where age[k] counts the consecutive drops ending at k
+    plant, syn, h = example_case
+    x0 = np.array([0.5, 0.5, 0.5, 0.5])
+    for seed in range(3):
+        tr = sppc.run_trial(plant, h, syn, "omp", x0, 100, seed, p_drop=0.9)
+        age = 0
+        for k in range(tr.steps):
+            age = age + 1 if tr.dropped[k] else 0
+            j = k - age
+            expected = (0.0 if j < 0 else
+                        sppc.omp_design(h, syn.W, tr.states[j]).coeffs[age])
+            assert tr.inputs[k] == expected
 
 
 def test_trial_zero_initial_state(example_case):
