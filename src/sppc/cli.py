@@ -18,7 +18,8 @@ import numpy as np
 
 from . import config as config_mod
 from .errors import BufferExhausted, ConfigError, SppcError
-from .netsim import MonteCarloResult, log_decay_slope, run_montecarlo, run_trial
+from .netsim import (SOLVER_NAMES, MonteCarloResult, log_decay_slope,
+                     run_montecarlo, run_trial)
 from .synthesis import check_invariants
 
 EXIT_OK = 0
@@ -88,8 +89,8 @@ def cmd_synthesize(cfg, out_dir: str) -> int:
 
 
 def cmd_simulate(cfg, out_dir: str) -> int:
-    if cfg.solver not in ("omp", "l1"):
-        raise ConfigError("simulate needs a single solver, omp or l1")
+    if cfg.solver not in SOLVER_NAMES:
+        raise ConfigError(f"simulate needs a single solver, one of {SOLVER_NAMES}")
     setup = config_mod.build_setup(cfg)
     ok = _emit_manifest("simulate", cfg, setup.plant, setup.synthesis, out_dir)
     trace = run_trial(setup.plant, setup.horizon, setup.synthesis, cfg.solver,
@@ -128,13 +129,11 @@ def _aggregate_lines(result: MonteCarloResult) -> list[str]:
 
 
 def _summary(result: MonteCarloResult) -> dict:
-    steps = result.steps
-    design_slice = slice(0, steps) if steps > 0 else slice(0, 1)
     document = {}
     for agg in result.aggregates:
         document[agg.solver] = {
             "log_decay_slope": log_decay_slope(agg.mean_norm_x),
-            "mean_l0": float(agg.mean_l0[design_slice].mean()),
+            "mean_l0": float(agg.mean_l0[:result.steps].mean()),
             "mean_design_time_us": agg.mean_design_time_us,
         }
     return document

@@ -16,11 +16,11 @@ import numpy as np
 
 from .errors import ConfigError
 from .lifting import build_horizon
-from .netsim import ExperimentSetup
+from .netsim import SOLVER_NAMES, ExperimentSetup
 from .plant import PlantModel, from_poles
 from .synthesis import C_INTERPRETATIONS, SynthesisResult, synthesize
 
-SOLVER_CHOICES = ("omp", "l1", "both")
+SOLVER_CHOICES = SOLVER_NAMES + ("both",)
 
 _KNOWN_KEYS = {
     "plant", "N", "Q", "alpha", "c_interpretation", "solver", "lambda",

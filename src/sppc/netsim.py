@@ -21,6 +21,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -82,10 +83,13 @@ class SimTrace:
         return self.norm_x.size - 1
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def run_trial(plant: PlantModel, h: HorizonData, syn: SynthesisResult,
               solver: str, x0, steps: int, seed: int, *,
-              p_drop: float, lam: float | None = None,
-              normalize: bool = True) -> SimTrace:
+              p_drop: float, lam: float | None = None) -> SimTrace:
     """Simulate one trial: design, transmit, buffer, actuate, advance.
 
     solver is "omp" or "l1"; the l1 path needs lam and freezes its
@@ -96,10 +100,12 @@ def run_trial(plant: PlantModel, h: HorizonData, syn: SynthesisResult,
         raise ConfigError(f"solver must be one of {SOLVER_NAMES}, got {solver!r}")
     if solver == "l1" and lam is None:
         raise ConfigError("l1 solver requires lam")
-    if not isinstance(steps, (int, np.integer)) or steps < 0:
+    if not _is_int(steps) or steps < 0:
         raise ConfigError(f"steps must be a non-negative integer, got {steps!r}")
-    if not 0.0 <= p_drop <= 1.0:
-        raise ConfigError(f"p_drop must lie in [0, 1], got {p_drop!r}")
+    if not _is_int(seed) or not 0 <= seed < 2 ** 64:
+        raise ConfigError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    if not isinstance(p_drop, Real) or not 0.0 <= p_drop <= 1.0:
+        raise ConfigError(f"p_drop must be a real in [0, 1], got {p_drop!r}")
     x = as_vector(x0, "x0")
     if x.size != plant.n:
         raise ConfigError(f"x0 has length {x.size}, plant expects {plant.n}")
@@ -121,7 +127,7 @@ def run_trial(plant: PlantModel, h: HorizonData, syn: SynthesisResult,
         norm_x[k] = float(np.linalg.norm(x))
         t0 = time.perf_counter()
         if solver == "omp":
-            packet = omp_design(h, syn.W, x, normalize=normalize)
+            packet = omp_design(h, syn.W, x)
         else:
             packet = l1_design(h, x, lam, fixed_bound)
         design_time_us[k] = (time.perf_counter() - t0) * 1e6
@@ -157,7 +163,6 @@ class ExperimentSetup:
     steps: int
     p_drop: float
     lam: float | None = None
-    normalize: bool = True
 
 
 @dataclass(frozen=True)
@@ -199,18 +204,18 @@ def _trial_job(args) -> SimTrace:
     setup, solver, trial, base_seed = args
     return run_trial(setup.plant, setup.horizon, setup.synthesis, solver,
                      setup.x0, setup.steps, base_seed + trial,
-                     p_drop=setup.p_drop, lam=setup.lam,
-                     normalize=setup.normalize)
+                     p_drop=setup.p_drop, lam=setup.lam)
 
 
 def log_decay_slope(mean_norm_x: np.ndarray) -> float:
     """Least-squares slope of log ||x(k)|| over the final half of the horizon.
 
+    The fit takes at least the last two of the (two or more) values.
     Values are floored at 1e-300 so fully converged trajectories do not
     produce -inf; a strictly negative slope indicates geometric decay.
     """
     values = np.asarray(mean_norm_x, dtype=float)
-    start = values.size // 2
+    start = min(values.size // 2, values.size - 2)
     tail = np.log(np.maximum(values[start:], 1e-300))
     ks = np.arange(start, values.size, dtype=float)
     return float(np.polyfit(ks, tail, 1)[0])
@@ -229,14 +234,10 @@ def run_montecarlo(setup: ExperimentSetup, trials: int, base_seed: int,
         raise ConfigError(f"trials must be >= 1, got {trials!r}")
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers!r}")
-    if setup.solver == "both":
-        solvers = SOLVER_NAMES
-    elif setup.solver in SOLVER_NAMES:
-        solvers = (setup.solver,)
-    else:
-        raise ConfigError(
-            f"solver must be one of {SOLVER_NAMES + ('both',)}, got {setup.solver!r}"
-        )
+    if setup.steps < 1:
+        raise ConfigError("montecarlo averages designs over steps; "
+                          f"steps must be >= 1, got {setup.steps!r}")
+    solvers = SOLVER_NAMES if setup.solver == "both" else (setup.solver,)
     jobs = [(setup, solver, t, base_seed) for solver in solvers for t in range(trials)]
     if workers == 1:
         traces = [_trial_job(job) for job in jobs]
@@ -251,15 +252,14 @@ def run_montecarlo(setup: ExperimentSetup, trials: int, base_seed: int,
         sparsities = np.vstack([trace.l0 for trace in batch])
         times = np.vstack([trace.design_time_us for trace in batch])
         steps = setup.steps
-        design_slice = slice(0, steps) if steps > 0 else slice(0, 1)
         summaries = tuple(
             TrialSummary(
                 solver=solver,
                 trial=t,
                 seed=base_seed + t,
                 final_norm_x=float(trace.norm_x[-1]),
-                mean_l0=float(trace.l0[design_slice].mean()),
-                mean_design_time_us=float(trace.design_time_us[design_slice].mean()),
+                mean_l0=float(trace.l0[:steps].mean()),
+                mean_design_time_us=float(trace.design_time_us[:steps].mean()),
             )
             for t, trace in enumerate(batch)
         )
@@ -271,7 +271,7 @@ def run_montecarlo(setup: ExperimentSetup, trials: int, base_seed: int,
             solver=solver,
             mean_norm_x=mean_norm,
             mean_l0=mean_l0,
-            mean_design_time_us=float(times[:, design_slice].mean()),
+            mean_design_time_us=float(times[:, :steps].mean()),
             trial_summaries=summaries,
         ))
     return MonteCarloResult(steps=setup.steps, trials=trials,

@@ -50,10 +50,11 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def require_symmetric(m: np.ndarray, tol: float = SYMMETRY_TOL, name: str = "matrix") -> None:
+def require_symmetric(m: np.ndarray, name: str = "matrix") -> None:
     gap = float(np.abs(m - m.T).max()) if m.size else 0.0
-    if gap > tol:
-        raise NonSymmetric(f"{name} asymmetry {gap:.3e} exceeds tolerance {tol:.1e}")
+    if gap > SYMMETRY_TOL:
+        raise NonSymmetric(f"{name} asymmetry {gap:.3e} exceeds tolerance "
+                           f"{SYMMETRY_TOL:.1e}")
 
 
 def cholesky(s) -> np.ndarray:
@@ -102,32 +103,19 @@ def solve_least_squares(m, y) -> np.ndarray:
     return vt.T @ ((u.T @ y) / sv)
 
 
-def _congruent_spectrum(numerator: np.ndarray, spd: np.ndarray) -> np.ndarray:
+def congruent_spectrum(numerator, spd) -> np.ndarray:
     """Eigenvalues (ascending) of numerator @ inv(spd).
 
-    Computed through the symmetric congruence L^-1 numerator L^-T with
-    spd = L L^T; inv(spd) is never formed. The product is similar to this
-    symmetric matrix, so the spectrum is real.
+    numerator is symmetric and spd symmetric positive definite, of the
+    same shape. Computed through the symmetric congruence
+    L^-1 numerator L^-T with spd = L L^T; inv(spd) is never formed. The
+    product is similar to this symmetric matrix, so the spectrum is real.
     """
+    numerator = _as_square(numerator, "numerator")
+    spd = _as_square(spd, "spd")
+    if numerator.shape != spd.shape:
+        raise DimensionMismatch(f"shape mismatch {numerator.shape} vs {spd.shape}")
     lower = cholesky(spd)
     t = scipy.linalg.solve_triangular(lower, symmetrize(numerator), lower=True)
     m = scipy.linalg.solve_triangular(lower, t.T, lower=True)
     return np.linalg.eigvalsh(symmetrize(m))
-
-
-def general_eigen_min(q, p) -> float:
-    """Minimum eigenvalue of q @ inv(p), q and p symmetric positive definite."""
-    q = _as_square(q, "q")
-    p = _as_square(p, "p")
-    if q.shape != p.shape:
-        raise DimensionMismatch(f"shape mismatch {q.shape} vs {p.shape}")
-    return float(_congruent_spectrum(q, p)[0])
-
-
-def general_eigen_max(m, s) -> float:
-    """Maximum eigenvalue of m @ inv(s), m symmetric PSD, s symmetric positive definite."""
-    m = _as_square(m, "m")
-    s = _as_square(s, "s")
-    if m.shape != s.shape:
-        raise DimensionMismatch(f"shape mismatch {m.shape} vs {s.shape}")
-    return float(_congruent_spectrum(m, s)[-1])

@@ -24,6 +24,7 @@ FEASIBILITY_REL_SLACK = 1e-7
 # below this absolute scale the threshold sits in the denormal range where
 # relative margins are meaningless, so infeasibility is never diagnosed
 FEASIBILITY_ABS_FLOOR = 1e-280
+EXHAUSTIVE_MAX_N = 12
 L1_MAX_ITERATIONS = 5000
 L1_REL_TOL = 1e-10
 L1_TRUNCATION_REL = 1e-9
@@ -77,7 +78,7 @@ def _design_inputs(h: HorizonData, W, x):
     return x, y, eps
 
 
-def _greedy_picks(h: HorizonData, y: np.ndarray, eps: float, normalize: bool):
+def _greedy_picks(h: HorizonData, y: np.ndarray, eps: float):
     """The OMP loop: returns (picks in pick order, coefficients, ||r||^2).
 
     G[:, picks] = B R gains one Gram-Schmidt step with re-orthogonalization
@@ -91,7 +92,7 @@ def _greedy_picks(h: HorizonData, y: np.ndarray, eps: float, normalize: bool):
     r = y
     rr = float(r @ r)
     while rr > eps and len(picks) < h.N:
-        score = np.abs(r @ G) / (norms if normalize else 1.0)
+        score = np.abs(r @ G) / norms
         score[picks] = -np.inf
         j = int(score.argmax())
         k = len(picks)
@@ -119,32 +120,33 @@ def _check_feasible(rr: float, eps: float) -> None:
                          "the synthesis that produced W is inconsistent")
 
 
-def omp_design(h: HorizonData, W, x, *, normalize: bool = True) -> ControlPacket:
+def omp_design(h: HorizonData, W, x) -> ControlPacket:
     """Orthogonal Matching Pursuit for the state-dependent packet problem.
 
     Grows the support greedily from the residual r = H x - G u, picking
-    the column most correlated with r (normalized by column norm unless
-    normalize=False; ties break to the smallest index), refitting by
-    least squares, and stopping as soon as ||r||^2 <= x^T W x. Feasible
-    by construction for a valid synthesis: the full-support residual is
-    x^T (P - Q) x, which sits below the threshold by the margin x^T E x.
+    the column most correlated with r (normalized by column norm; ties
+    break to the smallest index), refitting by least squares, and
+    stopping as soon as ||r||^2 <= x^T W x. Feasible by construction for
+    a valid synthesis: the full-support residual is x^T (P - Q) x, which
+    sits below the threshold by the margin x^T E x.
     """
     x, y, eps = _design_inputs(h, W, x)
-    picks, coeffs, rr = _greedy_picks(h, y, eps, normalize)
+    picks, coeffs, rr = _greedy_picks(h, y, eps)
     _check_feasible(rr, eps)
     return _packet(coeffs, rr, eps, len(picks))
 
 
-def exhaustive_design(h: HorizonData, W, x, max_N: int = 12) -> ControlPacket:
+def exhaustive_design(h: HorizonData, W, x) -> ControlPacket:
     """Globally sparsest feasible packet by support enumeration.
 
     Tries supports in order of increasing cardinality, lexicographic
     within a cardinality, and returns the first whose least-squares
     residual meets the threshold. iterations counts supports evaluated.
-    Exponential in N; refuses horizons beyond max_N.
+    Exponential in N; refuses horizons beyond EXHAUSTIVE_MAX_N.
     """
-    if h.N > max_N:
-        raise ConfigError(f"horizon {h.N} exceeds exhaustive-search limit {max_N}")
+    if h.N > EXHAUSTIVE_MAX_N:
+        raise ConfigError(f"horizon {h.N} exceeds exhaustive-search limit "
+                          f"{EXHAUSTIVE_MAX_N}")
     x, y, eps = _design_inputs(h, W, x)
     tried = 1
     rr = float(y @ y)
@@ -169,14 +171,12 @@ def _soft_threshold(z: np.ndarray, amount: float) -> np.ndarray:
     return np.sign(z) * np.maximum(np.abs(z) - amount, 0.0)
 
 
-def l1_design(h: HorizonData, x, lam: float, fixed_bound: float, *,
-              max_iterations: int = L1_MAX_ITERATIONS,
-              rel_tol: float = L1_REL_TOL) -> ControlPacket:
+def l1_design(h: HorizonData, x, lam: float, fixed_bound: float) -> ControlPacket:
     """Baseline design minimizing lam * ||u||_1 + 0.5 * ||G u - H x||^2.
 
     Accelerated proximal gradient with step 1/L, L the top eigenvalue of
     G^T G, momentum restarted whenever the objective rises. Stops when
-    the relative objective change drops below rel_tol. Near-zero entries
+    the relative objective change drops below L1_REL_TOL. Near-zero entries
     (below L1_TRUNCATION_REL of the largest) are truncated to exact zero
     before sparsity accounting. The packet records fixed_bound as its
     threshold for comparison purposes only; no feasibility is promised.
@@ -209,7 +209,7 @@ def l1_design(h: HorizonData, x, lam: float, fixed_bound: float, *,
     f_prev = objective(u)
     converged = False
     iterations = 0
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, L1_MAX_ITERATIONS + 1):
         grad = K @ momentum - b
         u_next = _soft_threshold(momentum - step * grad, shrink)
         f = objective(u_next)
@@ -224,14 +224,14 @@ def l1_design(h: HorizonData, x, lam: float, fixed_bound: float, *,
         momentum = u_next + ((t - 1.0) / t_next) * (u_next - u)
         u = u_next
         t = t_next
-        if abs(f_prev - f) <= rel_tol * (1.0 + abs(f)):
+        if abs(f_prev - f) <= L1_REL_TOL * (1.0 + abs(f)):
             converged = True
             break
         f_prev = f
     if not converged:
         raise NoConvergence(
-            f"l1 solver missed tolerance {rel_tol:.1e} "
-            f"after {max_iterations} iterations"
+            f"l1 solver missed tolerance {L1_REL_TOL:.1e} "
+            f"after {L1_MAX_ITERATIONS} iterations"
         )
     peak = float(np.abs(u).max()) if u.size else 0.0
     if peak > 0.0:

@@ -18,13 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateInput, NoConvergence, NotPositiveDefinite, NotReachable
 from .lifting import HorizonData, build_horizon
-from .numerics import (
-    as_matrix,
-    general_eigen_max,
-    general_eigen_min,
-    sym_eigenvalues,
-    symmetrize,
-)
+from .numerics import as_matrix, congruent_spectrum, sym_eigenvalues, symmetrize
 from .plant import PlantModel, is_reachable
 
 RICCATI_REL_TOL = 1e-12
@@ -58,14 +52,12 @@ def riccati_residual(plant: PlantModel, Q: np.ndarray, P: np.ndarray) -> float:
     return float(np.abs(image - P).max())
 
 
-def solve_riccati(plant: PlantModel, Q, *,
-                  rel_tol: float = RICCATI_REL_TOL,
-                  max_iterations: int = RICCATI_MAX_ITERATIONS):
+def solve_riccati(plant: PlantModel, Q):
     """Fixed-point iteration for P = A^T P A - A^T P B (B^T P B)^-1 B^T P A + Q.
 
     Starts at P = Q, symmetrizes every iterate, and stops when the relative
-    max-norm change drops below rel_tol. Converges for reachable (A, B)
-    with Q > 0; this is the value-iteration form of the equation.
+    max-norm change drops below RICCATI_REL_TOL. Converges for reachable
+    (A, B) with Q > 0; this is the value-iteration form of the equation.
 
     Returns (P, iterations, residual).
     """
@@ -75,7 +67,7 @@ def solve_riccati(plant: PlantModel, Q, *,
     A, B = plant.A, plant.B
     P = symmetrize(Q.copy())
     iterations = 0
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, RICCATI_MAX_ITERATIONS + 1):
         bpb = (B.T @ P @ B).item()
         if bpb <= RICCATI_PIVOT_FLOOR:
             raise DegenerateInput(f"B^T P B = {bpb:.3e} underflowed")
@@ -85,19 +77,19 @@ def solve_riccati(plant: PlantModel, Q, *,
             raise NoConvergence("Riccati iteration diverged")
         delta = float(np.abs(p_next - P).max())
         P = p_next
-        if delta <= rel_tol * (1.0 + float(np.abs(P).max())):
+        if delta <= RICCATI_REL_TOL * (1.0 + float(np.abs(P).max())):
             break
     else:
         raise NoConvergence(
-            f"Riccati iteration missed tolerance {rel_tol:.1e} "
-            f"after {max_iterations} iterations"
+            f"Riccati iteration missed tolerance {RICCATI_REL_TOL:.1e} "
+            f"after {RICCATI_MAX_ITERATIONS} iterations"
         )
     return P, iterations, riccati_residual(plant, Q, P)
 
 
 def compute_rho(Q, P) -> float:
     """Contraction rate 1 - lambda_min(Q P^-1); in [0, 1) when Q <= P."""
-    rho = 1.0 - general_eigen_min(Q, P)
+    rho = 1.0 - float(congruent_spectrum(Q, P)[0])
     # P >= Q makes rho >= 0 exactly; clip rounding dust at the boundary
     return max(rho, 0.0)
 
@@ -129,7 +121,7 @@ def compute_c(h: HorizonData, P, rho: float,
         peak = 0.0
         for i in range(N):
             row = h.Phi[i * n:(i + 1) * n, :]
-            peak = max(peak, general_eigen_max(symmetrize(row.T @ P @ row), h.gram))
+            peak = max(peak, congruent_spectrum(row.T @ P @ row, h.gram)[-1])
     else:
         raise ConfigError(
             f"unknown c interpretation {interpretation!r}; "

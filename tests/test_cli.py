@@ -142,6 +142,16 @@ def test_montecarlo_single_solver_columns(tmp_path):
                                    "mean_design_time_us"}
 
 
+def test_montecarlo_zero_steps_exits_one(tmp_path, capsys):
+    out = tmp_path / "mc0"
+    code = cli.main(["montecarlo", "--config", write_config(tmp_path, steps=0),
+                     "--out", str(out)])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    assert not (out / "aggregate.csv").exists()
+    assert not (out / "summary.json").exists()
+
+
 def test_montecarlo_l1_solver_columns(tmp_path):
     out = tmp_path / "mc_l1"
     code = cli.main(["montecarlo", "--config",

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -194,6 +196,10 @@ def test_trial_rejects_bad_arguments(example_case):
         sppc.run_trial(plant, h, syn, "omp", x0, -1, 0, p_drop=0.5)
     with pytest.raises(errors.ConfigError):
         sppc.run_trial(plant, h, syn, "omp", np.zeros(2), 5, 0, p_drop=0.5)
+    for steps, seed, p_drop in ((True, 0, 0.5), (5, -1, 0.5), (5, 2 ** 64, 0.5),
+                                (5, 1.5, 0.5), (5, True, 0.5), (5, 0, "0.5")):
+        with pytest.raises(errors.ConfigError):
+            sppc.run_trial(plant, h, syn, "omp", x0, steps, seed, p_drop=p_drop)
 
 
 def test_trial_lyapunov_descent_at_receptions(example_case):
@@ -269,6 +275,12 @@ def test_montecarlo_rejects_bad_arguments(example_case):
                                   solver="l1", x0=x0, steps=5, p_drop=0.5)
     with pytest.raises(errors.ConfigError):
         sppc.run_montecarlo(no_lam, trials=1, base_seed=0)
+    with pytest.raises(errors.ConfigError):
+        sppc.run_montecarlo(good, trials=1, base_seed=-5)
+    no_steps = sppc.ExperimentSetup(plant=plant, horizon=h, synthesis=syn,
+                                    solver="omp", x0=x0, steps=0, p_drop=0.5)
+    with pytest.raises(errors.ConfigError):
+        sppc.run_montecarlo(no_steps, trials=1, base_seed=0)
 
 
 def test_log_decay_slope_recovers_geometric_rate():
@@ -276,6 +288,13 @@ def test_log_decay_slope_recovers_geometric_rate():
     slope = sppc.log_decay_slope(0.9 ** ks)
     assert slope == pytest.approx(np.log(0.9), rel=1e-9)
     assert sppc.log_decay_slope(np.zeros(101)) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_log_decay_slope_two_points():
+    # one step gives two norms; the fit must not shrink to a single point
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sppc.log_decay_slope([1.0, 0.5]) == pytest.approx(np.log(0.5))
 
 
 def test_trace_arrays_read_only(example_case):

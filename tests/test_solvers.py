@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import sppc
-from sppc import errors
+from sppc import errors, solvers
 from sppc.lifting import HorizonData
 from sppc.solvers import FEASIBILITY_ABS_FLOOR, FEASIBILITY_REL_SLACK, _greedy_picks
 
@@ -112,7 +112,7 @@ def assert_same_greedy(h, W, x):
     y = h.H @ x
     eps = float(x @ W @ x)
     picks, coeffs, _ = reference_greedy(h.G, y, eps)
-    assert _greedy_picks(h, y, eps, True)[0] == picks
+    assert _greedy_picks(h, y, eps)[0] == picks
     p = sppc.omp_design(h, W, x)
     assert p.iterations == len(picks)
     assert np.abs(p.coeffs - coeffs).max() <= 1e-9 * np.abs(coeffs).max()
@@ -185,16 +185,6 @@ def test_omp_state_scaling_covariance():
         np.testing.assert_allclose(scaled.coeffs, t * base.coeffs, rtol=1e-9)
 
 
-def test_omp_unnormalized_variant():
-    rng = np.random.default_rng(24)
-    for _ in range(10):
-        h, syn = random_instance(rng)
-        x = rng.standard_normal(h.n)
-        p = sppc.omp_design(h, syn.W, x, normalize=False)
-        assert feasible(p)
-        assert p.support == tuple(sorted(p.support))
-
-
 def test_omp_dimension_errors(scalar_case):
     _, syn, h = scalar_case
     with pytest.raises(errors.DimensionMismatch):
@@ -243,10 +233,11 @@ def test_exhaustive_never_beaten_by_omp():
         assert oracle.l0 <= greedy.l0
 
 
-def test_exhaustive_horizon_cap(example_case):
+def test_exhaustive_horizon_cap(example_case, monkeypatch):
     _, syn, h = example_case
+    monkeypatch.setattr(solvers, "EXHAUSTIVE_MAX_N", 8)
     with pytest.raises(errors.ConfigError):
-        sppc.exhaustive_design(h, syn.W, np.zeros(4), max_N=8)
+        sppc.exhaustive_design(h, syn.W, np.zeros(4))
 
 
 def test_l1_zero_state(scalar_case):
@@ -303,11 +294,11 @@ def test_l1_objective_never_worse_than_zero_input(example_case):
         assert obj(p.coeffs) <= obj(ls) + 1e-9
 
 
-def test_l1_iteration_cap(example_case):
+def test_l1_iteration_cap(example_case, monkeypatch):
     _, syn, h = example_case
+    monkeypatch.setattr(solvers, "L1_MAX_ITERATIONS", 1)
     with pytest.raises(errors.NoConvergence):
-        sppc.l1_design(h, np.array([0.5, 0.5, 0.5, 0.5]), 0.01, 1.0,
-                       max_iterations=1)
+        sppc.l1_design(h, np.array([0.5, 0.5, 0.5, 0.5]), 0.01, 1.0)
 
 
 def test_l1_rejects_bad_parameters(scalar_case):

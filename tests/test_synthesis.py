@@ -178,7 +178,8 @@ def test_block_row_synthesis_also_valid(example_plant):
     assert all(c.passed for c in sppc.check_invariants(example_plant, syn))
 
 
-def test_riccati_iteration_limit():
+def test_riccati_iteration_limit(monkeypatch):
     plant = sppc.PlantModel(A=[[2.0, 0.1], [0.0, 1.5]], B=[[0.3], [1.0]])
+    monkeypatch.setattr(synthesis, "RICCATI_MAX_ITERATIONS", 2)
     with pytest.raises(errors.NoConvergence):
-        synthesis.solve_riccati(plant, np.eye(2), max_iterations=2)
+        synthesis.solve_riccati(plant, np.eye(2))
