@@ -141,8 +141,8 @@ def _summary(result: MonteCarloResult) -> dict:
 
 def cmd_montecarlo(cfg, out_dir: str, workers: int) -> int:
     setup = config_mod.build_setup(cfg)
-    ok = _emit_manifest("montecarlo", cfg, setup.plant, setup.synthesis, out_dir)
     result = run_montecarlo(setup, cfg.trials, cfg.seed, workers=workers)
+    ok = _emit_manifest("montecarlo", cfg, setup.plant, setup.synthesis, out_dir)
     aggregate_path = os.path.join(out_dir, "aggregate.csv")
     _write_lines(aggregate_path, _aggregate_lines(result))
     print(f"wrote {aggregate_path}")

@@ -15,7 +15,6 @@ from numbers import Real
 import numpy as np
 
 from .errors import ConfigError
-from .lifting import build_horizon
 from .netsim import SOLVER_NAMES, ExperimentSetup
 from .plant import PlantModel, from_poles
 from .synthesis import C_INTERPRETATIONS, SynthesisResult, synthesize
@@ -241,8 +240,7 @@ def build_setup(config: ExperimentConfig) -> ExperimentSetup:
     _require(config.x0 is not None, "simulation requires x0")
     if config.solver in ("l1", "both"):
         _require(config.lam is not None, "l1 solver requires lambda")
-    horizon = build_horizon(plant, result.Q, result.P, config.N)
-    return ExperimentSetup(plant=plant, horizon=horizon, synthesis=result,
+    return ExperimentSetup(plant=plant, horizon=result.horizon, synthesis=result,
                            solver=config.solver,
                            x0=np.array(config.x0, dtype=float),
                            steps=config.steps, p_drop=config.p_drop,

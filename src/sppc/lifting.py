@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatch
-from .numerics import as_matrix, as_vector, cholesky, sym_eigenvalues, symmetrize
+from .numerics import as_matrix, as_vector, cholesky, symmetrize
 from .plant import PlantModel
 
 
@@ -43,11 +43,6 @@ class HorizonData:
     def gram(self) -> np.ndarray:
         """G^T G, the Gram matrix of the weighted input map."""
         return _frozen(symmetrize(self.G.T @ self.G))
-
-    @cached_property
-    def lipschitz(self) -> float:
-        """Largest eigenvalue of G^T G."""
-        return float(sym_eigenvalues(self.gram)[-1])
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

@@ -210,11 +210,13 @@ def _trial_job(args) -> SimTrace:
 def log_decay_slope(mean_norm_x: np.ndarray) -> float:
     """Least-squares slope of log ||x(k)|| over the final half of the horizon.
 
-    The fit takes at least the last two of the (two or more) values.
+    The fit takes at least the last two values (fewer is a ConfigError).
     Values are floored at 1e-300 so fully converged trajectories do not
     produce -inf; a strictly negative slope indicates geometric decay.
     """
     values = np.asarray(mean_norm_x, dtype=float)
+    if values.size < 2:
+        raise ConfigError(f"a decay slope needs at least two values, got {values.size}")
     start = min(values.size // 2, values.size - 2)
     tail = np.log(np.maximum(values[start:], 1e-300))
     ks = np.arange(start, values.size, dtype=float)

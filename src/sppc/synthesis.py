@@ -41,6 +41,7 @@ class SynthesisResult:
     alpha: float
     riccati_iterations: int
     riccati_residual: float
+    horizon: HorizonData     # the lifting of this Q, P and N that c is computed on
 
 
 def riccati_residual(plant: PlantModel, Q: np.ndarray, P: np.ndarray) -> float:
@@ -153,7 +154,7 @@ def synthesize(plant: PlantModel, Q, N: int, alpha: float = 0.5, *,
         arr.setflags(write=False)
     return SynthesisResult(Q=Q, P=P, rho=rho, c=c, Eps=eps, W=w, alpha=alpha,
                            riccati_iterations=iterations,
-                           riccati_residual=residual)
+                           riccati_residual=residual, horizon=horizon)
 
 
 @dataclass(frozen=True)

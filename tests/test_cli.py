@@ -143,13 +143,16 @@ def test_montecarlo_single_solver_columns(tmp_path):
 
 
 def test_montecarlo_zero_steps_exits_one(tmp_path, capsys):
-    out = tmp_path / "mc0"
-    code = cli.main(["montecarlo", "--config", write_config(tmp_path, steps=0),
-                     "--out", str(out)])
-    assert code == 1
-    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
-    assert not (out / "aggregate.csv").exists()
-    assert not (out / "summary.json").exists()
+    # a rejected run leaves no output, so no manifest reads like a success
+    runs = {"steps0": (write_config(tmp_path, "steps0.json", steps=0), []),
+            "workers0": (write_config(tmp_path), ["--workers", "0"])}
+    for name, (cfg, extra) in runs.items():
+        out = tmp_path / name
+        code = cli.main(["montecarlo", "--config", cfg, "--out", str(out)] + extra)
+        assert code == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+        for output in ("manifest.json", "aggregate.csv", "summary.json"):
+            assert not (out / output).exists()
 
 
 def test_montecarlo_l1_solver_columns(tmp_path):

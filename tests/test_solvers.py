@@ -294,6 +294,71 @@ def test_l1_objective_never_worse_than_zero_input(example_case):
         assert obj(p.coeffs) <= obj(ls) + 1e-9
 
 
+def test_l1_tie_enters_together():
+    # G is the identity, so the answer soft-thresholds H x = s [1, 1]; both
+    # correlations reach the boundary at once and must enter together
+    h = identity_horizon()
+    for s, expected in ((1.0, 0.5), (-2.0, -1.5)):
+        p = sppc.l1_design(h, np.array([s]), 0.5, 1.0)
+        np.testing.assert_allclose(p.coeffs, [expected, expected], rtol=1e-15)
+        assert p.support == (0, 1)
+
+
+def assert_l1_kkt(h, x, lam):
+    """The lasso optimality conditions at 1e-10 of s = max(lam, ||G^T H x||_inf):
+    c = G^T (H x - G u) equals lam sign(u) on the support, |c| <= lam off it."""
+    y = h.H @ x
+    s = max(lam, float(np.abs(h.G.T @ y).max()))
+    p = sppc.l1_design(h, x, lam, 1.0)
+    c = h.G.T @ (y - h.G @ p.coeffs)
+    on = p.coeffs != 0.0
+    assert np.all(np.abs(c[on] - lam * np.sign(p.coeffs[on])) <= 1e-10 * s)
+    assert np.all(np.abs(c[~on]) <= lam + 1e-10 * s)
+    return p
+
+
+def test_l1_kkt_on_example_trajectories(example_case):
+    plant, syn, h = example_case
+    for seed in range(3):
+        trace = sppc.run_trial(plant, h, syn, "l1", EXAMPLE_X0, 100, seed,
+                               p_drop=0.5, lam=1.0)
+        for x in trace.states[:-1]:
+            assert_l1_kkt(h, x, 1.0)
+
+
+def test_l1_kkt_when_coefficients_leave(example_case):
+    # at small lam the path drops coefficients it picked up earlier; each
+    # segment adds or drops one index after the first pick, so
+    # iterations - l0 is twice the number of drops
+    _, syn, h = example_case
+    rng = np.random.default_rng(27)
+    drops = 0
+    for _ in range(10):
+        x = rng.standard_normal(4)
+        top = float(np.abs(h.G.T @ (h.H @ x)).max())
+        for fraction in (1e-4, 1e-2):
+            p = assert_l1_kkt(h, x, fraction * top)
+            drops += (p.iterations - p.l0) // 2
+    assert drops >= 3
+
+
+@pytest.mark.parametrize("seed", [15, 234])
+def test_l1_kkt_ill_conditioned(seed):
+    # the plants of test_omp_matches_reference_ill_conditioned, where
+    # ||G^T H x||_inf reaches 3e15: a fixed lam = 1 would sit below double
+    # precision there, so lam is scaled to it
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 21))
+    N = int(rng.integers(4, 65))
+    plant = random_reachable_plant(rng, n)
+    syn = sppc.synthesize(plant, None, N, 0.5)
+    for _ in range(3):
+        x = rng.standard_normal(n)
+        top = float(np.abs(syn.horizon.G.T @ (syn.horizon.H @ x)).max())
+        for fraction in (1e-3, 1e-1, 0.5):
+            assert_l1_kkt(syn.horizon, x, fraction * top)
+
+
 def test_l1_iteration_cap(example_case, monkeypatch):
     _, syn, h = example_case
     monkeypatch.setattr(solvers, "L1_MAX_ITERATIONS", 1)
