@@ -17,13 +17,13 @@ import numpy as np
 from .errors import ConfigError
 from .netsim import SOLVER_NAMES, ExperimentSetup
 from .plant import PlantModel, from_poles
-from .synthesis import C_INTERPRETATIONS, SynthesisResult, synthesize
+from .synthesis import SynthesisResult, synthesize
 
 SOLVER_CHOICES = SOLVER_NAMES + ("both",)
 
 _KNOWN_KEYS = {
-    "plant", "N", "Q", "alpha", "c_interpretation", "solver", "lambda",
-    "x0", "p_drop", "steps", "trials", "seed",
+    "plant", "N", "Q", "alpha", "solver", "lambda", "x0", "p_drop", "steps",
+    "trials", "seed",
 }
 
 
@@ -35,7 +35,6 @@ class ExperimentConfig:
     N: int
     Q: object = "identity"
     alpha: float = 0.5
-    c_interpretation: str = "column_lift"
     solver: str = "omp"
     lam: float | None = None
     x0: list | None = None
@@ -113,6 +112,9 @@ def _canon_plant(value) -> dict:
 def from_dict(document: dict) -> ExperimentConfig:
     """Validate and canonicalize a raw JSON object."""
     _require(isinstance(document, dict), "config root must be an object")
+    # a key left from when c had two readings: its one remaining value is dropped
+    document = {key: value for key, value in document.items()
+                if (key, value) != ("c_interpretation", "column_lift")}
     unknown = set(document) - _KNOWN_KEYS
     _require(not unknown, f"unknown config keys: {sorted(unknown)}")
     _require("plant" in document, "config requires a plant")
@@ -132,10 +134,6 @@ def from_dict(document: dict) -> ExperimentConfig:
 
     alpha = _as_float(document.get("alpha", 0.5), "alpha")
     _require(0.0 < alpha < 1.0, f"alpha must lie in (0, 1), got {alpha}")
-
-    interp = document.get("c_interpretation", "column_lift")
-    _require(interp in C_INTERPRETATIONS,
-             f"c_interpretation must be one of {C_INTERPRETATIONS}, got {interp!r}")
 
     solver = document.get("solver", "omp")
     _require(solver in SOLVER_CHOICES,
@@ -165,9 +163,8 @@ def from_dict(document: dict) -> ExperimentConfig:
     _require(0 <= seed < 2 ** 64, f"seed must fit in 64 bits, got {seed}")
 
     return ExperimentConfig(plant=plant, N=horizon, Q=q, alpha=alpha,
-                            c_interpretation=interp, solver=solver, lam=lam,
-                            x0=x0, p_drop=p_drop, steps=steps, trials=trials,
-                            seed=seed)
+                            solver=solver, lam=lam, x0=x0, p_drop=p_drop,
+                            steps=steps, trials=trials, seed=seed)
 
 
 def to_dict(config: ExperimentConfig) -> dict:
@@ -177,7 +174,6 @@ def to_dict(config: ExperimentConfig) -> dict:
         "N": config.N,
         "Q": config.Q,
         "alpha": config.alpha,
-        "c_interpretation": config.c_interpretation,
         "solver": config.solver,
         "x0": config.x0,
         "p_drop": config.p_drop,
@@ -229,8 +225,7 @@ def q_matrix(config: ExperimentConfig, n: int) -> np.ndarray:
 
 def run_synthesis(config: ExperimentConfig) -> tuple[PlantModel, SynthesisResult]:
     plant = build_plant(config)
-    result = synthesize(plant, q_matrix(config, plant.n), config.N, config.alpha,
-                        c_interpretation=config.c_interpretation)
+    result = synthesize(plant, q_matrix(config, plant.n), config.N, config.alpha)
     return plant, result
 
 
@@ -240,8 +235,7 @@ def build_setup(config: ExperimentConfig) -> ExperimentSetup:
     _require(config.x0 is not None, "simulation requires x0")
     if config.solver in ("l1", "both"):
         _require(config.lam is not None, "l1 solver requires lambda")
-    return ExperimentSetup(plant=plant, horizon=result.horizon, synthesis=result,
-                           solver=config.solver,
+    return ExperimentSetup(plant=plant, synthesis=result, solver=config.solver,
                            x0=np.array(config.x0, dtype=float),
                            steps=config.steps, p_drop=config.p_drop,
                            lam=config.lam)

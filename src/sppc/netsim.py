@@ -156,13 +156,17 @@ class ExperimentSetup:
     """Everything run_montecarlo needs besides trial count and seeding."""
 
     plant: PlantModel
-    horizon: HorizonData
     synthesis: SynthesisResult
     solver: str
     x0: np.ndarray
     steps: int
     p_drop: float
     lam: float | None = None
+
+    @property
+    def horizon(self) -> HorizonData:
+        """The lifting the synthesis certified c against."""
+        return self.synthesis.horizon
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,6 @@ RICCATI_REL_TOL = 1e-12
 RICCATI_MAX_ITERATIONS = 100_000
 RICCATI_PIVOT_FLOOR = 1e-12
 
-C_INTERPRETATIONS = ("column_lift", "block_row")
-
 
 @dataclass(frozen=True)
 class SynthesisResult:
@@ -95,17 +93,14 @@ def compute_rho(Q, P) -> float:
     return max(rho, 0.0)
 
 
-def compute_c(h: HorizonData, P, rho: float,
-              interpretation: str = "column_lift") -> float:
+def compute_c(h: HorizonData, P, rho: float) -> float:
     """Horizon constant scaling the admissible margin cone.
 
-    Both readings of the per-index quadratic form over the input map are
-    supported. "column_lift" treats index i as the i-th column of Phi and
-    lifts P blockwise, giving the scalar sum of P-quadratic forms over the
-    column's blocks; "block_row" treats index i as the i-th block row.
-    The maximum over i is scaled by the geometric-series prefactor
-    (1 - rho^N) / (1 - rho) and by the inverse Gram matrix of the lifted
-    input map.
+    Index i of the packet is the i-th column of Phi, lifted blockwise
+    through P: the per-index form is the sum of the P-quadratic forms of
+    that column's N blocks. Their maximum over i, divided by the smallest
+    eigenvalue of the Gram matrix G^T G of the lifted input map, is scaled
+    by the geometric-series prefactor (1 - rho^N) / (1 - rho).
     """
     if not 0.0 <= rho < 1.0:
         raise DegenerateInput(f"rho = {rho!r} outside [0, 1)")
@@ -113,27 +108,14 @@ def compute_c(h: HorizonData, P, rho: float,
     lam_min = float(sym_eigenvalues(h.gram)[0])
     if lam_min <= 0.0:
         raise NotPositiveDefinite("lifted input map lost column rank")
-    n, N = h.n, h.N
-    if interpretation == "column_lift":
-        blocks = h.Phi.reshape(N, n, N)
-        forms = np.einsum("iaj,ab,ibj->j", blocks, P, blocks)
-        peak = float(forms.max()) / lam_min
-    elif interpretation == "block_row":
-        peak = 0.0
-        for i in range(N):
-            row = h.Phi[i * n:(i + 1) * n, :]
-            peak = max(peak, congruent_spectrum(row.T @ P @ row, h.gram)[-1])
-    else:
-        raise ConfigError(
-            f"unknown c interpretation {interpretation!r}; "
-            f"expected one of {C_INTERPRETATIONS}"
-        )
-    prefactor = (1.0 - rho ** N) / (1.0 - rho)
+    blocks = h.Phi.reshape(h.N, h.n, h.N)
+    forms = np.einsum("iaj,ab,ibj->j", blocks, P, blocks)
+    peak = float(forms.max()) / lam_min
+    prefactor = (1.0 - rho ** h.N) / (1.0 - rho)
     return float(prefactor * peak)
 
 
-def synthesize(plant: PlantModel, Q, N: int, alpha: float = 0.5, *,
-               c_interpretation: str = "column_lift") -> SynthesisResult:
+def synthesize(plant: PlantModel, Q, N: int, alpha: float = 0.5) -> SynthesisResult:
     """Run the synthesis procedure end to end.
 
     Q may be None for the identity default. alpha in (0, 1) places
@@ -147,7 +129,7 @@ def synthesize(plant: PlantModel, Q, N: int, alpha: float = 0.5, *,
     P, iterations, residual = solve_riccati(plant, Q)
     rho = compute_rho(Q, P)
     horizon = build_horizon(plant, Q, P, N)
-    c = compute_c(horizon, P, rho, c_interpretation)
+    c = compute_c(horizon, P, rho)
     eps = symmetrize(alpha * (1.0 - rho) / c * P)
     w = symmetrize(P - Q + eps)
     for arr in (Q, P, eps, w):

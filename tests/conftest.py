@@ -30,8 +30,7 @@ def scalar_case():
     """The hand-checked A=2, B=1, Q=1, N=2 pipeline."""
     plant = sppc.PlantModel(A=np.array([[2.0]]), B=np.array([[1.0]]))
     syn = sppc.synthesize(plant, np.array([[1.0]]), 2, 0.5)
-    horizon = sppc.build_horizon(plant, syn.Q, syn.P, 2)
-    return plant, syn, horizon
+    return plant, syn, syn.horizon
 
 
 @pytest.fixture(scope="session")
@@ -43,5 +42,4 @@ def example_plant():
 def example_case(example_plant):
     """Fourth-order unstable plant with N=10 and identity Q, synthesized once."""
     syn = sppc.synthesize(example_plant, None, 10, 0.5)
-    horizon = sppc.build_horizon(example_plant, syn.Q, syn.P, 10)
-    return example_plant, syn, horizon
+    return example_plant, syn, syn.horizon

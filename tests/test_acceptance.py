@@ -139,11 +139,9 @@ def test_criterion_5_example_experiment():
     t0 = time.perf_counter()
     plant = sppc.from_poles(EXAMPLE_POLES)
     syn = sppc.synthesize(plant, None, 10, 0.5)
-    h = sppc.build_horizon(plant, syn.Q, syn.P, 10)
     x0 = np.array([0.5, 0.5, 0.5, 0.5])
-    setup = sppc.ExperimentSetup(plant=plant, horizon=h, synthesis=syn,
-                                 solver="both", x0=x0, steps=100,
-                                 p_drop=0.5, lam=1.0)
+    setup = sppc.ExperimentSetup(plant=plant, synthesis=syn, solver="both",
+                                 x0=x0, steps=100, p_drop=0.5, lam=1.0)
     result = sppc.run_montecarlo(setup, trials=500, base_seed=20260814)
     m = result.aggregate("omp").mean_norm_x
     l1 = result.aggregate("l1")

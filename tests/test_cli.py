@@ -5,6 +5,7 @@ import sys
 import pytest
 
 import sppc.cli as cli
+from sppc import solvers
 from sppc.errors import BufferExhausted
 
 
@@ -113,9 +114,22 @@ def test_simulate_deterministic_modulo_clock(tmp_path):
 
 def test_simulate_rejects_both(tmp_path, capsys):
     path = write_config(tmp_path, solver="both")
-    code = cli.main(["simulate", "--config", path, "--out", str(tmp_path)])
+    out = tmp_path / "out"
+    code = cli.main(["simulate", "--config", path, "--out", str(out)])
     assert code == 1
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    assert list(out.iterdir()) == []
+
+
+def test_simulate_failed_trial_writes_nothing(tmp_path, monkeypatch, capsys):
+    # the trial runs before any file is written, so no manifest reads like a success
+    monkeypatch.setattr(solvers, "L1_MAX_ITERATIONS", 0)
+    out = tmp_path / "out"
+    code = cli.main(["simulate", "--config", write_config(tmp_path, solver="l1"),
+                     "--out", str(out)])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "NoConvergence"
+    assert list(out.iterdir()) == []
 
 
 def test_simulate_requires_x0(tmp_path, capsys):

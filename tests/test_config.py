@@ -13,7 +13,6 @@ FULL_DOC = {
     "N": 10,
     "Q": "identity",
     "alpha": 0.5,
-    "c_interpretation": "column_lift",
     "solver": "both",
     "lambda": 1.0,
     "x0": [0.5, 0.5, 0.5, 0.5],
@@ -40,7 +39,6 @@ def test_defaults_applied():
     cfg = cfgmod.from_dict(minimal_doc())
     assert cfg.Q == "identity"
     assert cfg.alpha == 0.5
-    assert cfg.c_interpretation == "column_lift"
     assert cfg.solver == "omp"
     assert cfg.lam is None
     assert cfg.x0 is None
@@ -93,6 +91,7 @@ def test_flat_b_becomes_column():
     lambda d: d.update(alpha=1.0),
     lambda d: d.update(alpha="half"),
     lambda d: d.update(c_interpretation="rowwise"),
+    lambda d: d.update(c_interpretation="block_row"),
     lambda d: d.update(solver="newton"),
     lambda d: d.update(**{"lambda": 0.0}),
     lambda d: d.update(**{"lambda": -1.0}),
@@ -110,6 +109,13 @@ def test_invalid_documents_rejected(mutate):
     mutate(doc)
     with pytest.raises(ConfigError):
         cfgmod.from_dict(doc)
+
+
+def test_legacy_c_key_accepted_and_dropped():
+    # c has one reading; documents that still name it parse to the same config
+    cfg = cfgmod.from_dict(minimal_doc(c_interpretation="column_lift"))
+    assert cfg == cfgmod.from_dict(minimal_doc())
+    assert "c_interpretation" not in cfgmod.to_dict(cfg)
 
 
 def test_load_config_round_trip(tmp_path):

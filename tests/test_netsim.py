@@ -6,6 +6,10 @@ import pytest
 import sppc
 from sppc import errors
 from sppc.netsim import buffer_apply, channel_step
+from sppc.numerics import congruent_spectrum
+from sppc.solvers import FEASIBILITY_REL_SLACK
+
+from conftest import EXAMPLE_POLES, random_reachable_plant
 
 
 def run_channel(p_drop, max_consecutive, rng, n):
@@ -234,10 +238,57 @@ def test_omp_lyapunov_contraction_between_receptions(example_case, p_drop):
     assert checked >= 100
 
 
+# (plant, n, N): the example plant, then envelope plants drawn from their seed
+# by random_reachable_plant; the four n = 2 plants break the rho-form
+# V(x_k') <= rho V(x_k) (up to 1.20 rho), the four n >= 18 ones run long packets
+RECEPTION_BOUND_PLANTS = [("example", 4, 10), (23, 2, 46), (94, 2, 18),
+                          (200, 2, 43), (214, 2, 9), (93, 20, 64),
+                          (183, 20, 62), (197, 19, 61), (208, 18, 62)]
+
+
+def reception_bound_plant(plant_id):
+    """The plant and horizon N named by an entry of RECEPTION_BOUND_PLANTS."""
+    if plant_id == "example":
+        return sppc.from_poles(EXAMPLE_POLES), 10
+    rng = np.random.default_rng(plant_id)
+    n = int(rng.integers(2, 21))
+    N = int(rng.integers(4, 65))
+    return random_reachable_plant(rng, n), N
+
+
+@pytest.mark.parametrize("p_drop", [0.5, 0.9])
+@pytest.mark.parametrize("plant_id, n, N", RECEPTION_BOUND_PLANTS)
+def test_omp_cost_bound_between_receptions(plant_id, n, N, p_drop):
+    # P is the cheap-control Riccati fixed point, so the packet delivered at
+    # reception k costs at least V(x_k') from the next reception k' on:
+    #   V(x_k') + sum_{k<i<k'} x_i^T Q x_i <= ||G u - H x_k||^2 <= x_k^T W x_k,
+    # so V at the next reception is at most lambda_max(W, P) < 1 times V here.
+    # Measured worst: 1.1e-11 above the bound (seed 93), 6.8e-6 below it (example).
+    plant, horizon = reception_bound_plant(plant_id)
+    assert (plant.n, horizon) == (n, N)
+    syn = sppc.synthesize(plant, None, N, 0.5)
+    assert congruent_spectrum(syn.W, syn.P)[-1] < 1.0
+    checked = 0
+    for seed in range(2):
+        x0 = np.random.default_rng(1000 + seed).standard_normal(n)
+        tr = sppc.run_trial(plant, syn.horizon, syn, "omp", x0, 40, seed,
+                            p_drop=p_drop)
+        xs = tr.states
+        v, q, w = (np.einsum("ki,ij,kj->k", xs, m, xs)
+                   for m in (syn.P, syn.Q, syn.W))
+        receptions = np.flatnonzero(tr.dropped[:tr.steps] == 0)
+        for k, k_next in zip(receptions, receptions[1:]):
+            if np.linalg.norm(xs[k]) > 1e-100:    # above the underflow regime
+                cost = v[k_next] + q[k + 1:k_next].sum()
+                assert cost <= w[k] * (1.0 + FEASIBILITY_REL_SLACK)
+                checked += 1
+    assert checked >= 5
+
+
 def test_montecarlo_single_trial_matches_run_trial(example_case):
     plant, syn, h = example_case
     x0 = np.array([0.5, 0.5, 0.5, 0.5])
-    setup = sppc.ExperimentSetup(plant=plant, horizon=h, synthesis=syn,
+    setup = sppc.ExperimentSetup(plant=plant, synthesis=syn,
                                  solver="omp", x0=x0, steps=25, p_drop=0.5)
     result = sppc.run_montecarlo(setup, trials=1, base_seed=42)
     trace = sppc.run_trial(plant, h, syn, "omp", x0, 25, 42, p_drop=0.5)
@@ -250,9 +301,9 @@ def test_montecarlo_single_trial_matches_run_trial(example_case):
 
 
 def test_montecarlo_reproducible(example_case):
-    plant, syn, h = example_case
+    plant, syn, _ = example_case
     x0 = np.array([0.5, 0.5, 0.5, 0.5])
-    setup = sppc.ExperimentSetup(plant=plant, horizon=h, synthesis=syn,
+    setup = sppc.ExperimentSetup(plant=plant, synthesis=syn,
                                  solver="both", x0=x0, steps=15, p_drop=0.5,
                                  lam=1.0)
     a = sppc.run_montecarlo(setup, trials=3, base_seed=9)
@@ -265,9 +316,9 @@ def test_montecarlo_reproducible(example_case):
 
 
 def test_montecarlo_parallel_matches_sequential(example_case):
-    plant, syn, h = example_case
+    plant, syn, _ = example_case
     x0 = np.array([0.5, 0.5, 0.5, 0.5])
-    setup = sppc.ExperimentSetup(plant=plant, horizon=h, synthesis=syn,
+    setup = sppc.ExperimentSetup(plant=plant, synthesis=syn,
                                  solver="omp", x0=x0, steps=10, p_drop=0.5)
     seq = sppc.run_montecarlo(setup, trials=4, base_seed=1)
     par = sppc.run_montecarlo(setup, trials=4, base_seed=1, workers=2)
@@ -278,25 +329,25 @@ def test_montecarlo_parallel_matches_sequential(example_case):
 
 
 def test_montecarlo_rejects_bad_arguments(example_case):
-    plant, syn, h = example_case
+    plant, syn, _ = example_case
     x0 = np.array([0.5, 0.5, 0.5, 0.5])
-    good = sppc.ExperimentSetup(plant=plant, horizon=h, synthesis=syn,
+    good = sppc.ExperimentSetup(plant=plant, synthesis=syn,
                                 solver="omp", x0=x0, steps=5, p_drop=0.5)
     with pytest.raises(errors.ConfigError):
         sppc.run_montecarlo(good, trials=0, base_seed=0)
     with pytest.raises(errors.ConfigError):
         sppc.run_montecarlo(good, trials=1, base_seed=0, workers=0)
-    bad_solver = sppc.ExperimentSetup(plant=plant, horizon=h, synthesis=syn,
+    bad_solver = sppc.ExperimentSetup(plant=plant, synthesis=syn,
                                       solver="newton", x0=x0, steps=5, p_drop=0.5)
     with pytest.raises(errors.ConfigError):
         sppc.run_montecarlo(bad_solver, trials=1, base_seed=0)
-    no_lam = sppc.ExperimentSetup(plant=plant, horizon=h, synthesis=syn,
+    no_lam = sppc.ExperimentSetup(plant=plant, synthesis=syn,
                                   solver="l1", x0=x0, steps=5, p_drop=0.5)
     with pytest.raises(errors.ConfigError):
         sppc.run_montecarlo(no_lam, trials=1, base_seed=0)
     with pytest.raises(errors.ConfigError):
         sppc.run_montecarlo(good, trials=1, base_seed=-5)
-    no_steps = sppc.ExperimentSetup(plant=plant, horizon=h, synthesis=syn,
+    no_steps = sppc.ExperimentSetup(plant=plant, synthesis=syn,
                                     solver="omp", x0=x0, steps=0, p_drop=0.5)
     with pytest.raises(errors.ConfigError):
         sppc.run_montecarlo(no_steps, trials=1, base_seed=0)

@@ -86,24 +86,12 @@ def test_c_geometric_prefactor():
     assert sppc.compute_c(single, P, 0.9) == pytest.approx(lone, rel=1e-12)
 
 
-def test_c_block_row_scalar_value(scalar_case):
-    # hand value: both 2x2 generalized eigenproblems peak at 1
-    _, syn, h = scalar_case
-    assert sppc.compute_c(h, syn.P, 0.0, "block_row") == pytest.approx(1.0, abs=1e-9)
-
-
 def test_c_rejects_bad_rho(scalar_case):
     _, syn, h = scalar_case
     with pytest.raises(errors.DegenerateInput):
         sppc.compute_c(h, syn.P, 1.0)
     with pytest.raises(errors.DegenerateInput):
         sppc.compute_c(h, syn.P, -0.1)
-
-
-def test_c_rejects_unknown_interpretation(scalar_case):
-    _, syn, h = scalar_case
-    with pytest.raises(errors.ConfigError):
-        sppc.compute_c(h, syn.P, 0.0, "diagonal")
 
 
 def test_synthesize_scalar_values(scalar_case):
@@ -170,12 +158,6 @@ def test_synthesis_result_matrices_read_only(scalar_case):
     _, syn, _ = scalar_case
     with pytest.raises(ValueError):
         syn.W[0, 0] = 2.0
-
-
-def test_block_row_synthesis_also_valid(example_plant):
-    syn = sppc.synthesize(example_plant, None, 10, 0.5,
-                          c_interpretation="block_row")
-    assert all(c.passed for c in sppc.check_invariants(example_plant, syn))
 
 
 def test_riccati_iteration_limit(monkeypatch):
