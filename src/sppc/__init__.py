@@ -23,7 +23,6 @@ from .errors import (
 from .lifting import HorizonData, build_horizon, stage_cost
 from .netsim import (
     ExperimentSetup,
-    MonteCarloResult,
     SimTrace,
     log_decay_slope,
     run_montecarlo,
@@ -51,7 +50,6 @@ __all__ = [
     "ExperimentSetup",
     "HorizonData",
     "Infeasible",
-    "MonteCarloResult",
     "NoConvergence",
     "NonConjugatePoles",
     "NonSymmetric",

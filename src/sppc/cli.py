@@ -18,7 +18,7 @@ import numpy as np
 
 from . import config as config_mod
 from .errors import BufferExhausted, ConfigError, SppcError
-from .netsim import MonteCarloResult, log_decay_slope, run_montecarlo, run_trial
+from .netsim import SolverAggregate, log_decay_slope, run_montecarlo, run_trial
 from .synthesis import check_invariants
 
 EXIT_OK = 0
@@ -27,6 +27,12 @@ EXIT_NUMERIC = 2
 EXIT_SIMULATION = 3
 
 TRACE_HEADER = "k,norm_x,l0_u,dropped,input,design_time_us"
+
+# aggregate.csv column names per solver: (mean norm, mean l0)
+AGGREGATE_COLUMNS = {
+    "omp": ("mean_norm_x_omp", "mean_l0_omp"),
+    "l1": ("mean_norm_x_l1", "mean_l1_l0"),
+}
 
 
 def _fmt(value: float) -> str:
@@ -109,31 +115,28 @@ def cmd_simulate(cfg, out_dir: str) -> int:
     return EXIT_OK if ok else EXIT_NUMERIC
 
 
-def _aggregate_lines(result: MonteCarloResult) -> list[str]:
+def _aggregate_lines(result: dict[str, SolverAggregate]) -> list[str]:
     columns: list[tuple[str, np.ndarray]] = []
-    for agg in result.aggregates:
-        if agg.solver == "omp":
-            columns.append(("mean_norm_x_omp", agg.mean_norm_x))
-            columns.append(("mean_l0_omp", agg.mean_l0))
-        else:
-            columns.append(("mean_norm_x_l1", agg.mean_norm_x))
-            columns.append(("mean_l1_l0", agg.mean_l0))
+    for solver, agg in result.items():
+        norm_name, l0_name = AGGREGATE_COLUMNS[solver]
+        columns += [(norm_name, agg.mean_norm_x), (l0_name, agg.mean_l0)]
     lines = ["k," + ",".join(name for name, _ in columns)]
-    for k in range(result.steps + 1):
+    for k in range(columns[0][1].size):
         row = [str(k)] + [_fmt(values[k]) for _, values in columns]
         lines.append(",".join(row))
     return lines
 
 
-def _summary(result: MonteCarloResult) -> dict:
-    document = {}
-    for agg in result.aggregates:
-        document[agg.solver] = {
+def _summary(result: dict[str, SolverAggregate]) -> dict:
+    return {
+        solver: {
             "log_decay_slope": log_decay_slope(agg.mean_norm_x),
-            "mean_l0": float(agg.mean_l0[:result.steps].mean()),
+            # the last row holds the final state only, with no design
+            "mean_l0": float(agg.mean_l0[:-1].mean()),
             "mean_design_time_us": agg.mean_design_time_us,
         }
-    return document
+        for solver, agg in result.items()
+    }
 
 
 def cmd_montecarlo(cfg, out_dir: str, workers: int) -> int:

@@ -9,7 +9,7 @@ every run manifest.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from numbers import Real
 
 import numpy as np
@@ -21,27 +21,32 @@ from .synthesis import SynthesisResult, synthesize
 
 SOLVER_CHOICES = SOLVER_NAMES + ("both",)
 
-_KNOWN_KEYS = {
-    "plant", "N", "Q", "alpha", "solver", "lambda", "x0", "p_drop", "steps",
-    "trials", "seed",
-}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated, JSON-shaped experiment description."""
+    """Validated, JSON-shaped experiment description.
+
+    Each field is the document key of the same name, except lam, which is
+    "lambda"; the field order is the serialized key order.
+    """
 
     plant: dict
     N: int
     Q: object = "identity"
     alpha: float = 0.5
     solver: str = "omp"
-    lam: float | None = None
     x0: list | None = None
     p_drop: float = 0.5
     steps: int = 100
     trials: int = 1
     seed: int = 0
+    lam: float | None = None
+
+
+_KEYS = {f.name: "lambda" if f.name == "lam" else f.name
+         for f in fields(ExperimentConfig)}
+_DEFAULTS = {_KEYS[f.name]: f.default for f in fields(ExperimentConfig)
+             if f.default is not MISSING}
 
 
 def _require(condition: bool, message: str) -> None:
@@ -115,10 +120,11 @@ def from_dict(document: dict) -> ExperimentConfig:
     # a key left from when c had two readings: its one remaining value is dropped
     document = {key: value for key, value in document.items()
                 if (key, value) != ("c_interpretation", "column_lift")}
-    unknown = set(document) - _KNOWN_KEYS
+    unknown = set(document) - set(_KEYS.values())
     _require(not unknown, f"unknown config keys: {sorted(unknown)}")
     _require("plant" in document, "config requires a plant")
     _require("N" in document, "config requires a horizon N")
+    document = {**_DEFAULTS, **document}
 
     plant = _canon_plant(document["plant"])
     n = len(plant["A"]) if "A" in plant else len(plant["poles"])
@@ -126,40 +132,40 @@ def from_dict(document: dict) -> ExperimentConfig:
     horizon = _as_int(document["N"], "N")
     _require(horizon >= 1, f"N must be >= 1, got {horizon}")
 
-    q = document.get("Q", "identity")
+    q = document["Q"]
     if q != "identity":
         q = _canon_matrix(q, "Q")
         _require(len(q) == n and len(q[0]) == n,
                  f"Q must be {n}x{n} to match the plant")
 
-    alpha = _as_float(document.get("alpha", 0.5), "alpha")
+    alpha = _as_float(document["alpha"], "alpha")
     _require(0.0 < alpha < 1.0, f"alpha must lie in (0, 1), got {alpha}")
 
-    solver = document.get("solver", "omp")
+    solver = document["solver"]
     _require(solver in SOLVER_CHOICES,
              f"solver must be one of {SOLVER_CHOICES}, got {solver!r}")
 
-    lam = document.get("lambda")
+    lam = document["lambda"]
     if lam is not None:
         lam = _as_float(lam, "lambda")
         _require(lam > 0.0, f"lambda must be positive, got {lam}")
 
-    x0 = document.get("x0")
+    x0 = document["x0"]
     if x0 is not None:
         _require(isinstance(x0, list) and len(x0) == n,
                  f"x0 must be a list of {n} numbers")
         x0 = [_as_float(entry, "x0 entry") for entry in x0]
 
-    p_drop = _as_float(document.get("p_drop", 0.5), "p_drop")
+    p_drop = _as_float(document["p_drop"], "p_drop")
     _require(0.0 <= p_drop <= 1.0, f"p_drop must lie in [0, 1], got {p_drop}")
 
-    steps = _as_int(document.get("steps", 100), "steps")
+    steps = _as_int(document["steps"], "steps")
     _require(steps >= 0, f"steps must be >= 0, got {steps}")
 
-    trials = _as_int(document.get("trials", 1), "trials")
+    trials = _as_int(document["trials"], "trials")
     _require(trials >= 1, f"trials must be >= 1, got {trials}")
 
-    seed = _as_int(document.get("seed", 0), "seed")
+    seed = _as_int(document["seed"], "seed")
     _require(0 <= seed < 2 ** 64, f"seed must fit in 64 bits, got {seed}")
 
     return ExperimentConfig(plant=plant, N=horizon, Q=q, alpha=alpha,
@@ -168,24 +174,9 @@ def from_dict(document: dict) -> ExperimentConfig:
 
 
 def to_dict(config: ExperimentConfig) -> dict:
-    """Serialize back to the canonical JSON shape."""
-    document = {
-        "plant": config.plant,
-        "N": config.N,
-        "Q": config.Q,
-        "alpha": config.alpha,
-        "solver": config.solver,
-        "x0": config.x0,
-        "p_drop": config.p_drop,
-        "steps": config.steps,
-        "trials": config.trials,
-        "seed": config.seed,
-    }
-    if config.lam is not None:
-        document["lambda"] = config.lam
-    if config.x0 is None:
-        del document["x0"]
-    return document
+    """Serialize back to the canonical JSON shape; unset optionals are omitted."""
+    document = {key: getattr(config, name) for name, key in _KEYS.items()}
+    return {key: value for key, value in document.items() if value is not None}
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -217,16 +208,10 @@ def build_plant(config: ExperimentConfig) -> PlantModel:
                       B=np.array(config.plant["B"]))
 
 
-def q_matrix(config: ExperimentConfig, n: int) -> np.ndarray:
-    if config.Q == "identity":
-        return np.eye(n)
-    return np.array(config.Q, dtype=float)
-
-
 def run_synthesis(config: ExperimentConfig) -> tuple[PlantModel, SynthesisResult]:
     plant = build_plant(config)
-    result = synthesize(plant, q_matrix(config, plant.n), config.N, config.alpha)
-    return plant, result
+    q = None if config.Q == "identity" else config.Q
+    return plant, synthesize(plant, q, config.N, config.alpha)
 
 
 def build_setup(config: ExperimentConfig) -> ExperimentSetup:

@@ -170,44 +170,18 @@ class ExperimentSetup:
 
 
 @dataclass(frozen=True)
-class TrialSummary:
-    solver: str
-    trial: int
-    seed: int
-    final_norm_x: float
-    mean_l0: float
-    mean_design_time_us: float
-
-
-@dataclass(frozen=True)
 class SolverAggregate:
-    """Per-step means across trials for one solver, plus scalar roll-ups."""
+    """Per-step means across trials for one solver, plus the mean design time."""
 
-    solver: str
     mean_norm_x: np.ndarray
     mean_l0: np.ndarray
     mean_design_time_us: float
-    trial_summaries: tuple[TrialSummary, ...]
-
-
-@dataclass(frozen=True)
-class MonteCarloResult:
-    steps: int
-    trials: int
-    base_seed: int
-    aggregates: tuple[SolverAggregate, ...]
-
-    def aggregate(self, solver: str) -> SolverAggregate:
-        for agg in self.aggregates:
-            if agg.solver == solver:
-                return agg
-        raise KeyError(solver)
 
 
 def _trial_job(args) -> SimTrace:
-    setup, solver, trial, base_seed = args
+    setup, solver, seed = args
     return run_trial(setup.plant, setup.horizon, setup.synthesis, solver,
-                     setup.x0, setup.steps, base_seed + trial,
+                     setup.x0, setup.steps, seed,
                      p_drop=setup.p_drop, lam=setup.lam)
 
 
@@ -228,13 +202,14 @@ def log_decay_slope(mean_norm_x: np.ndarray) -> float:
 
 
 def run_montecarlo(setup: ExperimentSetup, trials: int, base_seed: int,
-                   workers: int = 1) -> MonteCarloResult:
-    """Repeat independent trials and average per time index.
+                   workers: int = 1) -> dict[str, SolverAggregate]:
+    """Repeat independent trials and average per time index, per solver.
 
-    Trial t uses seed base_seed + t, so omp and l1 batches see identical
-    drop patterns. Aggregation always reduces in trial order, which keeps
-    the result identical whether trials run sequentially or across
-    worker processes.
+    Returns one SolverAggregate per solver run, keyed and ordered as in
+    SOLVER_NAMES. Trial t uses seed base_seed + t, so omp and l1 batches
+    see identical drop patterns. Aggregation always reduces in trial
+    order, which keeps the result identical whether trials run
+    sequentially or across worker processes.
     """
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials!r}")
@@ -244,42 +219,24 @@ def run_montecarlo(setup: ExperimentSetup, trials: int, base_seed: int,
         raise ConfigError("montecarlo averages designs over steps; "
                           f"steps must be >= 1, got {setup.steps!r}")
     solvers = SOLVER_NAMES if setup.solver == "both" else (setup.solver,)
-    jobs = [(setup, solver, t, base_seed) for solver in solvers for t in range(trials)]
+    jobs = [(setup, solver, base_seed + t) for solver in solvers for t in range(trials)]
     if workers == 1:
         traces = [_trial_job(job) for job in jobs]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             traces = list(pool.map(_trial_job, jobs, chunksize=8))
 
-    aggregates = []
+    aggregates = {}
     for index, solver in enumerate(solvers):
         batch = traces[index * trials:(index + 1) * trials]
-        norms = np.vstack([trace.norm_x for trace in batch])
-        sparsities = np.vstack([trace.l0 for trace in batch])
+        mean_norm = np.vstack([trace.norm_x for trace in batch]).mean(axis=0)
+        mean_l0 = np.vstack([trace.l0 for trace in batch]).mean(axis=0)
         times = np.vstack([trace.design_time_us for trace in batch])
-        steps = setup.steps
-        summaries = tuple(
-            TrialSummary(
-                solver=solver,
-                trial=t,
-                seed=base_seed + t,
-                final_norm_x=float(trace.norm_x[-1]),
-                mean_l0=float(trace.l0[:steps].mean()),
-                mean_design_time_us=float(trace.design_time_us[:steps].mean()),
-            )
-            for t, trace in enumerate(batch)
-        )
-        mean_norm = norms.mean(axis=0)
-        mean_l0 = sparsities.mean(axis=0)
         for arr in (mean_norm, mean_l0):
             arr.setflags(write=False)
-        aggregates.append(SolverAggregate(
-            solver=solver,
+        aggregates[solver] = SolverAggregate(
             mean_norm_x=mean_norm,
             mean_l0=mean_l0,
-            mean_design_time_us=float(times[:, :steps].mean()),
-            trial_summaries=summaries,
-        ))
-    return MonteCarloResult(steps=setup.steps, trials=trials,
-                            base_seed=int(base_seed),
-                            aggregates=tuple(aggregates))
+            mean_design_time_us=float(times[:, :setup.steps].mean()),
+        )
+    return aggregates

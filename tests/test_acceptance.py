@@ -143,8 +143,8 @@ def test_criterion_5_example_experiment():
     setup = sppc.ExperimentSetup(plant=plant, synthesis=syn, solver="both",
                                  x0=x0, steps=100, p_drop=0.5, lam=1.0)
     result = sppc.run_montecarlo(setup, trials=500, base_seed=20260814)
-    m = result.aggregate("omp").mean_norm_x
-    l1 = result.aggregate("l1")
+    m = result["omp"].mean_norm_x
+    l1 = result["l1"]
 
     # (a) greedy packets: monotone decay after the transient, deep final
     # contraction, strictly negative fitted slope. Monotonicity allows

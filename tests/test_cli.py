@@ -209,12 +209,19 @@ def test_montecarlo_rerun_byte_identical(tmp_path):
 
 
 def test_montecarlo_workers_do_not_change_output(tmp_path):
-    cfg = write_config(tmp_path, trials=4)
+    cfg = write_config(tmp_path, solver="both", trials=4)
     out_a, out_b = tmp_path / "seq", tmp_path / "par"
     assert cli.main(["montecarlo", "--config", cfg, "--out", str(out_a)]) == 0
     assert cli.main(["montecarlo", "--config", cfg, "--out", str(out_b),
                      "--workers", "2"]) == 0
     assert (out_a / "aggregate.csv").read_bytes() == (out_b / "aggregate.csv").read_bytes()
+    summaries = []
+    for out in (out_a, out_b):
+        summary = json.loads((out / "summary.json").read_text())
+        for entry in summary.values():
+            del entry["mean_design_time_us"]    # wall clock
+        summaries.append(summary)
+    assert summaries[0] == summaries[1]
 
 
 def test_overrides_reach_manifest(tmp_path):

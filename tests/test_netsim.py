@@ -5,7 +5,7 @@ import pytest
 
 import sppc
 from sppc import errors
-from sppc.netsim import buffer_apply, channel_step
+from sppc.netsim import SOLVER_NAMES, buffer_apply, channel_step
 from sppc.numerics import congruent_spectrum
 from sppc.solvers import FEASIBILITY_REL_SLACK
 
@@ -207,8 +207,11 @@ def test_trial_rejects_bad_arguments(example_case):
 
 
 def test_trial_lyapunov_descent_at_receptions(example_case):
-    # x^T P x contracts at every reception instant until the state hits
-    # numerical zero; measured worst ratio over these seeds is 0.733
+    # a property of the example plant, not a guarantee of the design: on it
+    # x^T P x shrinks by 0.9 over every reception step until the state hits
+    # numerical zero (measured worst ratio over these seeds 0.733); nothing
+    # bounds the one-step ratio on other plants. The guarantee is the
+    # cost bound of test_omp_cost_bound_between_receptions.
     plant, syn, h = example_case
     x0 = np.array([0.5, 0.5, 0.5, 0.5])
     for seed in range(5):
@@ -221,9 +224,12 @@ def test_trial_lyapunov_descent_at_receptions(example_case):
 
 @pytest.mark.parametrize("p_drop", [0.5, 0.9])
 def test_omp_lyapunov_contraction_between_receptions(example_case, p_drop):
-    # the paper's guarantee: V = x^T P x shrinks by at least rho from one
-    # reception to the next, however many drops lie between them; the
-    # measured worst ratios are 0.970 rho (p_drop 0.5) and 0.973 rho (0.9)
+    # a property of the example plant, not a guarantee of the design: on it
+    # V = x^T P x shrinks by at least rho from one reception to the next,
+    # however many drops lie between them (measured worst ratios 0.970 rho at
+    # p_drop 0.5, 0.973 rho at 0.9). The rho-form fails on envelope plants (up
+    # to 1.20 rho, see RECEPTION_BOUND_PLANTS); the guarantee is the cost
+    # bound of test_omp_cost_bound_between_receptions.
     plant, syn, h = example_case
     x0 = np.array([0.5, 0.5, 0.5, 0.5])
     checked = 0
@@ -292,12 +298,10 @@ def test_montecarlo_single_trial_matches_run_trial(example_case):
                                  solver="omp", x0=x0, steps=25, p_drop=0.5)
     result = sppc.run_montecarlo(setup, trials=1, base_seed=42)
     trace = sppc.run_trial(plant, h, syn, "omp", x0, 25, 42, p_drop=0.5)
-    agg = result.aggregate("omp")
+    assert list(result) == ["omp"]
+    agg = result["omp"]
     np.testing.assert_array_equal(agg.mean_norm_x, trace.norm_x)
     np.testing.assert_array_equal(agg.mean_l0, trace.l0.astype(float))
-    assert result.trials == 1
-    assert agg.trial_summaries[0].seed == 42
-    assert agg.trial_summaries[0].final_norm_x == trace.norm_x[-1]
 
 
 def test_montecarlo_reproducible(example_case):
@@ -308,11 +312,10 @@ def test_montecarlo_reproducible(example_case):
                                  lam=1.0)
     a = sppc.run_montecarlo(setup, trials=3, base_seed=9)
     b = sppc.run_montecarlo(setup, trials=3, base_seed=9)
-    for solver in ("omp", "l1"):
-        np.testing.assert_array_equal(a.aggregate(solver).mean_norm_x,
-                                      b.aggregate(solver).mean_norm_x)
-        np.testing.assert_array_equal(a.aggregate(solver).mean_l0,
-                                      b.aggregate(solver).mean_l0)
+    assert list(a) == list(b) == list(SOLVER_NAMES)
+    for solver in SOLVER_NAMES:
+        np.testing.assert_array_equal(a[solver].mean_norm_x, b[solver].mean_norm_x)
+        np.testing.assert_array_equal(a[solver].mean_l0, b[solver].mean_l0)
 
 
 def test_montecarlo_parallel_matches_sequential(example_case):
@@ -322,10 +325,8 @@ def test_montecarlo_parallel_matches_sequential(example_case):
                                  solver="omp", x0=x0, steps=10, p_drop=0.5)
     seq = sppc.run_montecarlo(setup, trials=4, base_seed=1)
     par = sppc.run_montecarlo(setup, trials=4, base_seed=1, workers=2)
-    np.testing.assert_array_equal(seq.aggregate("omp").mean_norm_x,
-                                  par.aggregate("omp").mean_norm_x)
-    np.testing.assert_array_equal(seq.aggregate("omp").mean_l0,
-                                  par.aggregate("omp").mean_l0)
+    np.testing.assert_array_equal(seq["omp"].mean_norm_x, par["omp"].mean_norm_x)
+    np.testing.assert_array_equal(seq["omp"].mean_l0, par["omp"].mean_l0)
 
 
 def test_montecarlo_rejects_bad_arguments(example_case):
