@@ -167,13 +167,19 @@ def test_build_plant_from_poles():
     np.testing.assert_allclose(got, want, atol=1e-9)
 
 
-def test_run_synthesis_produces_valid_parameters():
+def test_q_matrix():
     # "identity" reaches synthesis as the n x n identity, a matrix as given
     three_poles = minimal_doc(plant={"poles": [0.5, 0.2, -0.3]})
     for doc, q in ((three_poles, np.eye(3)), (minimal_doc(Q=[[2.0]]), [[2.0]])):
         plant, result = cfgmod.run_synthesis(cfgmod.from_dict(doc))
         np.testing.assert_array_equal(result.Q, q)
         assert all(c.passed for c in sppc.check_invariants(plant, result))
+
+
+def test_run_synthesis_produces_valid_parameters():
+    cfg = cfgmod.from_dict(minimal_doc())
+    plant, result = cfgmod.run_synthesis(cfg)
+    assert all(c.passed for c in sppc.check_invariants(plant, result))
 
 
 def test_build_setup_resolves_document():
