@@ -40,10 +40,6 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _matrix_rows(m) -> list:
-    return [[float(v) for v in row] for row in np.asarray(m)]
-
-
 def _write_json(path: str, document: dict) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(document, handle, indent=2)
@@ -61,14 +57,12 @@ def _manifest(command: str, cfg, plant, syn) -> dict:
         "command": command,
         "config": config_mod.to_dict(cfg),
         "synthesis": {
-            "P": _matrix_rows(syn.P),
+            "P": syn.P.tolist(),
             "rho": syn.rho,
             "c": syn.c,
-            "Eps": _matrix_rows(syn.Eps),
-            "W": _matrix_rows(syn.W),
-            "alpha": syn.alpha,
+            "Eps": syn.Eps.tolist(),
+            "W": syn.W.tolist(),
             "riccati_iterations": syn.riccati_iterations,
-            "riccati_residual": syn.riccati_residual,
         },
         "checks": [
             {"name": c.name, "passed": bool(c.passed),
@@ -188,10 +182,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = config_mod.load_config(args.config)
-        cfg = config_mod.apply_overrides(cfg, seed=args.seed,
-                                         trials=args.trials,
-                                         solver=args.solver)
+        cfg = config_mod.load_config(args.config, seed=args.seed,
+                                     trials=args.trials, solver=args.solver)
         os.makedirs(args.out, exist_ok=True)
         if args.command == "synthesize":
             return cmd_synthesize(cfg, args.out)

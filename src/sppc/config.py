@@ -179,7 +179,8 @@ def to_dict(config: ExperimentConfig) -> dict:
     return {key: value for key, value in document.items() if value is not None}
 
 
-def load_config(path: str) -> ExperimentConfig:
+def load_config(path: str, **overrides) -> ExperimentConfig:
+    """Read a config file, fold in the overrides that are set, validate once."""
     try:
         with open(path, encoding="utf-8") as handle:
             document = json.load(handle)
@@ -187,16 +188,9 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    if isinstance(document, dict):
+        document.update((k, v) for k, v in overrides.items() if v is not None)
     return from_dict(document)
-
-
-def apply_overrides(config: ExperimentConfig, *, seed: int | None = None,
-                    trials: int | None = None,
-                    solver: str | None = None) -> ExperimentConfig:
-    """Fold command-line overrides into the document and re-validate it."""
-    overrides = {"seed": seed, "trials": trials, "solver": solver}
-    return from_dict({**to_dict(config),
-                      **{k: v for k, v in overrides.items() if v is not None}})
 
 
 def build_plant(config: ExperimentConfig) -> PlantModel:

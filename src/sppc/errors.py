@@ -30,7 +30,7 @@ class RankDeficient(SppcError):
     """Least-squares matrix does not have full column rank."""
 
 
-class NonConjugatePoles(SppcError):
+class NonConjugatePoles(ConfigError):
     """Complex poles are not closed under conjugation."""
 
 

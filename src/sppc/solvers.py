@@ -33,7 +33,7 @@ L1_MAX_ITERATIONS = 5000
 
 @dataclass(frozen=True)
 class ControlPacket:
-    """A designed input sequence with its sparsity bookkeeping.
+    """A designed input sequence; its sparsity is read off the coefficients.
 
     support lists exactly the indices with nonzero coefficients, so
     len(support) is the l0 count; a picked index whose coefficient comes
@@ -41,29 +41,24 @@ class ControlPacket:
     residual_sq is ||G coeffs - H x||^2 at the solution and threshold the
     bound it was designed against (state dependent for OMP and the oracle,
     caller supplied for the l1 solver, which does not promise
-    residual_sq <= threshold).
+    residual_sq <= threshold). coeffs is frozen on construction.
     """
 
     coeffs: np.ndarray
-    support: tuple[int, ...]
     residual_sq: float
     threshold: float
     iterations: int
 
+    def __post_init__(self):
+        self.coeffs.setflags(write=False)
+
+    @property
+    def support(self) -> tuple[int, ...]:
+        return tuple(int(i) for i in np.flatnonzero(self.coeffs))
+
     @property
     def l0(self) -> int:
-        return len(self.support)
-
-
-def _packet(coeffs: np.ndarray, residual_sq: float, threshold: float,
-            iterations: int) -> ControlPacket:
-    coeffs = coeffs.copy()
-    coeffs.setflags(write=False)
-    support = tuple(int(i) for i in np.flatnonzero(coeffs != 0.0))
-    return ControlPacket(coeffs=coeffs, support=support,
-                         residual_sq=float(residual_sq),
-                         threshold=float(threshold),
-                         iterations=int(iterations))
+        return int(np.count_nonzero(self.coeffs))
 
 
 def _design_inputs(h: HorizonData, W, x):
@@ -134,7 +129,7 @@ def omp_design(h: HorizonData, W, x) -> ControlPacket:
     x, y, eps = _design_inputs(h, W, x)
     picks, coeffs, rr = _greedy_picks(h, y, eps)
     _check_feasible(rr, eps)
-    return _packet(coeffs, rr, eps, len(picks))
+    return ControlPacket(coeffs, rr, eps, len(picks))
 
 
 def exhaustive_design(h: HorizonData, W, x) -> ControlPacket:
@@ -152,7 +147,7 @@ def exhaustive_design(h: HorizonData, W, x) -> ControlPacket:
     tried = 1
     rr = float(y @ y)
     if rr <= eps:
-        return _packet(np.zeros(h.N), rr, eps, tried)
+        return ControlPacket(np.zeros(h.N), rr, eps, tried)
     for size in range(1, h.N + 1):
         for support in itertools.combinations(range(h.N), size):
             cols = h.G[:, support]
@@ -163,9 +158,9 @@ def exhaustive_design(h: HorizonData, W, x) -> ControlPacket:
             if rr <= eps:
                 coeffs = np.zeros(h.N)
                 coeffs[list(support)] = sol
-                return _packet(coeffs, rr, eps, tried)
+                return ControlPacket(coeffs, rr, eps, tried)
     _check_feasible(rr, eps)
-    return _packet(sol, rr, eps, tried)
+    return ControlPacket(sol, rr, eps, tried)
 
 
 def l1_design(h: HorizonData, x, lam: float, fixed_bound: float) -> ControlPacket:
@@ -238,4 +233,4 @@ def l1_design(h: HorizonData, x, lam: float, fixed_bound: float) -> ControlPacke
             j = int(leave.argmin())
             sign[j], u[j], left[j] = 0.0, 0.0, True
     r = h.G @ u - y
-    return _packet(u, float(r @ r), fixed_bound, segments)
+    return ControlPacket(u, float(r @ r), fixed_bound, segments)

@@ -36,9 +36,7 @@ class SynthesisResult:
     c: float
     Eps: np.ndarray
     W: np.ndarray
-    alpha: float
     riccati_iterations: int
-    riccati_residual: float
     horizon: HorizonData     # the lifting of this Q, P and N that c is computed on
 
 
@@ -58,7 +56,7 @@ def solve_riccati(plant: PlantModel, Q):
     max-norm change drops below RICCATI_REL_TOL. Converges for reachable
     (A, B) with Q > 0; this is the value-iteration form of the equation.
 
-    Returns (P, iterations, residual).
+    Returns (P, iterations).
     """
     Q = as_matrix(Q, "Q")
     if not is_reachable(plant):
@@ -83,7 +81,7 @@ def solve_riccati(plant: PlantModel, Q):
             f"Riccati iteration missed tolerance {RICCATI_REL_TOL:.1e} "
             f"after {RICCATI_MAX_ITERATIONS} iterations"
         )
-    return P, iterations, riccati_residual(plant, Q, P)
+    return P, iterations
 
 
 def compute_rho(Q, P) -> float:
@@ -126,7 +124,7 @@ def synthesize(plant: PlantModel, Q, N: int, alpha: float = 0.5) -> SynthesisRes
     if Q is None:
         Q = np.eye(plant.n)
     Q = symmetrize(as_matrix(Q, "Q"))
-    P, iterations, residual = solve_riccati(plant, Q)
+    P, iterations = solve_riccati(plant, Q)
     rho = compute_rho(Q, P)
     horizon = build_horizon(plant, Q, P, N)
     c = compute_c(horizon, P, rho)
@@ -134,9 +132,8 @@ def synthesize(plant: PlantModel, Q, N: int, alpha: float = 0.5) -> SynthesisRes
     w = symmetrize(P - Q + eps)
     for arr in (Q, P, eps, w):
         arr.setflags(write=False)
-    return SynthesisResult(Q=Q, P=P, rho=rho, c=c, Eps=eps, W=w, alpha=alpha,
-                           riccati_iterations=iterations,
-                           riccati_residual=residual, horizon=horizon)
+    return SynthesisResult(Q=Q, P=P, rho=rho, c=c, Eps=eps, W=w,
+                           riccati_iterations=iterations, horizon=horizon)
 
 
 @dataclass(frozen=True)

@@ -236,6 +236,24 @@ def test_overrides_reach_manifest(tmp_path):
     assert doc["config"]["solver"] == "l1"
 
 
+def test_override_replaces_invalid_file_value(tmp_path):
+    out = tmp_path / "o"
+    code = cli.main(["montecarlo", "--config", write_config(tmp_path, trials=0),
+                     "--out", str(out), "--trials", "2"])
+    assert code == 0
+    assert read_manifest(out)["config"]["trials"] == 2
+
+
+def test_non_conjugate_poles_exit_one(tmp_path, capsys):
+    out = tmp_path / "o"
+    path = write_config(tmp_path, plant={"poles": [[1.0, 1.0], 0.5]},
+                        x0=[1.0, 0.0])
+    code = cli.main(["synthesize", "--config", path, "--out", str(out)])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "NonConjugatePoles"
+    assert list(out.iterdir()) == []
+
+
 def test_buffer_exhaustion_exits_three(tmp_path, monkeypatch, capsys):
     def explode(*args, **kwargs):
         raise BufferExhausted("buffer of length 2 ran dry")

@@ -136,18 +136,25 @@ def test_load_config_missing_file(tmp_path):
         cfgmod.load_config(str(tmp_path / "absent.json"))
 
 
-def test_apply_overrides():
-    cfg = cfgmod.from_dict(minimal_doc(**{"lambda": 1.0}))
-    out = cfgmod.apply_overrides(cfg, seed=7, trials=9, solver="l1")
+def test_load_config_overrides(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(minimal_doc(**{"lambda": 1.0})))
+    cfg = cfgmod.load_config(str(path))
+    out = cfgmod.load_config(str(path), seed=7, trials=9, solver="l1")
     assert (out.seed, out.trials, out.solver) == (7, 9, "l1")
     assert out.N == cfg.N
-    assert cfgmod.apply_overrides(cfg) == cfg
+    assert cfgmod.load_config(str(path), seed=None, trials=None,
+                              solver=None) == cfg
     with pytest.raises(ConfigError):
-        cfgmod.apply_overrides(cfg, trials=0)
+        cfgmod.load_config(str(path), trials=0)
     with pytest.raises(ConfigError):
-        cfgmod.apply_overrides(cfg, solver="fast")
+        cfgmod.load_config(str(path), solver="fast")
     with pytest.raises(ConfigError):
-        cfgmod.apply_overrides(cfg, seed=-1)
+        cfgmod.load_config(str(path), seed=-1)
+    # overrides are merged before the one validation, so a file value they
+    # replace is never checked
+    path.write_text(json.dumps(minimal_doc(trials=0)))
+    assert cfgmod.load_config(str(path), trials=2).trials == 2
 
 
 def test_build_plant_explicit():

@@ -11,10 +11,10 @@ from conftest import random_reachable_plant, random_spd
 def test_riccati_scalar_unstable():
     # A^T P A - (A P B)^2 / (B^T P B) collapses to zero for scalar data
     plant = sppc.PlantModel(A=[[2.0]], B=[[1.0]])
-    P, iterations, residual = sppc.solve_riccati(plant, [[1.0]])
+    P, iterations = sppc.solve_riccati(plant, [[1.0]])
     np.testing.assert_allclose(P, [[1.0]])
     assert iterations >= 1
-    assert residual <= 1e-12
+    assert synthesis.riccati_residual(plant, np.eye(1), P) <= 1e-12
 
 
 def test_riccati_deadbeat_plant():
@@ -22,7 +22,7 @@ def test_riccati_deadbeat_plant():
     for _ in range(5):
         q = float(rng.uniform(0.5, 4.0))
         plant = sppc.PlantModel(A=[[0.0]], B=[[1.0]])
-        P, _, _ = sppc.solve_riccati(plant, [[q]])
+        P, _ = sppc.solve_riccati(plant, [[q]])
         np.testing.assert_allclose(P, [[q]])
 
 
@@ -38,7 +38,8 @@ def test_riccati_residual_and_gap_random():
         n = int(rng.integers(1, 7))
         plant = random_reachable_plant(rng, n)
         Q = random_spd(rng, n)
-        P, _, residual = sppc.solve_riccati(plant, Q)
+        P, _ = sppc.solve_riccati(plant, Q)
+        residual = synthesis.riccati_residual(plant, Q, P)
         assert residual <= 1e-9 * (1.0 + np.abs(P).max())
         gap = np.linalg.eigvalsh(0.5 * (P - Q + (P - Q).T))
         assert gap[0] >= -1e-9
@@ -48,8 +49,8 @@ def test_riccati_homogeneous_in_q():
     rng = np.random.default_rng(15)
     plant = random_reachable_plant(rng, 3)
     Q = random_spd(rng, 3)
-    P1, _, _ = sppc.solve_riccati(plant, Q)
-    P2, _, _ = sppc.solve_riccati(plant, 2.5 * Q)
+    P1, _ = sppc.solve_riccati(plant, Q)
+    P2, _ = sppc.solve_riccati(plant, 2.5 * Q)
     np.testing.assert_allclose(P2, 2.5 * P1, rtol=1e-8)
 
 
