@@ -113,10 +113,11 @@ def run_trial(plant: PlantModel, h: HorizonData, syn: SynthesisResult,
     rng = np.random.Generator(np.random.PCG64(seed))
     drops = 0
     held = np.zeros(h.N)
-    fixed_bound = float(x @ (syn.W @ x))
+    W = syn.W
+    fixed_bound = float(x @ (W @ x))
+    max_drops = h.N - 1
 
     states = np.zeros((steps + 1, plant.n))
-    norm_x = np.zeros(steps + 1)
     inputs = np.zeros(steps + 1)
     dropped = np.zeros(steps + 1, dtype=np.uint8)
     l0 = np.zeros(steps + 1, dtype=np.int64)
@@ -124,25 +125,25 @@ def run_trial(plant: PlantModel, h: HorizonData, syn: SynthesisResult,
 
     for k in range(steps):
         states[k] = x
-        norm_x[k] = float(np.linalg.norm(x))
         t0 = time.perf_counter()
         if solver == "omp":
-            packet = omp_design(h, syn.W, x)
+            packet = omp_design(h, W, x)
         else:
             packet = l1_design(h, x, lam, fixed_bound)
         design_time_us[k] = (time.perf_counter() - t0) * 1e6
-        delivered = channel_step(drops, p_drop, h.N - 1, rng)
+        delivered = channel_step(drops, p_drop, max_drops, rng)
         if delivered:
             held, drops = packet.coeffs, 0
         else:
             drops += 1
+            dropped[k] = 1
         u = buffer_apply(held, drops)
-        dropped[k] = 0 if delivered else 1
-        l0[k] = packet.l0
+        l0[k] = np.count_nonzero(packet.coeffs)
         inputs[k] = u
         x = step(plant, x, u)
     states[steps] = x
-    norm_x[steps] = float(np.linalg.norm(x))
+    # one ddot per row, the arithmetic of np.linalg.norm on each state
+    norm_x = np.sqrt((states[:, None, :] @ states[:, :, None]).ravel())
 
     for arr in (states, norm_x, inputs, dropped, l0, design_time_us):
         arr.setflags(write=False)

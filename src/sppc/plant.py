@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +48,7 @@ def step(plant: PlantModel, x, u: float) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (plant.n,):
         raise DimensionMismatch(f"state must have shape ({plant.n},), got {x.shape}")
-    if not (np.all(np.isfinite(x)) and np.isfinite(u)):
+    if not (math.isfinite(u) and np.isfinite(x).all()):
         raise DimensionMismatch("state and input must be finite")
     return plant.A @ x + plant.B[:, 0] * float(u)
 

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dposv
 
 from .errors import (ConfigError, DimensionMismatch, Infeasible, NoConvergence,
                      RankDeficient)
@@ -169,13 +170,16 @@ def l1_design(h: HorizonData, x, lam: float, fixed_bound: float) -> ControlPacke
     The lasso homotopy (LARS-lasso): the minimizer is piecewise linear in
     the weight t, so the path is followed from t = ||G^T H x||_inf, where
     u = 0, down to t = lam. On each segment the active coefficients move
-    along K_AA^-1 sign_A (K = G^T G) until an inactive correlation reaches
-    +-t, when that index enters with the sign of the boundary it hit, or an
-    active coefficient reaches zero, when it leaves and sits out the next
-    segment. Zeros are exact, and iterations counts segments; more than
-    L1_MAX_ITERATIONS raise NoConvergence. The packet records fixed_bound
-    as its threshold for comparison purposes only; no feasibility is
-    promised.
+    along K_AA^-1 sign_A (K = G^T G, by Cholesky; a failed factorization
+    raises RankDeficient) until a free correlation reaches +-t, when that
+    index enters with the sign of the boundary it hit, or an active
+    coefficient reaches zero, when it leaves and sits out the next
+    segment. Entries are ranked side-major (+t first, then the smallest
+    index), an entry wins a tie with a leave, and a correlation already on
+    the boundary enters at step 0. Zeros are exact, and iterations counts
+    segments; more than L1_MAX_ITERATIONS raise NoConvergence. The packet
+    records fixed_bound as its threshold for comparison purposes only; no
+    feasibility is promised.
     """
     lam = float(lam)
     if not lam > 0.0 or not np.isfinite(lam):
@@ -189,48 +193,58 @@ def l1_design(h: HorizonData, x, lam: float, fixed_bound: float) -> ControlPacke
     y = h.H @ x
     K = h.gram
     b = h.G.T @ y
-    sides = np.array([[1.0], [-1.0]])
-    u = np.zeros(h.N)
-    sign = np.zeros(h.N)            # +-1 on the active set, 0 off it
-    left = np.zeros(h.N, dtype=bool)
     t = float(np.abs(b).max())
     first = int(np.abs(b).argmax())
-    sign[first] = np.sign(b[first])
+    active = [first]                # ascending; sign and u run parallel to it
+    sign = [1.0 if b[first] > 0.0 else -1.0]
+    u = [0.0]
+    left = -1                       # the index that left last segment
     segments = 0
     while t > lam:
         if segments == L1_MAX_ITERATIONS:
             raise NoConvergence(f"l1 homotopy still at weight {t:.6e} > {lam:.6e} "
                                 f"after {L1_MAX_ITERATIONS} segments")
         segments += 1
-        A = np.flatnonzero(sign)
-        v = np.zeros(h.N)
-        try:
-            v[A] = np.linalg.solve(K[np.ix_(A, A)], sign[A])
-        except np.linalg.LinAlgError as exc:
-            raise RankDeficient(f"active columns {A.tolist()} are linearly "
-                                "dependent") from exc
-        c = b - K @ u
-        a = K @ v
-        # steps g at which an inactive correlation c - g a meets +-(t - g),
-        # and at which an active coefficient u + g v reaches zero; a
+        rows = K.take(active, axis=0)              # K[A]
+        _, v, info = dposv(rows.take(active, axis=1), sign)
+        if info:
+            raise RankDeficient(f"active columns {active} are linearly dependent")
+        c = (b - np.dot(u, rows)).tolist()
+        a = (v @ rows).tolist()
+        v = v.tolist()
+        # steps g at which a free correlation c - g a meets +-(t - g); a
         # correlation already on the boundary (a tie) enters at g = 0
-        enter = np.full((2, h.N), np.inf)
-        np.divide(np.maximum(t - sides * c, 0.0), 1.0 - sides * a, out=enter,
-                  where=(sign == 0.0) & ~left & (sides * a < 1.0))
-        leave = np.full(h.N, np.inf)
-        np.divide(-u, v, out=leave, where=u * v < 0.0)
-        gamma = min(enter.min(), leave.min())
+        gamma, enter, side = math.inf, -1, 0.0
+        free = [j for j in range(h.N) if j != left and j not in active]
+        for s in (1.0, -1.0):
+            for j in free:
+                den = 1.0 - s * a[j]
+                if den > 0.0:
+                    num = t - s * c[j]
+                    g = num / den if num > 0.0 else 0.0
+                    if g < gamma:
+                        gamma, enter, side = g, j, s
+        # steps at which an active coefficient u + g v reaches zero
+        out = -1
+        for i, (ui, vi) in enumerate(zip(u, v)):
+            if ui * vi < 0.0 and -ui / vi < gamma:
+                gamma, out = -ui / vi, i
+        step = min(gamma, t - lam)
+        u = [ui + step * vi for ui, vi in zip(u, v)]
         if gamma >= t - lam:
-            u += (t - lam) * v
             break
-        u += gamma * v
         t -= gamma
-        left[:] = False
-        if enter.min() == gamma:
-            side, j = divmod(int(enter.argmin()), h.N)
-            sign[j] = sides[side, 0]
+        if out < 0:
+            at = sum(i < enter for i in active)
+            active.insert(at, enter)
+            sign.insert(at, side)
+            u.insert(at, 0.0)
+            left = -1
         else:
-            j = int(leave.argmin())
-            sign[j], u[j], left[j] = 0.0, 0.0, True
-    r = h.G @ u - y
-    return ControlPacket(u, float(r @ r), fixed_bound, segments)
+            left = active.pop(out)
+            sign.pop(out)
+            u.pop(out)
+    coeffs = np.zeros(h.N)
+    coeffs[active] = u
+    r = h.G @ coeffs - y
+    return ControlPacket(coeffs, float(r @ r), fixed_bound, segments)

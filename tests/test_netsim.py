@@ -9,7 +9,7 @@ from sppc.netsim import SOLVER_NAMES, buffer_apply, channel_step
 from sppc.numerics import congruent_spectrum
 from sppc.solvers import FEASIBILITY_REL_SLACK
 
-from conftest import EXAMPLE_POLES, random_reachable_plant
+from conftest import EXAMPLE_POLES, EXAMPLE_X0, random_reachable_plant
 
 
 def run_channel(p_drop, max_consecutive, rng, n):
@@ -118,6 +118,23 @@ def test_trial_playout_uses_packet_element_at_drop_age(example_case):
             expected = (0.0 if j < 0 else
                         sppc.omp_design(h, syn.W, tr.states[j]).coeffs[age])
             assert tr.inputs[k] == expected
+
+
+@pytest.mark.parametrize("solver", SOLVER_NAMES)
+@pytest.mark.parametrize("p_drop", [0.5, 0.9])
+def test_trial_norm_and_l0_match_each_state(example_case, solver, p_drop):
+    # norm_x is reduced over all states after the loop: a batch-shaped BLAS
+    # reduction would not round like np.linalg.norm on each state
+    plant, syn, h = example_case
+    tr = sppc.run_trial(plant, h, syn, solver, EXAMPLE_X0, 100, 4,
+                        p_drop=p_drop, lam=1.0)
+    for k in range(tr.steps + 1):
+        assert tr.norm_x[k] == np.linalg.norm(tr.states[k])
+    for k in range(tr.steps):
+        x = tr.states[k]
+        packet = (sppc.omp_design(h, syn.W, x) if solver == "omp"
+                  else sppc.l1_design(h, x, 1.0, 1.0))
+        assert tr.l0[k] == np.count_nonzero(packet.coeffs)
 
 
 def test_trial_zero_initial_state(example_case):

@@ -304,12 +304,80 @@ def test_l1_tie_enters_together():
         assert p.support == (0, 1)
 
 
+def test_l1_equal_columns_are_rank_deficient():
+    # two equal columns of norm 7 tie at the start; the Cholesky solve puts
+    # the second one's step direction a rounding inside the boundary, so it
+    # enters at step 0 and the singular K_AA must raise, not return
+    G = np.array([[7.0, 7.0], [0.0, 0.0]])
+    h = HorizonData(N=2, Phi=G, Upsilon=np.zeros((2, 1)), G=G,
+                    H=np.array([[1.0], [0.0]]))
+    for x in (1.0, -3.0):
+        with pytest.raises(errors.RankDeficient):
+            sppc.l1_design(h, np.array([x]), 0.1, 1.0)
+
+
+def reference_l1(h, x, lam):
+    """The lasso homotopy on full-length vectors: an LU solve of K_AA per
+    segment and every event step masked over all N indices and both sides.
+
+    Returns the coefficients and the segment count.
+    """
+    y = h.H @ x
+    K = h.gram
+    b = h.G.T @ y
+    sides = np.array([[1.0], [-1.0]])
+    u = np.zeros(h.N)
+    sign = np.zeros(h.N)
+    left = np.zeros(h.N, dtype=bool)
+    t = float(np.abs(b).max())
+    first = int(np.abs(b).argmax())
+    sign[first] = np.sign(b[first])
+    segments = 0
+    while t > lam:
+        segments += 1
+        A = np.flatnonzero(sign)
+        v = np.zeros(h.N)
+        v[A] = np.linalg.solve(K[np.ix_(A, A)], sign[A])
+        c = b - K @ u
+        a = K @ v
+        enter = np.full((2, h.N), np.inf)
+        np.divide(np.maximum(t - sides * c, 0.0), 1.0 - sides * a, out=enter,
+                  where=(sign == 0.0) & ~left & (sides * a < 1.0))
+        leave = np.full(h.N, np.inf)
+        np.divide(-u, v, out=leave, where=u * v < 0.0)
+        gamma = min(enter.min(), leave.min())
+        if gamma >= t - lam:
+            u += (t - lam) * v
+            break
+        u += gamma * v
+        t -= gamma
+        left[:] = False
+        if enter.min() == gamma:
+            side, j = divmod(int(enter.argmin()), h.N)
+            sign[j] = sides[side, 0]
+        else:
+            j = int(leave.argmin())
+            sign[j], u[j], left[j] = 0.0, 0.0, True
+    return u, segments
+
+
+def assert_same_l1(h, x, lam, p):
+    """Support and segment count equal the reference's; coefficients agree
+    within 1e-12 of the packet's peak."""
+    coeffs, segments = reference_l1(h, x, lam)
+    assert p.support == tuple(np.flatnonzero(coeffs))
+    assert p.iterations == segments
+    assert np.abs(p.coeffs - coeffs).max() <= 1e-12 * np.abs(coeffs).max()
+
+
 def assert_l1_kkt(h, x, lam):
     """The lasso optimality conditions at 1e-10 of s = max(lam, ||G^T H x||_inf):
-    c = G^T (H x - G u) equals lam sign(u) on the support, |c| <= lam off it."""
+    c = G^T (H x - G u) equals lam sign(u) on the support, |c| <= lam off it.
+    The packet also matches the reference homotopy."""
     y = h.H @ x
     s = max(lam, float(np.abs(h.G.T @ y).max()))
     p = sppc.l1_design(h, x, lam, 1.0)
+    assert_same_l1(h, x, lam, p)
     c = h.G.T @ (y - h.G @ p.coeffs)
     on = p.coeffs != 0.0
     assert np.all(np.abs(c[on] - lam * np.sign(p.coeffs[on])) <= 1e-10 * s)
