@@ -22,7 +22,10 @@ from .plant import PlantModel
 
 @dataclass(frozen=True)
 class HorizonData:
-    """Lifted matrices for one (plant, Q, P, N); derived ones cached on first use."""
+    """Lifted matrices for one (plant, Q, P, N); derived ones cached on first use.
+
+    The derived data include OMP's prefix cache, shared by every design here.
+    """
 
     N: int
     Phi: np.ndarray          # (n N, N)
@@ -43,6 +46,13 @@ class HorizonData:
     def gram(self) -> np.ndarray:
         """G^T G, the Gram matrix of the weighted input map."""
         return _frozen(symmetrize(self.G.T @ self.G))
+
+    @cached_property
+    def omp_prefixes(self) -> dict:
+        """OMP's cache: ordered pick prefix -> Gram-Schmidt row of the last
+        pick, then the new R^-1 column (filled by solvers._greedy_picks).
+        """
+        return {}
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

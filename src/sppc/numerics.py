@@ -4,7 +4,8 @@ Everything here operates on float64 ndarrays and treats inputs as
 immutable, so the routines are safe to call from concurrent contexts.
 Matrices are tiny (state dimension <= 20, horizon <= 64); robustness is
 preferred over speed here, so hot loops such as the OMP kernel keep their
-own incremental factorizations instead of calling in once per iteration.
+own incremental factorizations instead of calling in once per iteration
+(OMP shares its steps across designs, see HorizonData.omp_prefixes).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     m = np.asarray(a, dtype=float)
     if m.ndim != 2:
         raise DimensionMismatch(f"{name} must be 2-D, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise DimensionMismatch(f"{name} has non-finite entries")
     return m
 
@@ -34,7 +35,7 @@ def as_vector(a, name: str = "vector") -> np.ndarray:
     v = np.asarray(a, dtype=float)
     if v.ndim != 1:
         raise DimensionMismatch(f"{name} must be 1-D, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise DimensionMismatch(f"{name} has non-finite entries")
     return v
 

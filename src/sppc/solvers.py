@@ -30,6 +30,8 @@ FEASIBILITY_REL_SLACK = 1e-7
 FEASIBILITY_ABS_FLOOR = 1e-280
 EXHAUSTIVE_MAX_N = 12
 L1_MAX_ITERATIONS = 5000
+# float bytes OMP may keep per horizon in HorizonData.omp_prefixes
+OMP_PREFIX_BUDGET_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -79,12 +81,17 @@ def _greedy_picks(h: HorizonData, y: np.ndarray, eps: float):
     """The OMP loop: returns (picks in pick order, coefficients, ||r||^2).
 
     G[:, picks] = B R gains one Gram-Schmidt step with re-orthogonalization
-    per pick (B stored by rows); the coefficients are R^-1 (B^T y).
+    per pick (B stored by rows); the coefficients are R^-1 (B^T y). A step
+    depends only on G and the pick prefix: it is read from h.omp_prefixes
+    on a hit and stored there on a miss, within OMP_PREFIX_BUDGET_BYTES.
     """
-    G, norms = h.G, h.col_norms
-    basis = np.empty((h.N, G.shape[0]))
+    G, norms, prefixes = h.G, h.col_norms, h.omp_prefixes
+    m = G.shape[0]
+    room = OMP_PREFIX_BUDGET_BYTES // (8 * (m + h.N))   # entries that fit at full length
+    basis = np.empty((h.N, m))
     r_inv = np.zeros((h.N, h.N))
     picks: list[int] = []
+    prefix = ()
     coeffs = np.zeros(h.N)
     r = y
     rr = float(r @ r)
@@ -93,17 +100,24 @@ def _greedy_picks(h: HorizonData, y: np.ndarray, eps: float):
         score[picks] = -np.inf
         j = int(score.argmax())
         k = len(picks)
-        s = basis[:k] @ G[:, j]
-        v = G[:, j] - s @ basis[:k]
-        s2 = basis[:k] @ v
-        v -= s2 @ basis[:k]
-        pivot = math.sqrt(v @ v)
-        if pivot <= RANK_REL_TOL * norms[j]:
-            raise RankDeficient(f"column {j} is numerically in the span of "
-                                f"columns {sorted(picks)}")
-        basis[k] = v / pivot
-        r_inv[:k, k] = r_inv[:k, :k] @ (s + s2) / -pivot
-        r_inv[k, k] = 1.0 / pivot
+        prefix += (j,)
+        step = prefixes.get(prefix)
+        if step is None:
+            s = basis[:k] @ G[:, j]
+            v = G[:, j] - s @ basis[:k]
+            s2 = basis[:k] @ v
+            v -= s2 @ basis[:k]
+            pivot = math.sqrt(v @ v)
+            if pivot <= RANK_REL_TOL * norms[j]:
+                raise RankDeficient(f"column {j} is numerically in the span of "
+                                    f"columns {sorted(picks)}")
+            basis[k] = v / pivot
+            r_inv[:k, k] = r_inv[:k, :k] @ (s + s2) / -pivot
+            r_inv[k, k] = 1.0 / pivot
+            if len(prefixes) < room:
+                prefixes[prefix] = np.concatenate((basis[k], r_inv[:k + 1, k]))
+        else:
+            basis[k], r_inv[:k + 1, k] = step[:m], step[m:]
         picks.append(j)
         coeffs[picks] = r_inv[:k + 1, :k + 1] @ (basis[:k + 1] @ y)
         r = y - G @ coeffs
@@ -125,7 +139,8 @@ def omp_design(h: HorizonData, W, x) -> ControlPacket:
     break to the smallest index), refitting by least squares, and
     stopping as soon as ||r||^2 <= x^T W x. Feasible by construction for
     a valid synthesis: the full-support residual is x^T (P - Q) x, which
-    sits below the threshold by the margin x^T E x.
+    sits below the threshold by the margin x^T E x. Gram-Schmidt steps are
+    shared across calls through h.omp_prefixes, bit for bit as recomputed.
     """
     x, y, eps = _design_inputs(h, W, x)
     picks, coeffs, rr = _greedy_picks(h, y, eps)

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -170,8 +173,96 @@ def test_omp_repeated_column_is_rank_deficient():
     G = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
     h = HorizonData(N=3, Phi=G, Upsilon=-np.ones((3, 1)), G=G,
                     H=np.ones((3, 1)))
-    with pytest.raises(errors.RankDeficient):
-        sppc.omp_design(h, np.array([[0.5]]), np.array([1.0]))
+    # first from a cold prefix cache, then from the prefixes the first call
+    # stored; the failing prefix is never stored
+    for _ in range(2):
+        with pytest.raises(errors.RankDeficient):
+            sppc.omp_design(h, np.array([[0.5]]), np.array([1.0]))
+        assert set(h.omp_prefixes) == {(0,), (0, 1)}
+
+
+def packet_bits(p):
+    return (p.coeffs.tobytes(), np.array([p.residual_sq, p.threshold]).tobytes(),
+            p.iterations)
+
+
+def fresh_horizon(h):
+    return HorizonData(N=h.N, Phi=h.Phi, Upsilon=h.Upsilon, G=h.G, H=h.H)
+
+
+@pytest.mark.parametrize("N, p_drop", [(10, 0.5), (20, 0.9)])
+def test_omp_shared_horizon_matches_fresh_horizons(example_plant, N, p_drop):
+    # designs reading Gram-Schmidt steps from one horizon's prefix cache are
+    # bit for bit the designs that compute every step on a cold horizon
+    syn = sppc.synthesize(example_plant, None, N, 0.5)
+    states = np.vstack([
+        sppc.run_trial(example_plant, syn.horizon, syn, "omp", EXAMPLE_X0, 100,
+                       seed, p_drop=p_drop).states[:-1]
+        for seed in range(3)])
+    for order in (states, states[::-1]):
+        shared = sppc.build_horizon(example_plant, syn.Q, syn.P, N)
+        picks = 0
+        for x in order:
+            p = sppc.omp_design(shared, syn.W, x)
+            fresh = sppc.build_horizon(example_plant, syn.Q, syn.P, N)
+            assert packet_bits(p) == packet_bits(sppc.omp_design(fresh, syn.W, x))
+            picks += p.iterations
+        assert 0 < len(shared.omp_prefixes) < picks / 2
+
+
+def test_omp_prefix_cache_shared_across_threads(example_plant):
+    # concurrent designs on one horizon insert the same bits under the same
+    # prefix, so interleaved hits and misses still give the cold-horizon result
+    syn = sppc.synthesize(example_plant, None, 20, 0.5)
+    states = sppc.run_trial(example_plant, syn.horizon, syn, "omp", EXAMPLE_X0,
+                            100, 0, p_drop=0.9).states[:-1]
+    expected = [packet_bits(sppc.omp_design(fresh_horizon(syn.horizon), syn.W, x))
+                for x in states]
+    shared = fresh_horizon(syn.horizon)
+    results = {}
+
+    def work(t):
+        order = range(len(states)) if t % 2 else range(len(states) - 1, -1, -1)
+        results[t] = {i: packet_bits(sppc.omp_design(shared, syn.W, states[i]))
+                      for i in order}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for t in range(4):
+        assert [results[t][i] for i in range(len(states))] == expected
+
+
+def test_omp_prefix_cache_stays_within_budget(monkeypatch):
+    # envelope-sized states fill the cache past its byte budget; later
+    # designs compute the steps it has no room for, with the same bits
+    rng = np.random.default_rng(7)
+    plant = random_reachable_plant(rng, 19)
+    syn = sppc.synthesize(plant, None, 46, 0.5)
+    states = rng.standard_normal((60, plant.n))
+    h = fresh_horizon(syn.horizon)
+    for x in states:
+        sppc.omp_design(h, syn.W, x)
+    stored = sum(step.nbytes for step in h.omp_prefixes.values())
+    assert stored <= solvers.OMP_PREFIX_BUDGET_BYTES
+    unbounded = fresh_horizon(syn.horizon)
+    monkeypatch.setattr(solvers, "OMP_PREFIX_BUDGET_BYTES", 1 << 40)
+    for x in states:
+        sppc.omp_design(unbounded, syn.W, x)
+    assert sum(step.nbytes for step in unbounded.omp_prefixes.values()) > 2 * stored
+    monkeypatch.undo()
+    for x in rng.standard_normal((20, plant.n)):
+        assert (packet_bits(sppc.omp_design(h, syn.W, x))
+                == packet_bits(sppc.omp_design(fresh_horizon(h), syn.W, x)))
+    assert sum(step.nbytes for step in h.omp_prefixes.values()) == stored
 
 
 def test_omp_state_scaling_covariance():
