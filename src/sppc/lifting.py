@@ -10,10 +10,11 @@ into the single residual ||G u - H x||^2. Rbar is never formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DimensionMismatch
 from .numerics import as_matrix, as_vector, cholesky, symmetrize
@@ -36,6 +37,10 @@ class HorizonData:
     @property
     def n(self) -> int:
         return self.Upsilon.shape[1]
+
+    def __getstate__(self) -> dict:
+        """The five fields only: a copy rebuilds derived data, OMP's cache too."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @cached_property
     def col_norms(self) -> np.ndarray:
@@ -77,16 +82,16 @@ def build_horizon(plant: PlantModel, Q, P, N: int) -> HorizonData:
     if Q.shape != (n, n) or P.shape != (n, n):
         raise DimensionMismatch(f"Q and P must be {n} x {n}")
     factors = np.array([cholesky(Q).T] * (N - 1) + [cholesky(P).T])   # (N, n, n)
-    ab = np.empty((N, n))           # A^k B
+    ab = np.zeros((2 * N - 1, n))   # N - 1 zero rows, then A^k B for k < N
     powers = np.empty((N, n, n))    # A^(k+1)
-    ab[0] = plant.B[:, 0]
+    ab[N - 1] = plant.B[:, 0]
     powers[0] = plant.A
     for k in range(1, N):
-        ab[k] = plant.A @ ab[k - 1]
-        powers[k] = plant.A @ powers[k - 1]
-    lag = np.subtract.outer(np.arange(N), np.arange(N))     # i - j
-    phi = np.where((lag >= 0)[:, :, None], ab[np.maximum(lag, 0)], 0.0)
-    phi = phi.transpose(0, 2, 1)                            # block rows (N, n, N)
+        plant.A.dot(ab[N - 2 + k], out=ab[N - 1 + k])
+        plant.A.dot(powers[k - 1], out=powers[k])
+    # lagged[i, j] = A^(i-j) B, zero for j > i: rows i..i+N-1 of ab, reversed
+    lagged = np.ascontiguousarray(sliding_window_view(ab, (N, n))[:, 0, ::-1])
+    phi = lagged.transpose(0, 2, 1)                         # block rows (N, n, N)
     return HorizonData(N=N, Phi=_frozen(phi.reshape(n * N, N)),
                        Upsilon=_frozen(powers.reshape(n * N, n)),
                        G=_frozen((factors @ phi).reshape(n * N, N)),

@@ -48,7 +48,9 @@ def _as_square(a, name: str) -> np.ndarray:
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.T)
+    s = m + m.T
+    s *= 0.5
+    return s
 
 
 def require_symmetric(m: np.ndarray, name: str = "matrix") -> None:

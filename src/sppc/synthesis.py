@@ -12,6 +12,7 @@ x^T (P - Q) x.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,12 +41,21 @@ class SynthesisResult:
     horizon: HorizonData     # the lifting of this Q, P and N that c is computed on
 
 
+def _riccati_image(A, B, Q, P) -> np.ndarray:
+    """A^T P A - A^T P B (B^T P B)^-1 B^T P A + Q, unsymmetrized, in a new array."""
+    bpb = B.T.dot(P).dot(B).item()
+    if bpb <= RICCATI_PIVOT_FLOOR:
+        raise DegenerateInput(f"B^T P B = {bpb:.3e} underflowed")
+    apb = A.T.dot(P.dot(B))
+    image = A.T.dot(P).dot(A)
+    image -= apb.dot(apb.T) / bpb
+    image += Q
+    return image
+
+
 def riccati_residual(plant: PlantModel, Q: np.ndarray, P: np.ndarray) -> float:
     """Max-norm defect of P as a fixed point of the cheap-control Riccati map."""
-    A, B = plant.A, plant.B
-    bpb = (B.T @ P @ B).item()
-    apb = A.T @ (P @ B)
-    image = A.T @ P @ A - (apb @ apb.T) / bpb + Q
+    image = _riccati_image(plant.A, plant.B, Q, P)
     return float(np.abs(image - P).max())
 
 
@@ -62,19 +72,17 @@ def solve_riccati(plant: PlantModel, Q):
     if not is_reachable(plant):
         raise NotReachable("plant not reachable")
     A, B = plant.A, plant.B
-    P = symmetrize(Q.copy())
+    P = symmetrize(Q)
     iterations = 0
     for iterations in range(1, RICCATI_MAX_ITERATIONS + 1):
-        bpb = (B.T @ P @ B).item()
-        if bpb <= RICCATI_PIVOT_FLOOR:
-            raise DegenerateInput(f"B^T P B = {bpb:.3e} underflowed")
-        apb = A.T @ (P @ B)
-        p_next = symmetrize(A.T @ P @ A - (apb @ apb.T) / bpb + Q)
-        if not np.all(np.isfinite(p_next)):
+        image = _riccati_image(A, B, Q, P)
+        p_next = symmetrize(image)
+        # image holds |p_next - P|, then |p_next|; inf or nan in p_next reach delta
+        delta = float(np.abs(np.subtract(p_next, P, out=image), out=image).max())
+        if not math.isfinite(delta):
             raise NoConvergence("Riccati iteration diverged")
-        delta = float(np.abs(p_next - P).max())
         P = p_next
-        if delta <= RICCATI_REL_TOL * (1.0 + float(np.abs(P).max())):
+        if delta <= RICCATI_REL_TOL * (1.0 + float(np.abs(P, out=image).max())):
             break
     else:
         raise NoConvergence(

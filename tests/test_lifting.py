@@ -4,6 +4,7 @@ import scipy.linalg
 
 import sppc
 from sppc import errors
+from sppc.numerics import cholesky
 
 from conftest import random_reachable_plant, random_spd
 
@@ -90,6 +91,40 @@ def test_blockwise_square_root():
         assert np.abs(h.gram - reference).max() <= 1e-10 * np.abs(reference).max()
         np.testing.assert_allclose(h.col_norms, np.sqrt(np.diag(reference)), rtol=1e-10)
         assert not (h.gram.flags.writeable or h.col_norms.flags.writeable)
+
+
+def reference_horizon(plant, Q, P, N):
+    """The lifting as first written: A^k B gathered by a lag index into an
+    (N, N, n) array, masked by np.where. build_horizon must match its bits."""
+    n = plant.n
+    factors = np.array([cholesky(Q).T] * (N - 1) + [cholesky(P).T])
+    ab = np.empty((N, n))
+    powers = np.empty((N, n, n))
+    ab[0] = plant.B[:, 0]
+    powers[0] = plant.A
+    for k in range(1, N):
+        ab[k] = plant.A @ ab[k - 1]
+        powers[k] = plant.A @ powers[k - 1]
+    lag = np.subtract.outer(np.arange(N), np.arange(N))
+    phi = np.where((lag >= 0)[:, :, None], ab[np.maximum(lag, 0)], 0.0)
+    phi = phi.transpose(0, 2, 1)
+    return (phi.reshape(n * N, N), powers.reshape(n * N, n),
+            (factors @ phi).reshape(n * N, N), -(factors @ powers).reshape(n * N, n))
+
+
+@pytest.mark.parametrize("n, N", [(1, 1), (1, 64), (2, 1), (3, 7), (4, 10), (7, 33),
+                                  (11, 20), (16, 3), (20, 1), (20, 20), (20, 64)])
+def test_horizon_bits_match_reference(n, N):
+    # same values and same memory layout: the batched product for G and
+    # compute_c's einsum on Phi round differently on differently strided
+    # operands (G does at n >= 16 with N = 3 or 20, for one)
+    rng = np.random.default_rng(100 * n + N)
+    for _ in range(3):
+        plant = random_reachable_plant(rng, n)
+        Q, P = random_spd(rng, n), random_spd(rng, n)
+        h = sppc.build_horizon(plant, Q, P, N)
+        for got, want in zip((h.Phi, h.Upsilon, h.G, h.H), reference_horizon(plant, Q, P, N)):
+            assert (got.tobytes(), got.strides) == (want.tobytes(), want.strides)
 
 
 def test_lifted_input_map_full_column_rank():

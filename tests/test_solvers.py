@@ -1,3 +1,4 @@
+import pickle
 import sys
 import threading
 
@@ -239,6 +240,27 @@ def test_omp_prefix_cache_shared_across_threads(example_plant):
     assert not any(thread.is_alive() for thread in threads)
     for t in range(4):
         assert [results[t][i] for i in range(len(states))] == expected
+
+
+def test_pickled_setup_leaves_prefix_cache_behind(example_plant):
+    # a setup whose horizon has designed pickles to its cold size, as worker
+    # jobs carry it; the copy rebuilds its own cache with the same packets
+    syn = sppc.synthesize(example_plant, None, 20, 0.5)
+    setup = sppc.ExperimentSetup(plant=example_plant, synthesis=syn, solver="omp",
+                                 x0=EXAMPLE_X0, steps=100, p_drop=0.9)
+    cold = pickle.dumps(setup)
+    sppc.run_montecarlo(setup, 3, 0)
+    assert setup.horizon.omp_prefixes
+    warm = pickle.dumps(setup)
+    assert len(warm) == len(cold)
+    copy = pickle.loads(warm)
+    assert "omp_prefixes" not in vars(copy.horizon)
+    states = sppc.run_trial(example_plant, syn.horizon, syn, "omp", EXAMPLE_X0,
+                            100, 5, p_drop=0.9).states[:-1]
+    for x in states:
+        assert (packet_bits(sppc.omp_design(copy.horizon, copy.synthesis.W, x))
+                == packet_bits(sppc.omp_design(setup.horizon, syn.W, x)))
+    assert copy.horizon.omp_prefixes
 
 
 def test_omp_prefix_cache_stays_within_budget(monkeypatch):

@@ -45,6 +45,49 @@ def test_riccati_residual_and_gap_random():
         assert gap[0] >= -1e-9
 
 
+def reference_riccati(plant, Q):
+    """The value iteration as first written: @ products, fresh arrays, and a
+    finiteness check of each iterate. solve_riccati must match its bits."""
+    A, B = plant.A, plant.B
+    P = 0.5 * (Q + Q.T)
+    for iterations in range(1, synthesis.RICCATI_MAX_ITERATIONS + 1):
+        bpb = (B.T @ P @ B).item()
+        assert bpb > synthesis.RICCATI_PIVOT_FLOOR
+        apb = A.T @ (P @ B)
+        image = A.T @ P @ A - (apb @ apb.T) / bpb + Q
+        p_next = 0.5 * (image + image.T)
+        assert np.all(np.isfinite(p_next))
+        delta = float(np.abs(p_next - P).max())
+        P = p_next
+        if delta <= synthesis.RICCATI_REL_TOL * (1.0 + float(np.abs(P).max())):
+            return P, iterations
+    raise AssertionError("reference iteration did not converge")
+
+
+def reference_residual(plant, Q, P):
+    A, B = plant.A, plant.B
+    apb = A.T @ (P @ B)
+    image = A.T @ P @ A - (apb @ apb.T) / (B.T @ P @ B).item() + Q
+    return float(np.abs(image - P).max())
+
+
+def test_riccati_bits_match_reference():
+    # the lean loop does the reference's floating-point operations in its
+    # order: every P, iteration count and residual is equal to the last bit
+    rng = np.random.default_rng(31)
+    chain = np.diag(np.ones(2), k=1)            # deadbeat chain: zero columns in A
+    plants = [sppc.PlantModel(A=chain, B=[[0.0], [0.0], [1.0]]),
+              sppc.PlantModel(A=[[2.0, 0.1], [0.0, 1.5]], B=[[0.3], [1.0]])]
+    plants += [random_reachable_plant(rng, int(n)) for n in rng.integers(1, 21, 200)]
+    for plant in plants:
+        for Q in (np.eye(plant.n), random_spd(rng, plant.n)):
+            P, iterations = sppc.solve_riccati(plant, Q)
+            P_ref, iterations_ref = reference_riccati(plant, Q)
+            assert (P.tobytes(), iterations) == (P_ref.tobytes(), iterations_ref)
+            assert (synthesis.riccati_residual(plant, Q, P)
+                    == reference_residual(plant, Q, P))
+
+
 def test_riccati_homogeneous_in_q():
     rng = np.random.default_rng(15)
     plant = random_reachable_plant(rng, 3)
@@ -166,3 +209,11 @@ def test_riccati_iteration_limit(monkeypatch):
     monkeypatch.setattr(synthesis, "RICCATI_MAX_ITERATIONS", 2)
     with pytest.raises(errors.NoConvergence):
         synthesis.solve_riccati(plant, np.eye(2))
+
+
+def test_riccati_divergence_raises():
+    # an iterate overflowing to inf or nan is caught through the step size
+    plant = sppc.PlantModel(A=[[2.0, 0.1], [0.0, 1.5]], B=[[0.3], [1.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(errors.NoConvergence, match="diverged"):
+            synthesis.solve_riccati(plant, 1e160 * np.eye(2))
