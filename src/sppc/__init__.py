@@ -20,7 +20,7 @@ from .errors import (
     RankDeficient,
     SppcError,
 )
-from .lifting import HorizonData, build_horizon, stage_cost
+from .lifting import HorizonData, build_horizon
 from .netsim import (
     ExperimentSetup,
     SimTrace,
@@ -29,7 +29,7 @@ from .netsim import (
     run_trial,
 )
 from .plant import PlantModel, from_poles, is_reachable, reachability_matrix, step
-from .solvers import ControlPacket, exhaustive_design, l1_design, omp_design
+from .solvers import ControlPacket, l1_design, omp_design
 from .synthesis import (
     SynthesisResult,
     check_invariants,
@@ -64,7 +64,6 @@ __all__ = [
     "check_invariants",
     "compute_c",
     "compute_rho",
-    "exhaustive_design",
     "from_poles",
     "is_reachable",
     "l1_design",
@@ -74,7 +73,6 @@ __all__ = [
     "run_montecarlo",
     "run_trial",
     "solve_riccati",
-    "stage_cost",
     "step",
     "synthesize",
     "__version__",

@@ -17,7 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DimensionMismatch
-from .numerics import as_matrix, as_vector, cholesky, symmetrize
+from .numerics import as_matrix, cholesky, symmetrize
 from .plant import PlantModel
 
 
@@ -97,15 +97,3 @@ def build_horizon(plant: PlantModel, Q, P, N: int) -> HorizonData:
                        G=_frozen((factors @ phi).reshape(n * N, N)),
                        H=_frozen(-(factors @ powers).reshape(n * N, n)))
 
-
-def stage_cost(h: HorizonData, u, x) -> float:
-    """||G u - H x||^2: the Q-weighted stage sum plus the terminal P term."""
-    u = as_vector(u, "u")
-    x = as_vector(x, "x")
-    if u.size != h.N or x.size != h.n:
-        raise DimensionMismatch(
-            f"expected u of length {h.N} and x of length {h.n}, "
-            f"got {u.size} and {x.size}"
-        )
-    r = h.G @ u - h.H @ x
-    return float(r @ r)

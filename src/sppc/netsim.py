@@ -7,7 +7,8 @@ the count of consecutive drops and the last delivered packet (zeros
 before the first delivery). The plant plays the packet's element at that
 count, so the loop survives any admissible dropout pattern without
 exhausting the buffer. channel_step and buffer_apply are pure functions
-of that state; run_trial owns it.
+of that state; run_trial owns it. It checks W, x0 and lam once, and its
+designs skip those checks: plant.step keeps every later state finite.
 
 Randomness comes exclusively from the channel. Each trial owns one
 numpy PCG64 generator seeded with base_seed + trial_index, and drops
@@ -18,6 +19,7 @@ platforms and across sequential or parallel execution.
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -29,7 +31,7 @@ from .errors import BufferExhausted, ConfigError
 from .lifting import HorizonData
 from .numerics import as_vector
 from .plant import PlantModel, step
-from .solvers import l1_design, omp_design
+from .solvers import _design_inputs, _l1, _l1_weight, _omp
 from .synthesis import SynthesisResult
 
 SOLVER_NAMES = ("omp", "l1")
@@ -92,9 +94,8 @@ def run_trial(plant: PlantModel, h: HorizonData, syn: SynthesisResult,
               p_drop: float, lam: float | None = None) -> SimTrace:
     """Simulate one trial: design, transmit, buffer, actuate, advance.
 
-    solver is "omp" or "l1"; the l1 path needs lam and freezes its
-    recorded threshold at x0^T W x0. The PRNG is PCG64(seed) and only
-    the channel draws from it.
+    solver is "omp" or "l1"; the l1 path needs lam and a finite
+    x0^T W x0. The PRNG is PCG64(seed) and only the channel draws from it.
     """
     if solver not in SOLVER_NAMES:
         raise ConfigError(f"solver must be one of {SOLVER_NAMES}, got {solver!r}")
@@ -109,12 +110,21 @@ def run_trial(plant: PlantModel, h: HorizonData, syn: SynthesisResult,
     x = as_vector(x0, "x0")
     if x.size != plant.n:
         raise ConfigError(f"x0 has length {x.size}, plant expects {plant.n}")
+    W, x = _design_inputs(h, syn.W, x)
+    omp = solver == "omp"
+    if not omp:
+        lam = _l1_weight(lam)
+        with np.errstate(over="ignore"):
+            energy = float(x @ (W @ x))
+        if not math.isfinite(energy):
+            raise ConfigError(f"x0^T W x0 is {energy!r}; the l1 baseline needs an "
+                              "x0 small enough for it to be finite")
 
     rng = np.random.Generator(np.random.PCG64(seed))
+    clock = time.perf_counter
+    H = h.H
     drops = 0
     held = np.zeros(h.N)
-    W = syn.W
-    fixed_bound = float(x @ (W @ x))
     max_drops = h.N - 1
 
     states = np.zeros((steps + 1, plant.n))
@@ -125,20 +135,16 @@ def run_trial(plant: PlantModel, h: HorizonData, syn: SynthesisResult,
 
     for k in range(steps):
         states[k] = x
-        t0 = time.perf_counter()
-        if solver == "omp":
-            packet = omp_design(h, W, x)
-        else:
-            packet = l1_design(h, x, lam, fixed_bound)
-        design_time_us[k] = (time.perf_counter() - t0) * 1e6
-        delivered = channel_step(drops, p_drop, max_drops, rng)
-        if delivered:
-            held, drops = packet.coeffs, 0
+        t0 = clock()
+        coeffs = _omp(h, W, x)[0] if omp else _l1(h, H.dot(x), lam)[0]
+        design_time_us[k] = (clock() - t0) * 1e6
+        if channel_step(drops, p_drop, max_drops, rng):
+            held, drops = coeffs, 0
         else:
             drops += 1
             dropped[k] = 1
         u = buffer_apply(held, drops)
-        l0[k] = np.count_nonzero(packet.coeffs)
+        l0[k] = np.count_nonzero(coeffs)
         inputs[k] = u
         x = step(plant, x, u)
     states[steps] = x

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,13 +43,18 @@ class PlantModel:
 
 
 def step(plant: PlantModel, x, u: float) -> np.ndarray:
-    """One plant update: A x + B u."""
+    """One plant update: A x + B u, rejected unless finite.
+
+    A non-finite x or u makes the result non-finite, so this one check
+    covers them and a state that overflows.
+    """
     x = np.asarray(x, dtype=float)
     if x.shape != (plant.n,):
         raise DimensionMismatch(f"state must have shape ({plant.n},), got {x.shape}")
-    if not (math.isfinite(u) and np.isfinite(x).all()):
-        raise DimensionMismatch("state and input must be finite")
-    return plant.A @ x + plant.B[:, 0] * float(u)
+    x = plant.A @ x + plant.B[:, 0] * float(u)
+    if not np.isfinite(x).all():
+        raise DimensionMismatch("state, input and next state must be finite")
+    return x
 
 
 def _require_conjugate_closed(roots: np.ndarray) -> None:

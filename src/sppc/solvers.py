@@ -1,18 +1,16 @@
 """Sparse packet design.
 
-Three solvers for the packet problem at state x: minimize the number of
+Two solvers for the packet problem at state x: minimize the number of
 nonzero entries of u subject to ||G u - H x||^2 <= x^T W x. Orthogonal
-Matching Pursuit is the production path, exhaustive enumeration is the
-small-horizon oracle, and the fixed-bound baseline it is compared against
-solves the l1-regularized problem exactly by the lasso homotopy, which
-follows the piecewise linear solution path from u = 0 to the target weight
-(Osborne, Presnell & Turlach 2000; Efron et al., Least Angle Regression,
-2004).
+Matching Pursuit is the production path, and the fixed-bound baseline it
+is compared against solves the l1-regularized problem exactly by the
+lasso homotopy, which follows the piecewise linear solution path from
+u = 0 to the target weight (Osborne, Presnell & Turlach 2000; Efron et
+al., Least Angle Regression, 2004).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -22,13 +20,12 @@ from scipy.linalg.lapack import dposv
 from .errors import (ConfigError, DimensionMismatch, Infeasible, NoConvergence,
                      RankDeficient)
 from .lifting import HorizonData
-from .numerics import RANK_REL_TOL, as_matrix, as_vector, solve_least_squares
+from .numerics import RANK_REL_TOL, as_matrix, as_vector
 
 FEASIBILITY_REL_SLACK = 1e-7
 # below this absolute scale the threshold sits in the denormal range where
 # relative margins are meaningless, so infeasibility is never diagnosed
 FEASIBILITY_ABS_FLOOR = 1e-280
-EXHAUSTIVE_MAX_N = 12
 L1_MAX_ITERATIONS = 5000
 # float bytes OMP may keep per horizon in HorizonData.omp_prefixes
 OMP_PREFIX_BUDGET_BYTES = 1 << 19
@@ -72,32 +69,41 @@ def _design_inputs(h: HorizonData, W, x):
             f"expected W {h.n}x{h.n} and x of length {h.n}, "
             f"got {W.shape} and {x.size}"
         )
-    y = h.H @ x
-    eps = float(x @ (W @ x))
-    return x, y, eps
+    return W, x
 
 
 def _greedy_picks(h: HorizonData, y: np.ndarray, eps: float):
     """The OMP loop: returns (picks in pick order, coefficients, ||r||^2).
 
     G[:, picks] = B R gains one Gram-Schmidt step with re-orthogonalization
-    per pick (B stored by rows); the coefficients are R^-1 (B^T y). A step
-    depends only on G and the pick prefix: it is read from h.omp_prefixes
-    on a hit and stored there on a miss, within OMP_PREFIX_BUDGET_BYTES.
+    per pick (B stored by rows). A step depends only on G and the pick
+    prefix: it is read from h.omp_prefixes on a hit and stored there on a
+    miss, within OMP_PREFIX_BUDGET_BYTES. Above the bound a feasible packet
+    may reach, a pick projects the residual off the new row q of B,
+    r <- r - (q^T r) q; a pick predicted or found to reach that bound, or
+    to fill the support, refits exactly: coefficients R^-1 (B^T y),
+    r = y - G coeffs. So the loop stops only on an exact ||r||^2 <= eps,
+    and raises Infeasible when the full support misses the bound.
+    ndarray.dot makes the BLAS call of @ at a fraction of its dispatch cost.
     """
+    picks: list[int] = []
+    coeffs = np.zeros(h.N)
+    r = y
+    rr = float(r.dot(r))
+    if rr <= eps:
+        return picks, coeffs, rr
     G, norms, prefixes = h.G, h.col_norms, h.omp_prefixes
     m = G.shape[0]
     room = OMP_PREFIX_BUDGET_BYTES // (8 * (m + h.N))   # entries that fit at full length
     basis = np.empty((h.N, m))
     r_inv = np.zeros((h.N, h.N))
-    picks: list[int] = []
+    mask = np.zeros(h.N)                                  # -inf on picked columns
+    bound = eps * (1.0 + FEASIBILITY_REL_SLACK) + FEASIBILITY_ABS_FLOOR
     prefix = ()
-    coeffs = np.zeros(h.N)
-    r = y
-    rr = float(r @ r)
     while rr > eps and len(picks) < h.N:
-        score = np.abs(r @ G) / norms
-        score[picks] = -np.inf
+        score = np.abs(r.dot(G))
+        score /= norms
+        score += mask
         j = int(score.argmax())
         k = len(picks)
         prefix += (j,)
@@ -119,16 +125,28 @@ def _greedy_picks(h: HorizonData, y: np.ndarray, eps: float):
         else:
             basis[k], r_inv[:k + 1, k] = step[:m], step[m:]
         picks.append(j)
-        coeffs[picks] = r_inv[:k + 1, :k + 1] @ (basis[:k + 1] @ y)
-        r = y - G @ coeffs
-        rr = float(r @ r)
+        mask[j] = -np.inf
+        q = basis[k]
+        z = float(q.dot(r))
+        if rr - z * z > bound and k + 1 < h.N:
+            r = r - z * q
+            rr = float(r.dot(r))
+            if rr > bound:
+                continue
+        coeffs[picks] = r_inv[:k + 1, :k + 1].dot(basis[:k + 1].dot(y))
+        r = y - G.dot(coeffs)
+        rr = float(r.dot(r))
+    if rr > bound:
+        raise Infeasible(f"full-support residual {rr:.6e} exceeds threshold {eps:.6e}; "
+                         "the synthesis that produced W is inconsistent")
     return picks, coeffs, rr
 
 
-def _check_feasible(rr: float, eps: float) -> None:
-    if rr > eps * (1.0 + FEASIBILITY_REL_SLACK) + FEASIBILITY_ABS_FLOOR:
-        raise Infeasible(f"full-support residual {rr:.6e} exceeds threshold {eps:.6e}; "
-                         "the synthesis that produced W is inconsistent")
+def _omp(h: HorizonData, W: np.ndarray, x: np.ndarray):
+    """omp_design on a checked W and x: (coeffs, ||r||^2, threshold, picks)."""
+    eps = float(x.dot(W.dot(x)))
+    picks, coeffs, rr = _greedy_picks(h, h.H.dot(x), eps)
+    return coeffs, rr, eps, len(picks)
 
 
 def omp_design(h: HorizonData, W, x) -> ControlPacket:
@@ -140,43 +158,11 @@ def omp_design(h: HorizonData, W, x) -> ControlPacket:
     stopping as soon as ||r||^2 <= x^T W x. Feasible by construction for
     a valid synthesis: the full-support residual is x^T (P - Q) x, which
     sits below the threshold by the margin x^T E x. Gram-Schmidt steps are
-    shared across calls through h.omp_prefixes, bit for bit as recomputed.
+    shared across calls through h.omp_prefixes, bit for bit as recomputed;
+    between refits the residual is updated by projection, and the
+    coefficients and residual returned are always an exact refit's.
     """
-    x, y, eps = _design_inputs(h, W, x)
-    picks, coeffs, rr = _greedy_picks(h, y, eps)
-    _check_feasible(rr, eps)
-    return ControlPacket(coeffs, rr, eps, len(picks))
-
-
-def exhaustive_design(h: HorizonData, W, x) -> ControlPacket:
-    """Globally sparsest feasible packet by support enumeration.
-
-    Tries supports in order of increasing cardinality, lexicographic
-    within a cardinality, and returns the first whose least-squares
-    residual meets the threshold. iterations counts supports evaluated.
-    Exponential in N; refuses horizons beyond EXHAUSTIVE_MAX_N.
-    """
-    if h.N > EXHAUSTIVE_MAX_N:
-        raise ConfigError(f"horizon {h.N} exceeds exhaustive-search limit "
-                          f"{EXHAUSTIVE_MAX_N}")
-    x, y, eps = _design_inputs(h, W, x)
-    tried = 1
-    rr = float(y @ y)
-    if rr <= eps:
-        return ControlPacket(np.zeros(h.N), rr, eps, tried)
-    for size in range(1, h.N + 1):
-        for support in itertools.combinations(range(h.N), size):
-            cols = h.G[:, support]
-            sol = solve_least_squares(cols, y)
-            r = y - cols @ sol
-            rr = float(r @ r)
-            tried += 1
-            if rr <= eps:
-                coeffs = np.zeros(h.N)
-                coeffs[list(support)] = sol
-                return ControlPacket(coeffs, rr, eps, tried)
-    _check_feasible(rr, eps)
-    return ControlPacket(sol, rr, eps, tried)
+    return ControlPacket(*_omp(h, *_design_inputs(h, W, x)))
 
 
 def l1_design(h: HorizonData, x, lam: float, fixed_bound: float) -> ControlPacket:
@@ -196,9 +182,7 @@ def l1_design(h: HorizonData, x, lam: float, fixed_bound: float) -> ControlPacke
     records fixed_bound as its threshold for comparison purposes only; no
     feasibility is promised.
     """
-    lam = float(lam)
-    if not lam > 0.0 or not np.isfinite(lam):
-        raise ConfigError(f"lam must be a positive real, got {lam!r}")
+    lam = _l1_weight(lam)
     fixed_bound = float(fixed_bound)
     if fixed_bound < 0.0 or not np.isfinite(fixed_bound):
         raise ConfigError(f"fixed_bound must be non-negative, got {fixed_bound!r}")
@@ -206,6 +190,20 @@ def l1_design(h: HorizonData, x, lam: float, fixed_bound: float) -> ControlPacke
     if x.size != h.n:
         raise DimensionMismatch(f"expected x of length {h.n}, got {x.size}")
     y = h.H @ x
+    coeffs, segments = _l1(h, y, lam)
+    r = h.G @ coeffs - y
+    return ControlPacket(coeffs, float(r @ r), fixed_bound, segments)
+
+
+def _l1_weight(lam) -> float:
+    lam = float(lam)
+    if not lam > 0.0 or not np.isfinite(lam):
+        raise ConfigError(f"lam must be a positive real, got {lam!r}")
+    return lam
+
+
+def _l1(h: HorizonData, y: np.ndarray, lam: float):
+    """l1_design's homotopy on y = H x and a checked lam: (coeffs, segments)."""
     K = h.gram
     b = h.G.T @ y
     t = float(np.abs(b).max())
@@ -261,5 +259,4 @@ def l1_design(h: HorizonData, x, lam: float, fixed_bound: float) -> ControlPacke
             u.pop(out)
     coeffs = np.zeros(h.N)
     coeffs[active] = u
-    r = h.G @ coeffs - y
-    return ControlPacket(coeffs, float(r @ r), fixed_bound, segments)
+    return coeffs, segments

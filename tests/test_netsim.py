@@ -223,6 +223,19 @@ def test_trial_rejects_bad_arguments(example_case):
             sppc.run_trial(plant, h, syn, "omp", x0, steps, seed, p_drop=p_drop)
 
 
+def test_trial_overflowing_state(example_case):
+    # x0^T W x0 overflows: the l1 baseline rejects x0 up front, while OMP
+    # designs zero packets (its threshold is inf) until the state itself
+    # overflows, at step 58, where the plant step rejects it
+    plant, syn, h = example_case
+    x0 = np.full(4, 1e300)
+    with pytest.raises(errors.ConfigError, match=r"x0\^T W x0 is inf"):
+        sppc.run_trial(plant, h, syn, "l1", x0, 100, 0, p_drop=0.5, lam=1.0)
+    with np.errstate(over="ignore"), pytest.raises(errors.DimensionMismatch,
+                                                   match="must be finite"):
+        sppc.run_trial(plant, h, syn, "omp", x0, 100, 0, p_drop=0.5)
+
+
 def test_trial_lyapunov_descent_at_receptions(example_case):
     # a property of the example plant, not a guarantee of the design: on it
     # x^T P x shrinks by 0.9 over every reception step until the state hits

@@ -28,6 +28,10 @@ def test_step_rejects_bad_state():
         sppc.step(plant, [1.0, 2.0], 0.0)
     with pytest.raises(errors.DimensionMismatch):
         sppc.step(plant, [np.nan], 0.0)
+    with pytest.raises(errors.DimensionMismatch):
+        sppc.step(plant, [1.0], np.nan)
+    with np.errstate(over="ignore"), pytest.raises(errors.DimensionMismatch):
+        sppc.step(plant, [1e308], 0.0)
 
 
 def test_step_linearity():

@@ -1,16 +1,20 @@
+import math
 import pickle
 import sys
 import threading
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import sppc
 from sppc import errors, solvers
 from sppc.lifting import HorizonData
 from sppc.solvers import FEASIBILITY_ABS_FLOOR, FEASIBILITY_REL_SLACK, _greedy_picks
 
+import oracles
 from conftest import EXAMPLE_X0, random_reachable_plant, random_spd
+from oracles import exhaustive_design, refit_greedy_picks
 
 
 def random_instance(rng, n_max=4, N_max=8):
@@ -155,6 +159,77 @@ def test_omp_matches_reference_ill_conditioned(seed):
     for _ in range(3):
         picks = assert_same_greedy(h, syn.W, rng.standard_normal(n))
         assert np.linalg.cond(h.G[:, picks]) >= 1e6
+
+
+def assert_same_bits_as_refit_kernel(h, W, x):
+    """Picks, coefficient bytes, residual and iterations equal those of the
+    kernel that refits every pick. Returns the number of picks."""
+    y = h.H @ x
+    eps = float(x @ (W @ x))
+    picks, coeffs, rr = refit_greedy_picks(h, y, eps)
+    got_picks, got_coeffs, got_rr = _greedy_picks(h, y, eps)
+    assert got_picks == picks
+    assert got_coeffs.tobytes() == coeffs.tobytes()
+    assert np.float64(got_rr).tobytes() == np.float64(rr).tobytes()
+    assert packet_bits(sppc.omp_design(h, W, x)) == (
+        coeffs.tobytes(), np.array([rr, eps]).tobytes(), len(picks))
+    return len(picks)
+
+
+@pytest.mark.parametrize("N, p_drop", [(10, 0.5), (20, 0.9)])
+def test_omp_bits_match_refit_kernel_on_example_trajectories(example_plant, N, p_drop):
+    # every state of the trajectories, the underflow regime included: there
+    # a residual projected from pick to pick rounds far from the refit one
+    # (at N = 20, seed 4 reaches thresholds near 1e-321 from step 77 on)
+    syn = sppc.synthesize(example_plant, None, N, 0.5)
+    underflowed = 0
+    for seed in range(5):
+        trace = sppc.run_trial(example_plant, syn.horizon, syn, "omp", EXAMPLE_X0,
+                               100, seed, p_drop=p_drop)
+        for x in trace.states[:-1]:
+            picks = assert_same_bits_as_refit_kernel(syn.horizon, syn.W, x)
+            underflowed += picks > 0 and float(x @ syn.W @ x) < np.finfo(float).tiny
+    assert underflowed >= 5
+
+
+def test_omp_bits_match_refit_kernel_on_envelope():
+    # random plants of the envelope (n <= 20, N <= 64) whose margin ratio
+    # (smallest eigenvalue of Eps against W) is above rounding, at states
+    # scaled by 2^k from the underflow range to large norms
+    rng = np.random.default_rng(14)
+    plants = picks = 0
+    while plants < 10:
+        n = int(rng.integers(2, 21))
+        N = int(rng.integers(4, 65))
+        plant = random_reachable_plant(rng, n)
+        try:
+            syn = sppc.synthesize(plant, None, N, 0.5)
+        except sppc.SppcError:
+            continue
+        margin = scipy.linalg.eigh(syn.Eps, syn.W, eigvals_only=True,
+                                   subset_by_index=[0, 0])[0]
+        if margin < 1e-14:
+            continue
+        plants += 1
+        for k in (-520, -500, -60, 0, 40):
+            for x in rng.standard_normal((2, n)):
+                picks += assert_same_bits_as_refit_kernel(syn.horizon, syn.W,
+                                                          np.ldexp(x, k))
+    assert picks >= 100
+
+
+def test_omp_refits_when_projection_passes_threshold():
+    # G = I and y = [1, d] with d^2 = 1.5 * 2^-53: ||y||^2 rounds up to
+    # 1 + 2^-52, so after column 0 the predicted residual 2^-52 is above the
+    # threshold 2e-16 while the projected one, d^2, is below it; the pick
+    # still refits, and the loop stops on the refit residual
+    d = math.sqrt(1.5 * 2.0 ** -53)
+    h = HorizonData(N=2, Phi=np.eye(2), Upsilon=np.array([[-1.0], [-d]]),
+                    G=np.eye(2), H=np.array([[1.0], [d]]))
+    p = sppc.omp_design(h, np.array([[2e-16]]), np.array([1.0]))
+    assert p.iterations == 1
+    np.testing.assert_array_equal(p.coeffs, [1.0, 0.0])
+    assert p.residual_sq == d * d
 
 
 def test_omp_unreachable_threshold_is_infeasible():
@@ -308,7 +383,7 @@ def test_omp_dimension_errors(scalar_case):
 
 def test_exhaustive_scalar_hand_trace(scalar_case):
     _, syn, h = scalar_case
-    p = sppc.exhaustive_design(h, syn.W, np.array([1.0]))
+    p = exhaustive_design(h, syn.W, np.array([1.0]))
     assert p.support == (0,)
     np.testing.assert_allclose(p.coeffs, [-2.0, 0.0], atol=1e-12)
     assert p.iterations == 2  # empty support tried first, then {0}
@@ -316,7 +391,7 @@ def test_exhaustive_scalar_hand_trace(scalar_case):
 
 def test_exhaustive_zero_state(scalar_case):
     _, syn, h = scalar_case
-    p = sppc.exhaustive_design(h, syn.W, np.zeros(1))
+    p = exhaustive_design(h, syn.W, np.zeros(1))
     assert p.support == ()
     assert p.iterations == 1
 
@@ -325,11 +400,11 @@ def test_exhaustive_prefers_lexicographic_first():
     # both singletons leave residual 1; the threshold decides which size wins
     h = identity_horizon()
     x = np.array([1.0])
-    tight = sppc.exhaustive_design(h, np.array([[0.5]]), x)
+    tight = exhaustive_design(h, np.array([[0.5]]), x)
     assert tight.support == (0, 1)
     np.testing.assert_allclose(tight.coeffs, [1.0, 1.0])
     assert tight.iterations == 4
-    loose = sppc.exhaustive_design(h, np.array([[1.2]]), x)
+    loose = exhaustive_design(h, np.array([[1.2]]), x)
     assert loose.support == (0,)
     np.testing.assert_allclose(loose.coeffs, [1.0, 0.0])
     assert loose.iterations == 2
@@ -341,16 +416,16 @@ def test_exhaustive_never_beaten_by_omp():
         h, syn = random_instance(rng, n_max=3, N_max=6)
         x = rng.standard_normal(h.n)
         greedy = sppc.omp_design(h, syn.W, x)
-        oracle = sppc.exhaustive_design(h, syn.W, x)
+        oracle = exhaustive_design(h, syn.W, x)
         assert feasible(oracle)
         assert oracle.l0 <= greedy.l0
 
 
 def test_exhaustive_horizon_cap(example_case, monkeypatch):
     _, syn, h = example_case
-    monkeypatch.setattr(solvers, "EXHAUSTIVE_MAX_N", 8)
+    monkeypatch.setattr(oracles, "EXHAUSTIVE_MAX_N", 8)
     with pytest.raises(errors.ConfigError):
-        sppc.exhaustive_design(h, syn.W, np.zeros(4))
+        exhaustive_design(h, syn.W, np.zeros(4))
 
 
 def test_l1_zero_state(scalar_case):
