@@ -35,25 +35,26 @@ AGGREGATE_COLUMNS = {
 }
 
 
-def _fmt(value: float) -> str:
-    # 17 significant digits keep the CSV round-trippable to the exact double
-    return format(float(value), ".17g")
-
-
 def _write_json(path: str, document: dict) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(document, handle, indent=2)
         handle.write("\n")
+    print(f"wrote {path}")
 
 
-def _write_lines(path: str, lines: list[str]) -> None:
+def _write_csv(path: str, header: str, columns: list[np.ndarray]) -> None:
+    # integer columns as integers; 17 significant digits round-trip every double
+    fmt = ["%d" if column.dtype.kind in "iu" else "%.17g" for column in columns]
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+        np.savetxt(handle, np.column_stack(columns), fmt=fmt, delimiter=",",
+                   header=header, comments="")
+    print(f"wrote {path}")
 
 
-def _manifest(command: str, cfg, plant, syn) -> dict:
+def _emit_manifest(command: str, cfg, plant, syn, out_dir: str) -> bool:
     checks = check_invariants(plant, syn)
-    return {
+    passed = all(c.passed for c in checks)
+    _write_json(os.path.join(out_dir, "manifest.json"), {
         "command": command,
         "config": config_mod.to_dict(cfg),
         "synthesis": {
@@ -69,16 +70,9 @@ def _manifest(command: str, cfg, plant, syn) -> dict:
              "value": float(c.value), "limit": float(c.limit)}
             for c in checks
         ],
-        "all_checks_passed": all(c.passed for c in checks),
-    }
-
-
-def _emit_manifest(command: str, cfg, plant, syn, out_dir: str) -> bool:
-    document = _manifest(command, cfg, plant, syn)
-    path = os.path.join(out_dir, "manifest.json")
-    _write_json(path, document)
-    print(f"wrote {path}")
-    return document["all_checks_passed"]
+        "all_checks_passed": passed,
+    })
+    return passed
 
 
 def cmd_synthesize(cfg, out_dir: str) -> int:
@@ -92,33 +86,11 @@ def cmd_simulate(cfg, out_dir: str) -> int:
     trace = run_trial(setup.plant, setup.horizon, setup.synthesis, cfg.solver,
                       setup.x0, cfg.steps, cfg.seed, p_drop=cfg.p_drop,
                       lam=cfg.lam)
-    lines = [TRACE_HEADER]
-    for k in range(cfg.steps + 1):
-        lines.append(",".join([
-            str(k),
-            _fmt(trace.norm_x[k]),
-            str(int(trace.l0[k])),
-            str(int(trace.dropped[k])),
-            _fmt(trace.inputs[k]),
-            _fmt(trace.design_time_us[k]),
-        ]))
-    path = os.path.join(out_dir, "trace.csv")
-    _write_lines(path, lines)
-    print(f"wrote {path}")
+    _write_csv(os.path.join(out_dir, "trace.csv"), TRACE_HEADER,
+               [np.arange(cfg.steps + 1), trace.norm_x, trace.l0, trace.dropped,
+                trace.inputs, trace.design_time_us])
     ok = _emit_manifest("simulate", cfg, setup.plant, setup.synthesis, out_dir)
     return EXIT_OK if ok else EXIT_NUMERIC
-
-
-def _aggregate_lines(result: dict[str, SolverAggregate]) -> list[str]:
-    columns: list[tuple[str, np.ndarray]] = []
-    for solver, agg in result.items():
-        norm_name, l0_name = AGGREGATE_COLUMNS[solver]
-        columns += [(norm_name, agg.mean_norm_x), (l0_name, agg.mean_l0)]
-    lines = ["k," + ",".join(name for name, _ in columns)]
-    for k in range(columns[0][1].size):
-        row = [str(k)] + [_fmt(values[k]) for _, values in columns]
-        lines.append(",".join(row))
-    return lines
 
 
 def _summary(result: dict[str, SolverAggregate]) -> dict:
@@ -137,12 +109,12 @@ def cmd_montecarlo(cfg, out_dir: str, workers: int) -> int:
     setup = config_mod.build_setup(cfg)
     result = run_montecarlo(setup, cfg.trials, cfg.seed, workers=workers)
     ok = _emit_manifest("montecarlo", cfg, setup.plant, setup.synthesis, out_dir)
-    aggregate_path = os.path.join(out_dir, "aggregate.csv")
-    _write_lines(aggregate_path, _aggregate_lines(result))
-    print(f"wrote {aggregate_path}")
-    summary_path = os.path.join(out_dir, "summary.json")
-    _write_json(summary_path, _summary(result))
-    print(f"wrote {summary_path}")
+    names, columns = ["k"], [np.arange(cfg.steps + 1)]
+    for solver, agg in result.items():
+        names += AGGREGATE_COLUMNS[solver]
+        columns += [agg.mean_norm_x, agg.mean_l0]
+    _write_csv(os.path.join(out_dir, "aggregate.csv"), ",".join(names), columns)
+    _write_json(os.path.join(out_dir, "summary.json"), _summary(result))
     return EXIT_OK if ok else EXIT_NUMERIC
 
 

@@ -94,7 +94,7 @@ def run_trial(plant: PlantModel, h: HorizonData, syn: SynthesisResult,
               p_drop: float, lam: float | None = None) -> SimTrace:
     """Simulate one trial: design, transmit, buffer, actuate, advance.
 
-    solver is "omp" or "l1"; the l1 path needs lam and a finite
+    solver is "omp" or "l1"; the l1 path needs lam, and both a finite
     x0^T W x0. The PRNG is PCG64(seed) and only the channel draws from it.
     """
     if solver not in SOLVER_NAMES:
@@ -111,14 +111,14 @@ def run_trial(plant: PlantModel, h: HorizonData, syn: SynthesisResult,
     if x.size != plant.n:
         raise ConfigError(f"x0 has length {x.size}, plant expects {plant.n}")
     W, x = _design_inputs(h, syn.W, x)
+    with np.errstate(over="ignore"):
+        energy = float(x @ (W @ x))
+    if not math.isfinite(energy):
+        raise ConfigError(f"x0^T W x0 is {energy!r}; the designs need an x0 "
+                          "small enough for it to be finite")
     omp = solver == "omp"
     if not omp:
         lam = _l1_weight(lam)
-        with np.errstate(over="ignore"):
-            energy = float(x @ (W @ x))
-        if not math.isfinite(energy):
-            raise ConfigError(f"x0^T W x0 is {energy!r}; the l1 baseline needs an "
-                              "x0 small enough for it to be finite")
 
     rng = np.random.Generator(np.random.PCG64(seed))
     clock = time.perf_counter
@@ -218,10 +218,10 @@ def run_montecarlo(setup: ExperimentSetup, trials: int, base_seed: int,
     order, which keeps the result identical whether trials run
     sequentially or across worker processes.
     """
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials!r}")
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers!r}")
+    if not _is_int(trials) or trials < 1:
+        raise ConfigError(f"trials must be an integer >= 1, got {trials!r}")
+    if not _is_int(workers) or workers < 1:
+        raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
     if setup.steps < 1:
         raise ConfigError("montecarlo averages designs over steps; "
                           f"steps must be >= 1, got {setup.steps!r}")

@@ -9,7 +9,8 @@ import numpy as np
 from .errors import DimensionMismatch, NonConjugatePoles
 from .numerics import as_matrix
 
-# Pairing tolerance when validating that complex poles come in conjugate pairs.
+# Largest imaginary part, relative to the largest coefficient, that the
+# characteristic polynomial of conjugate-closed poles may carry.
 _CONJUGATE_TOL = 1e-9
 
 
@@ -57,18 +58,6 @@ def step(plant: PlantModel, x, u: float) -> np.ndarray:
     return x
 
 
-def _require_conjugate_closed(roots: np.ndarray) -> None:
-    pending = [r for r in roots if abs(r.imag) > _CONJUGATE_TOL * (1.0 + abs(r))]
-    while pending:
-        r = pending.pop()
-        for idx, cand in enumerate(pending):
-            if abs(cand - r.conjugate()) <= _CONJUGATE_TOL * (1.0 + abs(r)):
-                del pending[idx]
-                break
-        else:
-            raise NonConjugatePoles(f"pole {r} has no conjugate partner")
-
-
 def from_poles(poles) -> PlantModel:
     """Controllable-canonical realization of the plant with the given poles.
 
@@ -80,8 +69,11 @@ def from_poles(poles) -> PlantModel:
     roots = np.atleast_1d(np.asarray(poles, dtype=complex))
     if roots.ndim != 1 or roots.size == 0:
         raise DimensionMismatch("poles must be a non-empty 1-D sequence")
-    _require_conjugate_closed(roots)
-    coeffs = np.poly(roots).real  # [1, c1, ..., cn], descending powers
+    coeffs = np.poly(roots)  # [1, c1, ..., cn], descending powers
+    # exactly real when the roots are closed under conjugation
+    if np.abs(coeffs.imag).max() > _CONJUGATE_TOL * np.abs(coeffs).max():
+        raise NonConjugatePoles(f"poles {roots.tolist()} are not closed under conjugation")
+    coeffs = coeffs.real
     n = roots.size
     a = np.eye(n, k=1)
     a[-1, :] = -coeffs[-1:0:-1]

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 from scipy.linalg.lapack import dposv
 
-from .errors import (ConfigError, DimensionMismatch, Infeasible, NoConvergence,
-                     RankDeficient)
+from .errors import (ConfigError, DegenerateInput, DimensionMismatch, Infeasible,
+                     NoConvergence, RankDeficient)
 from .lifting import HorizonData
 from .numerics import RANK_REL_TOL, as_matrix, as_vector
 
@@ -145,6 +146,8 @@ def _greedy_picks(h: HorizonData, y: np.ndarray, eps: float):
 def _omp(h: HorizonData, W: np.ndarray, x: np.ndarray):
     """omp_design on a checked W and x: (coeffs, ||r||^2, threshold, picks)."""
     eps = float(x.dot(W.dot(x)))
+    if not math.isfinite(eps):
+        raise DegenerateInput(f"x^T W x is {eps!r}; no packet can be designed against it")
     picks, coeffs, rr = _greedy_picks(h, h.H.dot(x), eps)
     return coeffs, rr, eps, len(picks)
 
@@ -183,23 +186,21 @@ def l1_design(h: HorizonData, x, lam: float, fixed_bound: float) -> ControlPacke
     feasibility is promised.
     """
     lam = _l1_weight(lam)
-    fixed_bound = float(fixed_bound)
-    if fixed_bound < 0.0 or not np.isfinite(fixed_bound):
-        raise ConfigError(f"fixed_bound must be non-negative, got {fixed_bound!r}")
+    if not isinstance(fixed_bound, Real) or not 0.0 <= fixed_bound < math.inf:
+        raise ConfigError(f"fixed_bound must be a non-negative real, got {fixed_bound!r}")
     x = as_vector(x, "x")
     if x.size != h.n:
         raise DimensionMismatch(f"expected x of length {h.n}, got {x.size}")
     y = h.H @ x
     coeffs, segments = _l1(h, y, lam)
     r = h.G @ coeffs - y
-    return ControlPacket(coeffs, float(r @ r), fixed_bound, segments)
+    return ControlPacket(coeffs, float(r @ r), float(fixed_bound), segments)
 
 
 def _l1_weight(lam) -> float:
-    lam = float(lam)
-    if not lam > 0.0 or not np.isfinite(lam):
+    if not isinstance(lam, Real) or not 0.0 < lam < math.inf:
         raise ConfigError(f"lam must be a positive real, got {lam!r}")
-    return lam
+    return float(lam)
 
 
 def _l1(h: HorizonData, y: np.ndarray, lam: float):

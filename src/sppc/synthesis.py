@@ -13,18 +13,20 @@ x^T (P - Q) x.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateInput, NoConvergence, NotPositiveDefinite, NotReachable
+from .errors import (ConfigError, DegenerateInput, DimensionMismatch, NoConvergence,
+                     NotPositiveDefinite, NotReachable)
 from .lifting import HorizonData, build_horizon
 from .numerics import as_matrix, congruent_spectrum, sym_eigenvalues, symmetrize
 from .plant import PlantModel, is_reachable
 
 RICCATI_REL_TOL = 1e-12
 RICCATI_MAX_ITERATIONS = 100_000
-RICCATI_PIVOT_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -44,7 +46,7 @@ class SynthesisResult:
 def _riccati_image(A, B, Q, P) -> np.ndarray:
     """A^T P A - A^T P B (B^T P B)^-1 B^T P A + Q, unsymmetrized, in a new array."""
     bpb = B.T.dot(P).dot(B).item()
-    if bpb <= RICCATI_PIVOT_FLOOR:
+    if bpb < sys.float_info.min:
         raise DegenerateInput(f"B^T P B = {bpb:.3e} underflowed")
     apb = A.T.dot(P.dot(B))
     image = A.T.dot(P).dot(A)
@@ -59,6 +61,13 @@ def riccati_residual(plant: PlantModel, Q: np.ndarray, P: np.ndarray) -> float:
     return float(np.abs(image - P).max())
 
 
+def _stage_weight(plant: PlantModel, Q) -> np.ndarray:
+    Q = as_matrix(Q, "Q")
+    if Q.shape != plant.A.shape:
+        raise DimensionMismatch(f"Q must be {plant.n} x {plant.n}, got shape {Q.shape}")
+    return Q
+
+
 def solve_riccati(plant: PlantModel, Q):
     """Fixed-point iteration for P = A^T P A - A^T P B (B^T P B)^-1 B^T P A + Q.
 
@@ -68,7 +77,7 @@ def solve_riccati(plant: PlantModel, Q):
 
     Returns (P, iterations).
     """
-    Q = as_matrix(Q, "Q")
+    Q = _stage_weight(plant, Q)
     if not is_reachable(plant):
         raise NotReachable("plant not reachable")
     A, B = plant.A, plant.B
@@ -127,11 +136,9 @@ def synthesize(plant: PlantModel, Q, N: int, alpha: float = 0.5) -> SynthesisRes
     Q may be None for the identity default. alpha in (0, 1) places
     Eps = alpha (1 - rho) P / c strictly inside the admissible cone.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha must lie in (0, 1), got {alpha!r}")
-    if Q is None:
-        Q = np.eye(plant.n)
-    Q = symmetrize(as_matrix(Q, "Q"))
+    if not isinstance(alpha, Real) or not 0.0 < alpha < 1.0:
+        raise ConfigError(f"alpha must be a real in (0, 1), got {alpha!r}")
+    Q = symmetrize(np.eye(plant.n) if Q is None else _stage_weight(plant, Q))
     P, iterations = solve_riccati(plant, Q)
     rho = compute_rho(Q, P)
     horizon = build_horizon(plant, Q, P, N)

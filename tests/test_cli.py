@@ -1,7 +1,9 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sppc.cli as cli
@@ -19,6 +21,8 @@ SCALAR_DOC = {
     "trials": 2,
     "seed": 7,
 }
+
+EXAMPLE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "example.json"
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -281,3 +285,64 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "manifest.json" in proc.stdout
+
+
+def spy_on(monkeypatch, name):
+    """Pass cli's `name` through, recording each result it returns."""
+    real, seen = getattr(cli, name), []
+
+    def spy(*args, **kwargs):
+        seen.append(real(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(cli, name, spy)
+    return seen
+
+
+def read_columns(path, int_columns):
+    """A CSV's header and its columns parsed as floats; integer cells are digits only."""
+    text = path.read_bytes().decode("utf-8")
+    assert text.endswith("\n") and "\r" not in text
+    header, *rows = text.splitlines()
+    cells = [row.split(",") for row in rows]
+    assert all(row[i].isdigit() for row in cells for i in int_columns)
+    return header, [[float(cell) for cell in column] for column in zip(*cells)]
+
+
+@pytest.mark.parametrize("config", ["scalar", "example"])
+def test_csv_round_trips_exact_doubles(tmp_path, monkeypatch, config):
+    cfg = write_config(tmp_path) if config == "scalar" else str(EXAMPLE_CONFIG)
+    traces = spy_on(monkeypatch, "run_trial")
+    results = spy_on(monkeypatch, "run_montecarlo")
+    assert cli.main(["simulate", "--config", cfg, "--solver", "omp",
+                     "--out", str(tmp_path / "sim")]) == 0
+    assert cli.main(["montecarlo", "--config", cfg, "--trials", "20",
+                     "--out", str(tmp_path / "mc")]) == 0
+    (trace,), (result,) = traces, results
+
+    header, columns = read_columns(tmp_path / "sim" / "trace.csv", (0, 2, 3))
+    assert header == cli.TRACE_HEADER
+    expected = [np.arange(trace.steps + 1), trace.norm_x, trace.l0, trace.dropped,
+                trace.inputs, trace.design_time_us]
+    assert columns == [values.tolist() for values in expected]
+
+    header, columns = read_columns(tmp_path / "mc" / "aggregate.csv", (0,))
+    expected = [np.arange(trace.steps + 1)]
+    for agg in result.values():
+        expected += [agg.mean_norm_x, agg.mean_l0]
+    assert columns == [values.tolist() for values in expected]
+    if config == "example":
+        # before its OMP mean norm reaches exact zero, the tail runs below 1e-140
+        assert header.count(",") == 4
+        assert min(v for v in columns[1] if v > 0.0) < 1e-140
+
+
+def test_csv_round_trips_extreme_doubles(tmp_path, capsys):
+    extremes = np.array([5e-324, 1e-300, 2.2250738585072014e-308, -0.0,
+                         1.7976931348623157e308, 0.1 + 0.2, -1.0 / 3.0])
+    path = tmp_path / "extremes.csv"
+    cli._write_csv(str(path), "k,value", [np.arange(extremes.size), extremes])
+    assert capsys.readouterr().out == f"wrote {path}\n"
+    header, columns = read_columns(path, (0,))
+    assert header == "k,value"
+    assert np.array(columns[1]).tobytes() == extremes.tobytes()

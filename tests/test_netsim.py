@@ -224,16 +224,16 @@ def test_trial_rejects_bad_arguments(example_case):
 
 
 def test_trial_overflowing_state(example_case):
-    # x0^T W x0 overflows: the l1 baseline rejects x0 up front, while OMP
-    # designs zero packets (its threshold is inf) until the state itself
-    # overflows, at step 58, where the plant step rejects it
+    # x0^T W x0 overflows: both solvers reject x0 up front, and a design
+    # at such a state has no finite threshold to meet
     plant, syn, h = example_case
     x0 = np.full(4, 1e300)
-    with pytest.raises(errors.ConfigError, match=r"x0\^T W x0 is inf"):
-        sppc.run_trial(plant, h, syn, "l1", x0, 100, 0, p_drop=0.5, lam=1.0)
-    with np.errstate(over="ignore"), pytest.raises(errors.DimensionMismatch,
-                                                   match="must be finite"):
-        sppc.run_trial(plant, h, syn, "omp", x0, 100, 0, p_drop=0.5)
+    for solver in SOLVER_NAMES:
+        with pytest.raises(errors.ConfigError, match=r"x0\^T W x0 is inf"):
+            sppc.run_trial(plant, h, syn, solver, x0, 100, 0, p_drop=0.5, lam=1.0)
+    with np.errstate(over="ignore"), pytest.raises(errors.DegenerateInput,
+                                                   match=r"x\^T W x is inf"):
+        sppc.omp_design(h, syn.W, x0)
 
 
 def test_trial_lyapunov_descent_at_receptions(example_case):
@@ -406,3 +406,31 @@ def test_trace_arrays_read_only(example_case):
     tr = sppc.run_trial(plant, h, syn, "omp", np.zeros(4), 3, 0, p_drop=0.5)
     with pytest.raises(ValueError):
         tr.norm_x[0] = 1.0
+
+
+def _setup(plant, syn):
+    return sppc.ExperimentSetup(plant, syn, "omp", EXAMPLE_X0, 5, 0.5)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda p, s, x: sppc.l1_design(s.horizon, x, None, 1.0), errors.ConfigError),
+    (lambda p, s, x: sppc.l1_design(s.horizon, x, "1.0", 1.0), errors.ConfigError),
+    (lambda p, s, x: sppc.l1_design(s.horizon, x, 1.0, None), errors.ConfigError),
+    (lambda p, s, x: sppc.l1_design(s.horizon, x, 1.0, "a"), errors.ConfigError),
+    (lambda p, s, x: sppc.run_trial(p, s.horizon, s, "l1", x, 5, 0, p_drop=0.5,
+                                    lam="a"), errors.ConfigError),
+    (lambda p, s, x: sppc.run_montecarlo(_setup(p, s), 1.5, 0), errors.ConfigError),
+    (lambda p, s, x: sppc.run_montecarlo(_setup(p, s), True, 0), errors.ConfigError),
+    (lambda p, s, x: sppc.run_montecarlo(_setup(p, s), 2, 0, workers=1.0),
+     errors.ConfigError),
+    (lambda p, s, x: sppc.synthesize(p, None, 10, None), errors.ConfigError),
+    (lambda p, s, x: sppc.synthesize(p, np.eye(3), 10), errors.DimensionMismatch),
+    (lambda p, s, x: sppc.synthesize(p, np.ones((4, 3)), 10), errors.DimensionMismatch),
+    (lambda p, s, x: sppc.solve_riccati(p, np.eye(5)), errors.DimensionMismatch),
+], ids=["lam-None", "lam-str", "bound-None", "bound-str", "trial-lam-str",
+        "trials-float", "trials-bool", "workers-float", "alpha-None", "q-size",
+        "q-rect", "riccati-q-size"])
+def test_bad_library_arguments_are_typed(example_case, call, error):
+    plant, syn, _ = example_case
+    with pytest.raises(error):
+        call(plant, syn, np.asarray(EXAMPLE_X0))

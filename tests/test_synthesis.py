@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -52,7 +54,7 @@ def reference_riccati(plant, Q):
     P = 0.5 * (Q + Q.T)
     for iterations in range(1, synthesis.RICCATI_MAX_ITERATIONS + 1):
         bpb = (B.T @ P @ B).item()
-        assert bpb > synthesis.RICCATI_PIVOT_FLOOR
+        assert bpb >= sys.float_info.min
         apb = A.T @ (P @ B)
         image = A.T @ P @ A - (apb @ apb.T) / bpb + Q
         p_next = 0.5 * (image + image.T)
@@ -153,6 +155,24 @@ def test_synthesize_rejects_bad_alpha():
     for alpha in (0.0, 1.0, -0.5, 2.0):
         with pytest.raises(errors.ConfigError):
             sppc.synthesize(plant, None, 2, alpha)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-30, 1e-100])
+def test_synthesize_small_b(example_case, scale):
+    # the cheap-control P does not depend on the scale of B, so a tiny but
+    # reachable B synthesizes like the unscaled plant and passes every check
+    plant, syn, _ = example_case
+    small = sppc.PlantModel(A=plant.A, B=plant.B * scale)
+    result = sppc.synthesize(small, None, 10, 0.5)
+    assert np.abs(result.P - syn.P).max() <= 1e-14 * np.abs(syn.P).max()
+    assert all(check.passed for check in sppc.check_invariants(small, result))
+
+
+def test_synthesize_rejects_underflowed_pivot(example_case):
+    # B^T P B below the smallest normal double has lost its relative precision
+    tiny = sppc.PlantModel(A=example_case[0].A, B=example_case[0].B * 1e-160)
+    with pytest.raises(errors.DegenerateInput, match="underflowed"):
+        sppc.solve_riccati(tiny, np.eye(4))
 
 
 def test_synthesize_default_q_is_identity():
