@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import MISSING, dataclass, fields
-from numbers import Real
 
 import numpy as np
 
 from .errors import ConfigError
 from .netsim import SOLVER_NAMES, ExperimentSetup
+from .numerics import as_int, as_real
 from .plant import PlantModel, from_poles
 from .synthesis import SynthesisResult, synthesize
 
@@ -54,20 +54,6 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _as_float(value, name: str) -> float:
-    _require(isinstance(value, Real) and not isinstance(value, bool),
-             f"{name} must be a real number, got {value!r}")
-    value = float(value)
-    _require(np.isfinite(value), f"{name} must be finite")
-    return value
-
-
-def _as_int(value, name: str) -> int:
-    _require(isinstance(value, int) and not isinstance(value, bool),
-             f"{name} must be an integer, got {value!r}")
-    return value
-
-
 def _canon_matrix(value, name: str) -> list:
     _require(isinstance(value, list) and value
              and all(isinstance(row, list) and row for row in value),
@@ -75,7 +61,7 @@ def _canon_matrix(value, name: str) -> list:
     width = len(value[0])
     _require(all(len(row) == width for row in value),
              f"{name} rows have inconsistent lengths")
-    return [[_as_float(entry, f"{name} entry") for entry in row] for row in value]
+    return [[as_real(entry, f"{name} entry") for entry in row] for row in value]
 
 
 def _canon_plant(value) -> dict:
@@ -91,22 +77,19 @@ def _canon_plant(value) -> dict:
         _require(isinstance(poles, list) and poles, "poles must be a non-empty list")
         canon = []
         for pole in poles:
-            if isinstance(pole, Real) and not isinstance(pole, bool):
-                canon.append(_as_float(pole, "pole"))
-            elif (isinstance(pole, list) and len(pole) == 2):
-                canon.append([_as_float(pole[0], "pole real part"),
-                              _as_float(pole[1], "pole imaginary part")])
+            if isinstance(pole, list):
+                _require(len(pole) == 2, f"complex pole must be [re, im], got {pole!r}")
+                canon.append([as_real(pole[0], "pole real part"),
+                              as_real(pole[1], "pole imaginary part")])
             else:
-                raise ConfigError(
-                    f"pole must be a number or a [re, im] pair, got {pole!r}"
-                )
+                canon.append(as_real(pole, "pole"))
         return {"poles": canon}
     _require("A" in value and "B" in value, "explicit plant needs both A and B")
     a = _canon_matrix(value["A"], "plant A")
     _require(len(a) == len(a[0]), "plant A must be square")
     b_raw = value["B"]
     if isinstance(b_raw, list) and b_raw and not isinstance(b_raw[0], list):
-        b = [[_as_float(entry, "plant B entry")] for entry in b_raw]
+        b = [[as_real(entry, "plant B entry")] for entry in b_raw]
     else:
         b = _canon_matrix(b_raw, "plant B")
     _require(len(b) == len(a) and len(b[0]) == 1,
@@ -129,8 +112,7 @@ def from_dict(document: dict) -> ExperimentConfig:
     plant = _canon_plant(document["plant"])
     n = len(plant["A"]) if "A" in plant else len(plant["poles"])
 
-    horizon = _as_int(document["N"], "N")
-    _require(horizon >= 1, f"N must be >= 1, got {horizon}")
+    horizon = as_int(document["N"], "N", 1)
 
     q = document["Q"]
     if q != "identity":
@@ -138,7 +120,7 @@ def from_dict(document: dict) -> ExperimentConfig:
         _require(len(q) == n and len(q[0]) == n,
                  f"Q must be {n}x{n} to match the plant")
 
-    alpha = _as_float(document["alpha"], "alpha")
+    alpha = as_real(document["alpha"], "alpha")
     _require(0.0 < alpha < 1.0, f"alpha must lie in (0, 1), got {alpha}")
 
     solver = document["solver"]
@@ -147,26 +129,21 @@ def from_dict(document: dict) -> ExperimentConfig:
 
     lam = document["lambda"]
     if lam is not None:
-        lam = _as_float(lam, "lambda")
+        lam = as_real(lam, "lambda")
         _require(lam > 0.0, f"lambda must be positive, got {lam}")
 
     x0 = document["x0"]
     if x0 is not None:
         _require(isinstance(x0, list) and len(x0) == n,
                  f"x0 must be a list of {n} numbers")
-        x0 = [_as_float(entry, "x0 entry") for entry in x0]
+        x0 = [as_real(entry, "x0 entry") for entry in x0]
 
-    p_drop = _as_float(document["p_drop"], "p_drop")
+    p_drop = as_real(document["p_drop"], "p_drop")
     _require(0.0 <= p_drop <= 1.0, f"p_drop must lie in [0, 1], got {p_drop}")
 
-    steps = _as_int(document["steps"], "steps")
-    _require(steps >= 0, f"steps must be >= 0, got {steps}")
-
-    trials = _as_int(document["trials"], "trials")
-    _require(trials >= 1, f"trials must be >= 1, got {trials}")
-
-    seed = _as_int(document["seed"], "seed")
-    _require(0 <= seed < 2 ** 64, f"seed must fit in 64 bits, got {seed}")
+    steps = as_int(document["steps"], "steps", 0)
+    trials = as_int(document["trials"], "trials", 1)
+    seed = as_int(document["seed"], "seed", 0, 2 ** 64)
 
     return ExperimentConfig(plant=plant, N=horizon, Q=q, alpha=alpha,
                             solver=solver, lam=lam, x0=x0, p_drop=p_drop,

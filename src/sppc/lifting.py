@@ -16,8 +16,8 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, DimensionMismatch
-from .numerics import as_matrix, cholesky, symmetrize
+from .errors import DimensionMismatch
+from .numerics import as_int, as_matrix, cholesky, symmetrize
 from .plant import PlantModel
 
 
@@ -73,9 +73,7 @@ def build_horizon(plant: PlantModel, Q, P, N: int) -> HorizonData:
     are ever computed. Any factor R with R.T @ R equal to the block gives
     the same residual norms.
     """
-    if not isinstance(N, (int, np.integer)) or N < 1:
-        raise ConfigError(f"horizon N must be a positive integer, got {N!r}")
-    N = int(N)
+    N = as_int(N, "horizon N", 1)
     n = plant.n
     Q = as_matrix(Q, "Q")
     P = as_matrix(P, "P")

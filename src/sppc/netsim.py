@@ -23,13 +23,12 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
 from .errors import BufferExhausted, ConfigError
 from .lifting import HorizonData
-from .numerics import as_vector
+from .numerics import as_int, as_real, as_vector
 from .plant import PlantModel, step
 from .solvers import _design_inputs, _l1, _l1_weight, _omp
 from .synthesis import SynthesisResult
@@ -85,10 +84,6 @@ class SimTrace:
         return self.norm_x.size - 1
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def run_trial(plant: PlantModel, h: HorizonData, syn: SynthesisResult,
               solver: str, x0, steps: int, seed: int, *,
               p_drop: float, lam: float | None = None) -> SimTrace:
@@ -99,14 +94,11 @@ def run_trial(plant: PlantModel, h: HorizonData, syn: SynthesisResult,
     """
     if solver not in SOLVER_NAMES:
         raise ConfigError(f"solver must be one of {SOLVER_NAMES}, got {solver!r}")
-    if solver == "l1" and lam is None:
-        raise ConfigError("l1 solver requires lam")
-    if not _is_int(steps) or steps < 0:
-        raise ConfigError(f"steps must be a non-negative integer, got {steps!r}")
-    if not _is_int(seed) or not 0 <= seed < 2 ** 64:
-        raise ConfigError(f"seed must be an integer in [0, 2**64), got {seed!r}")
-    if not isinstance(p_drop, Real) or not 0.0 <= p_drop <= 1.0:
-        raise ConfigError(f"p_drop must be a real in [0, 1], got {p_drop!r}")
+    steps = as_int(steps, "steps", 0)
+    seed = as_int(seed, "seed", 0, 2 ** 64)
+    p_drop = as_real(p_drop, "p_drop")
+    if not 0.0 <= p_drop <= 1.0:
+        raise ConfigError(f"p_drop must lie in [0, 1], got {p_drop!r}")
     x = as_vector(x0, "x0")
     if x.size != plant.n:
         raise ConfigError(f"x0 has length {x.size}, plant expects {plant.n}")
@@ -153,7 +145,7 @@ def run_trial(plant: PlantModel, h: HorizonData, syn: SynthesisResult,
 
     for arr in (states, norm_x, inputs, dropped, l0, design_time_us):
         arr.setflags(write=False)
-    return SimTrace(solver=solver, seed=int(seed), states=states, norm_x=norm_x,
+    return SimTrace(solver=solver, seed=seed, states=states, norm_x=norm_x,
                     inputs=inputs, dropped=dropped, l0=l0,
                     design_time_us=design_time_us)
 
@@ -218,10 +210,9 @@ def run_montecarlo(setup: ExperimentSetup, trials: int, base_seed: int,
     order, which keeps the result identical whether trials run
     sequentially or across worker processes.
     """
-    if not _is_int(trials) or trials < 1:
-        raise ConfigError(f"trials must be an integer >= 1, got {trials!r}")
-    if not _is_int(workers) or workers < 1:
-        raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
+    trials = as_int(trials, "trials", 1)
+    base_seed = as_int(base_seed, "base_seed", 0, 2 ** 64)
+    workers = as_int(workers, "workers", 1)
     if setup.steps < 1:
         raise ConfigError("montecarlo averages designs over steps; "
                           f"steps must be >= 1, got {setup.steps!r}")

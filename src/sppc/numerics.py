@@ -6,18 +6,42 @@ Matrices are tiny (state dimension <= 20, horizon <= 64); robustness is
 preferred over speed here, so hot loops such as the OMP kernel keep their
 own incremental factorizations instead of calling in once per iteration
 (OMP shares its steps across designs, see HorizonData.omp_prefixes).
+as_int and as_real are the one check of a scalar argument, for the
+library and the config alike: both raise ConfigError.
 """
 
 from __future__ import annotations
 
+import math
+from numbers import Real
+
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionMismatch, NonSymmetric, NotPositiveDefinite, RankDeficient
+from .errors import (ConfigError, DimensionMismatch, NonSymmetric, NotPositiveDefinite,
+                     RankDeficient)
 
 SYMMETRY_TOL = 1e-10
 PIVOT_REL_TOL = 1e-14
 RANK_REL_TOL = 1e-12
+
+
+def as_int(value, name: str, low: int, high: float = math.inf) -> int:
+    """An int or numpy integer in [low, high), as int; bool is not an integer."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or not low <= value < high):
+        raise ConfigError(f"{name} must be an integer in [{low}, {high}), got {value!r}")
+    return int(value)
+
+
+def as_real(value, name: str) -> float:
+    """A finite real, as float; bool is not a real."""
+    try:
+        if not isinstance(value, bool) and isinstance(value, Real) and math.isfinite(value):
+            return float(value)
+    except OverflowError:       # an int beyond the float range
+        pass
+    raise ConfigError(f"{name} must be a finite real, got {value!r}")
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 from scipy.linalg.lapack import dposv
@@ -21,7 +20,7 @@ from scipy.linalg.lapack import dposv
 from .errors import (ConfigError, DegenerateInput, DimensionMismatch, Infeasible,
                      NoConvergence, RankDeficient)
 from .lifting import HorizonData
-from .numerics import RANK_REL_TOL, as_matrix, as_vector
+from .numerics import RANK_REL_TOL, as_matrix, as_real, as_vector
 
 FEASIBILITY_REL_SLACK = 1e-7
 # below this absolute scale the threshold sits in the denormal range where
@@ -177,30 +176,32 @@ def l1_design(h: HorizonData, x, lam: float, fixed_bound: float) -> ControlPacke
     along K_AA^-1 sign_A (K = G^T G, by Cholesky; a failed factorization
     raises RankDeficient) until a free correlation reaches +-t, when that
     index enters with the sign of the boundary it hit, or an active
-    coefficient reaches zero, when it leaves and sits out the next
-    segment. Entries are ranked side-major (+t first, then the smallest
-    index), an entry wins a tie with a leave, and a correlation already on
-    the boundary enters at step 0. Zeros are exact, and iterations counts
+    coefficient reaches zero, when it leaves. Entries are ranked
+    side-major (+t first, then the smallest index), an entry wins a tie
+    with a leave, and a correlation on a boundary it does not move inward
+    from enters at step 0. Zeros are exact, and iterations counts
     segments; more than L1_MAX_ITERATIONS raise NoConvergence. The packet
     records fixed_bound as its threshold for comparison purposes only; no
     feasibility is promised.
     """
     lam = _l1_weight(lam)
-    if not isinstance(fixed_bound, Real) or not 0.0 <= fixed_bound < math.inf:
-        raise ConfigError(f"fixed_bound must be a non-negative real, got {fixed_bound!r}")
+    fixed_bound = as_real(fixed_bound, "fixed_bound")
+    if fixed_bound < 0.0:
+        raise ConfigError(f"fixed_bound must be non-negative, got {fixed_bound!r}")
     x = as_vector(x, "x")
     if x.size != h.n:
         raise DimensionMismatch(f"expected x of length {h.n}, got {x.size}")
     y = h.H @ x
     coeffs, segments = _l1(h, y, lam)
     r = h.G @ coeffs - y
-    return ControlPacket(coeffs, float(r @ r), float(fixed_bound), segments)
+    return ControlPacket(coeffs, float(r @ r), fixed_bound, segments)
 
 
 def _l1_weight(lam) -> float:
-    if not isinstance(lam, Real) or not 0.0 < lam < math.inf:
-        raise ConfigError(f"lam must be a positive real, got {lam!r}")
-    return float(lam)
+    lam = as_real(lam, "lam")
+    if lam <= 0.0:
+        raise ConfigError(f"lam must be positive, got {lam!r}")
+    return lam
 
 
 def _l1(h: HorizonData, y: np.ndarray, lam: float):
@@ -212,7 +213,6 @@ def _l1(h: HorizonData, y: np.ndarray, lam: float):
     active = [first]                # ascending; sign and u run parallel to it
     sign = [1.0 if b[first] > 0.0 else -1.0]
     u = [0.0]
-    left = -1                       # the index that left last segment
     segments = 0
     while t > lam:
         if segments == L1_MAX_ITERATIONS:
@@ -226,10 +226,11 @@ def _l1(h: HorizonData, y: np.ndarray, lam: float):
         c = (b - np.dot(u, rows)).tolist()
         a = (v @ rows).tolist()
         v = v.tolist()
-        # steps g at which a free correlation c - g a meets +-(t - g); a
-        # correlation already on the boundary (a tie) enters at g = 0
+        # steps g at which a free correlation c - g a meets +-(t - g); one
+        # on a boundary enters at g = 0 unless it moves inward (den <= 0),
+        # as the index that just left does on the side it left from
         gamma, enter, side = math.inf, -1, 0.0
-        free = [j for j in range(h.N) if j != left and j not in active]
+        free = [j for j in range(h.N) if j not in active]
         for s in (1.0, -1.0):
             for j in free:
                 den = 1.0 - s * a[j]
@@ -253,9 +254,8 @@ def _l1(h: HorizonData, y: np.ndarray, lam: float):
             active.insert(at, enter)
             sign.insert(at, side)
             u.insert(at, 0.0)
-            left = -1
         else:
-            left = active.pop(out)
+            active.pop(out)
             sign.pop(out)
             u.pop(out)
     coeffs = np.zeros(h.N)

@@ -15,14 +15,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
 from .errors import (ConfigError, DegenerateInput, DimensionMismatch, NoConvergence,
                      NotPositiveDefinite, NotReachable)
 from .lifting import HorizonData, build_horizon
-from .numerics import as_matrix, congruent_spectrum, sym_eigenvalues, symmetrize
+from .numerics import as_matrix, as_real, congruent_spectrum, sym_eigenvalues, symmetrize
 from .plant import PlantModel, is_reachable
 
 RICCATI_REL_TOL = 1e-12
@@ -136,8 +135,9 @@ def synthesize(plant: PlantModel, Q, N: int, alpha: float = 0.5) -> SynthesisRes
     Q may be None for the identity default. alpha in (0, 1) places
     Eps = alpha (1 - rho) P / c strictly inside the admissible cone.
     """
-    if not isinstance(alpha, Real) or not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha must be a real in (0, 1), got {alpha!r}")
+    alpha = as_real(alpha, "alpha")
+    if not 0.0 < alpha < 1.0:
+        raise ConfigError(f"alpha must lie in (0, 1), got {alpha!r}")
     Q = symmetrize(np.eye(plant.n) if Q is None else _stage_weight(plant, Q))
     P, iterations = solve_riccati(plant, Q)
     rho = compute_rho(Q, P)

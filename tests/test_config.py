@@ -103,6 +103,7 @@ def test_flat_b_becomes_column():
     lambda d: d.update(trials=0),
     lambda d: d.update(seed=-1),
     lambda d: d.update(seed=2 ** 64),
+    lambda d: d.update(plant={"poles": [10 ** 400]}),   # no float holds it
 ])
 def test_invalid_documents_rejected(mutate):
     doc = minimal_doc()

@@ -427,9 +427,20 @@ def _setup(plant, syn):
     (lambda p, s, x: sppc.synthesize(p, np.eye(3), 10), errors.DimensionMismatch),
     (lambda p, s, x: sppc.synthesize(p, np.ones((4, 3)), 10), errors.DimensionMismatch),
     (lambda p, s, x: sppc.solve_riccati(p, np.eye(5)), errors.DimensionMismatch),
+    (lambda p, s, x: sppc.build_horizon(p, s.Q, s.P, True), errors.ConfigError),
+    (lambda p, s, x: sppc.synthesize(p, None, True), errors.ConfigError),
+    (lambda p, s, x: sppc.run_trial(p, s.horizon, s, "omp", x, 5, 0, p_drop=True),
+     errors.ConfigError),
+    (lambda p, s, x: sppc.run_trial(p, s.horizon, s, "l1", x, 5, 0, p_drop=0.5,
+                                    lam=True), errors.ConfigError),
+    (lambda p, s, x: sppc.l1_design(s.horizon, x, True, 1.0), errors.ConfigError),
+    (lambda p, s, x: sppc.l1_design(s.horizon, x, 1.0, False), errors.ConfigError),
+    (lambda p, s, x: sppc.run_montecarlo(_setup(p, s), 2, True), errors.ConfigError),
 ], ids=["lam-None", "lam-str", "bound-None", "bound-str", "trial-lam-str",
         "trials-float", "trials-bool", "workers-float", "alpha-None", "q-size",
-        "q-rect", "riccati-q-size"])
+        "q-rect", "riccati-q-size", "horizon-N-bool", "synthesize-N-bool",
+        "trial-p_drop-bool", "trial-lam-bool", "lam-bool", "bound-bool",
+        "base_seed-bool"])
 def test_bad_library_arguments_are_typed(example_case, call, error):
     plant, syn, _ = example_case
     with pytest.raises(error):

@@ -516,7 +516,6 @@ def reference_l1(h, x, lam):
     sides = np.array([[1.0], [-1.0]])
     u = np.zeros(h.N)
     sign = np.zeros(h.N)
-    left = np.zeros(h.N, dtype=bool)
     t = float(np.abs(b).max())
     first = int(np.abs(b).argmax())
     sign[first] = np.sign(b[first])
@@ -530,7 +529,7 @@ def reference_l1(h, x, lam):
         a = K @ v
         enter = np.full((2, h.N), np.inf)
         np.divide(np.maximum(t - sides * c, 0.0), 1.0 - sides * a, out=enter,
-                  where=(sign == 0.0) & ~left & (sides * a < 1.0))
+                  where=(sign == 0.0) & (sides * a < 1.0))
         leave = np.full(h.N, np.inf)
         np.divide(-u, v, out=leave, where=u * v < 0.0)
         gamma = min(enter.min(), leave.min())
@@ -539,13 +538,12 @@ def reference_l1(h, x, lam):
             break
         u += gamma * v
         t -= gamma
-        left[:] = False
         if enter.min() == gamma:
             side, j = divmod(int(enter.argmin()), h.N)
             sign[j] = sides[side, 0]
         else:
             j = int(leave.argmin())
-            sign[j], u[j], left[j] = 0.0, 0.0, True
+            sign[j], u[j] = 0.0, 0.0
     return u, segments
 
 
@@ -558,18 +556,23 @@ def assert_same_l1(h, x, lam, p):
     assert np.abs(p.coeffs - coeffs).max() <= 1e-12 * np.abs(coeffs).max()
 
 
-def assert_l1_kkt(h, x, lam):
+def assert_kkt(h, x, lam, p):
     """The lasso optimality conditions at 1e-10 of s = max(lam, ||G^T H x||_inf):
-    c = G^T (H x - G u) equals lam sign(u) on the support, |c| <= lam off it.
-    The packet also matches the reference homotopy."""
+    c = G^T (H x - G u) equals lam sign(u) on the support, |c| <= lam off it."""
     y = h.H @ x
     s = max(lam, float(np.abs(h.G.T @ y).max()))
-    p = sppc.l1_design(h, x, lam, 1.0)
-    assert_same_l1(h, x, lam, p)
     c = h.G.T @ (y - h.G @ p.coeffs)
     on = p.coeffs != 0.0
     assert np.all(np.abs(c[on] - lam * np.sign(p.coeffs[on])) <= 1e-10 * s)
     assert np.all(np.abs(c[~on]) <= lam + 1e-10 * s)
+
+
+def assert_l1_kkt(h, x, lam):
+    """l1_design's packet meets the lasso optimality conditions and matches
+    the reference homotopy."""
+    p = sppc.l1_design(h, x, lam, 1.0)
+    assert_same_l1(h, x, lam, p)
+    assert_kkt(h, x, lam, p)
     return p
 
 
@@ -580,6 +583,26 @@ def test_l1_kkt_on_example_trajectories(example_case):
                                p_drop=0.5, lam=1.0)
         for x in trace.states[:-1]:
             assert_l1_kkt(h, x, 1.0)
+
+
+@pytest.mark.parametrize("N", [20, 32])
+def test_l1_kkt_on_long_horizon_trajectories(example_plant, N):
+    # here an index that leaves the path can cross the opposite boundary
+    # within the next segment, so it must stay eligible to re-enter. K is
+    # too ill-conditioned (cond 7.5e6 at N = 20, 4.5e10 at N = 32) for the
+    # reference's LU solve to match Cholesky's coefficients to 1e-12, so
+    # only support and segment count are compared with it
+    syn = sppc.synthesize(example_plant, None, N, 0.5)
+    h = syn.horizon
+    for seed in range(3):
+        trace = sppc.run_trial(example_plant, h, syn, "l1", EXAMPLE_X0, 100, seed,
+                               p_drop=0.9, lam=1.0)
+        for x in trace.states[:-1]:
+            p = sppc.l1_design(h, x, 1.0, 1.0)
+            assert_kkt(h, x, 1.0, p)
+            coeffs, segments = reference_l1(h, x, 1.0)
+            assert p.support == tuple(np.flatnonzero(coeffs))
+            assert p.iterations == segments
 
 
 def test_l1_kkt_when_coefficients_leave(example_case):
