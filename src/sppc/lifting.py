@@ -1,11 +1,11 @@
-"""Horizon lifting: stacked prediction matrices and the weighted cost map.
+"""Horizon lifting: the weighted cost map of a horizon.
 
 For a horizon of N steps the predicted states [x_1; ...; x_N] equal
 Phi @ u + Upsilon @ x, with Phi block lower-triangular (block (i, j) is
 A^(i-j) B) and Upsilon stacking A, A^2, ..., A^N. With Rbar the block
 diagonal of the weight factors (N-1 copies of R_Q, then R_P, R^T R the
 weight), G = Rbar Phi, H = -Rbar Upsilon turn the summed quadratic cost
-into the single residual ||G u - H x||^2. Rbar is never formed.
+into the single residual ||G u - H x||^2. Only G and H are stored.
 """
 
 from __future__ import annotations
@@ -23,23 +23,21 @@ from .plant import PlantModel
 
 @dataclass(frozen=True)
 class HorizonData:
-    """Lifted matrices for one (plant, Q, P, N); derived ones cached on first use.
+    """G and H for one (plant, Q, P, N); derived data cached on first use.
 
     The derived data include OMP's prefix cache, shared by every design here.
     """
 
     N: int
-    Phi: np.ndarray          # (n N, N)
-    Upsilon: np.ndarray      # (n N, n)
-    G: np.ndarray            # Rbar @ Phi
-    H: np.ndarray            # -Rbar @ Upsilon
+    G: np.ndarray            # (n N, N), Rbar @ Phi
+    H: np.ndarray            # (n N, n), -Rbar @ Upsilon
 
     @property
     def n(self) -> int:
-        return self.Upsilon.shape[1]
+        return self.H.shape[1]
 
     def __getstate__(self) -> dict:
-        """The five fields only: a copy rebuilds derived data, OMP's cache too."""
+        """The three fields only: a copy rebuilds derived data, OMP's cache too."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @cached_property
@@ -49,8 +47,9 @@ class HorizonData:
 
     @cached_property
     def gram(self) -> np.ndarray:
-        """G^T G, the Gram matrix of the weighted input map."""
-        return _frozen(symmetrize(self.G.T @ self.G))
+        """G^T G, taken on a C-ordered G, since the product rounds by layout."""
+        g = np.ascontiguousarray(self.G)
+        return _frozen(symmetrize(g.T @ g))
 
     @cached_property
     def omp_prefixes(self) -> dict:
@@ -71,7 +70,8 @@ def build_horizon(plant: PlantModel, Q, P, N: int) -> HorizonData:
     The weight square root is taken blockwise: each diagonal block
     contributes the transpose of its Cholesky factor, so only two factors
     are ever computed. Any factor R with R.T @ R equal to the block gives
-    the same residual norms.
+    the same residual norms. Phi and Upsilon are only the operands of G's
+    and H's batched products; neither is stored.
     """
     N = as_int(N, "horizon N", 1)
     n = plant.n
@@ -90,8 +90,6 @@ def build_horizon(plant: PlantModel, Q, P, N: int) -> HorizonData:
     # lagged[i, j] = A^(i-j) B, zero for j > i: rows i..i+N-1 of ab, reversed
     lagged = np.ascontiguousarray(sliding_window_view(ab, (N, n))[:, 0, ::-1])
     phi = lagged.transpose(0, 2, 1)                         # block rows (N, n, N)
-    return HorizonData(N=N, Phi=_frozen(phi.reshape(n * N, N)),
-                       Upsilon=_frozen(powers.reshape(n * N, n)),
-                       G=_frozen((factors @ phi).reshape(n * N, N)),
+    return HorizonData(N=N, G=_frozen((factors @ phi).reshape(n * N, N)),
                        H=_frozen(-(factors @ powers).reshape(n * N, n)))
 

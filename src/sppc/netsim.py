@@ -187,17 +187,18 @@ def _trial_job(args) -> SimTrace:
 def log_decay_slope(mean_norm_x: np.ndarray) -> float:
     """Least-squares slope of log ||x(k)|| over the final half of the horizon.
 
-    The fit takes at least the last two values (fewer is a ConfigError).
-    Values are floored at 1e-300 so fully converged trajectories do not
-    produce -inf; a strictly negative slope indicates geometric decay.
+    The fit takes at least the last two values (fewer is a ConfigError) and
+    skips those at or below 1e-300; with fewer than two left it measured no
+    decay and is 0.0. A strictly negative slope indicates geometric decay.
     """
     values = np.asarray(mean_norm_x, dtype=float)
     if values.size < 2:
         raise ConfigError(f"a decay slope needs at least two values, got {values.size}")
     start = min(values.size // 2, values.size - 2)
-    tail = np.log(np.maximum(values[start:], 1e-300))
-    ks = np.arange(start, values.size, dtype=float)
-    return float(np.polyfit(ks, tail, 1)[0])
+    ks = np.flatnonzero(values[start:] > 1e-300) + start
+    if ks.size < 2:
+        return 0.0
+    return float(np.polyfit(ks.astype(float), np.log(values[ks]), 1)[0])
 
 
 def run_montecarlo(setup: ExperimentSetup, trials: int, base_seed: int,

@@ -39,7 +39,7 @@ class SynthesisResult:
     Eps: np.ndarray
     W: np.ndarray
     riccati_iterations: int
-    horizon: HorizonData     # the lifting of this Q, P and N that c is computed on
+    horizon: HorizonData     # the lifting of this Q, P and N; c is read off its G
 
 
 def _riccati_image(A, B, Q, P) -> np.ndarray:
@@ -107,26 +107,25 @@ def compute_rho(Q, P) -> float:
     return max(rho, 0.0)
 
 
-def compute_c(h: HorizonData, P, rho: float) -> float:
+def compute_c(h: HorizonData, rho: float) -> float:
     """Horizon constant scaling the admissible margin cone.
 
-    Index i of the packet is the i-th column of Phi, lifted blockwise
-    through P: the per-index form is the sum of the P-quadratic forms of
-    that column's N blocks. Their maximum over i, divided by the smallest
-    eigenvalue of the Gram matrix G^T G of the lifted input map, is scaled
-    by the geometric-series prefactor (1 - rho^N) / (1 - rho).
+    c = (1 - rho^N) / (1 - rho) ||G_T||_F^2 / lambda_min(G^T G), G_T the last
+    block row of G. The numerator is the largest over packet indices j of
+    sum_{k < N-j} (A^k B)^T P (A^k B), a partial sum of non-negative terms,
+    so index 0 attains it, and G_T = R_P [A^(N-1) B, ..., A B, B] holds its
+    terms. It is one dot product of G_T's C-order ravel, so G's memory
+    layout cannot move c.
     """
     if not 0.0 <= rho < 1.0:
         raise DegenerateInput(f"rho = {rho!r} outside [0, 1)")
-    P = as_matrix(P, "P")
-    lam_min = float(sym_eigenvalues(h.gram)[0])
+    lam_min, lam_max = sym_eigenvalues(h.gram)[[0, -1]]
     if lam_min <= 0.0:
-        raise NotPositiveDefinite("lifted input map lost column rank")
-    blocks = h.Phi.reshape(h.N, h.n, h.N)
-    forms = np.einsum("iaj,ab,ibj->j", blocks, P, blocks)
-    peak = float(forms.max()) / lam_min
+        raise NotPositiveDefinite(f"lambda_min(G^T G) = {lam_min:.3e} <= 0 against "
+                                  f"lambda_max = {lam_max:.3e} at horizon N = {h.N}")
+    last = h.G[-h.n:].ravel()
     prefactor = (1.0 - rho ** h.N) / (1.0 - rho)
-    return float(prefactor * peak)
+    return float(prefactor * (last.dot(last) / lam_min))
 
 
 def synthesize(plant: PlantModel, Q, N: int, alpha: float = 0.5) -> SynthesisResult:
@@ -142,7 +141,7 @@ def synthesize(plant: PlantModel, Q, N: int, alpha: float = 0.5) -> SynthesisRes
     P, iterations = solve_riccati(plant, Q)
     rho = compute_rho(Q, P)
     horizon = build_horizon(plant, Q, P, N)
-    c = compute_c(horizon, P, rho)
+    c = compute_c(horizon, rho)
     eps = symmetrize(alpha * (1.0 - rho) / c * P)
     w = symmetrize(P - Q + eps)
     for arr in (Q, P, eps, w):

@@ -1,7 +1,9 @@
 """Reference implementations the tests compare the library against.
 
 None of these is on a library or CLI path: the small-horizon exhaustive
-oracle, the lifted stage cost, and the OMP kernel that refits every pick.
+oracle, the lifted stage cost, the OMP kernel that refits every pick, the
+lifting as first written and the horizon constant by its per-index
+definition.
 """
 
 import itertools
@@ -11,7 +13,7 @@ import numpy as np
 
 from sppc.errors import ConfigError, DimensionMismatch, Infeasible, RankDeficient
 from sppc.lifting import HorizonData
-from sppc.numerics import RANK_REL_TOL, as_vector, solve_least_squares
+from sppc.numerics import RANK_REL_TOL, as_vector, cholesky, solve_least_squares
 from sppc.solvers import (FEASIBILITY_ABS_FLOOR, FEASIBILITY_REL_SLACK, ControlPacket,
                           _design_inputs)
 
@@ -101,3 +103,37 @@ def refit_greedy_picks(h: HorizonData, y: np.ndarray, eps: float):
         r = y - G @ coeffs
         rr = float(r @ r)
     return picks, coeffs, rr
+
+
+def reference_horizon(plant, Q, P, N):
+    """The lifting as first written: A^k B gathered by a lag index into an
+    (N, N, n) array, masked by np.where. Returns Phi, Upsilon, G and H;
+    build_horizon must match the bits of the last two."""
+    n = plant.n
+    factors = np.array([cholesky(Q).T] * (N - 1) + [cholesky(P).T])
+    ab = np.empty((N, n))
+    powers = np.empty((N, n, n))
+    ab[0] = plant.B[:, 0]
+    powers[0] = plant.A
+    for k in range(1, N):
+        ab[k] = plant.A @ ab[k - 1]
+        powers[k] = plant.A @ powers[k - 1]
+    lag = np.subtract.outer(np.arange(N), np.arange(N))
+    phi = np.where((lag >= 0)[:, :, None], ab[np.maximum(lag, 0)], 0.0)
+    phi = phi.transpose(0, 2, 1)
+    return (phi.reshape(n * N, N), powers.reshape(n * N, n),
+            (factors @ phi).reshape(n * N, N), -(factors @ powers).reshape(n * N, n))
+
+
+def per_index_c(h: HorizonData, phi, P, rho: float):
+    """The horizon constant by its per-index definition: (c, argmax index).
+
+    Packet index j's form is sum_i Phi_ij^T P Phi_ij over the N block rows
+    i of column j of Phi; c is the largest form over lambda_min(G^T G),
+    times (1 - rho^N) / (1 - rho).
+    """
+    blocks = phi.reshape(h.N, h.n, h.N)
+    forms = np.einsum("iaj,ab,ibj->j", blocks, P, blocks)
+    lam_min = float(np.linalg.eigvalsh(h.gram)[0])
+    prefactor = (1.0 - rho ** h.N) / (1.0 - rho)
+    return float(prefactor * (float(forms.max()) / lam_min)), int(forms.argmax())

@@ -4,10 +4,9 @@ import scipy.linalg
 
 import sppc
 from sppc import errors
-from sppc.numerics import cholesky
 
 from conftest import random_reachable_plant, random_spd
-from oracles import stage_cost
+from oracles import reference_horizon, stage_cost
 
 
 def dense_weights(Q, P, N):
@@ -20,19 +19,20 @@ def dense_weights(Q, P, N):
 
 def test_scalar_horizon_matrices(scalar_case):
     plant, syn, h = scalar_case
-    np.testing.assert_allclose(h.Phi, [[1.0, 0.0], [2.0, 1.0]])
-    np.testing.assert_allclose(h.Upsilon, [[2.0], [4.0]])
+    phi, upsilon, _, _ = reference_horizon(plant, syn.Q, syn.P, 2)
+    np.testing.assert_allclose(phi, [[1.0, 0.0], [2.0, 1.0]])
+    np.testing.assert_allclose(upsilon, [[2.0], [4.0]])
     qbar, rbar = dense_weights(syn.Q, syn.P, 2)
     np.testing.assert_allclose(qbar, np.eye(2))
-    np.testing.assert_allclose(h.G, rbar @ h.Phi)
-    np.testing.assert_allclose(h.G, h.Phi)
+    np.testing.assert_allclose(h.G, rbar @ phi)
+    np.testing.assert_allclose(h.G, phi)
     np.testing.assert_allclose(h.H, [[-2.0], [-4.0]])
+    assert h.n == 1
 
 
 def test_degenerate_horizon_single_block():
     plant = sppc.PlantModel(A=[[2.0]], B=[[1.0]])
     h = sppc.build_horizon(plant, [[1.0]], [[4.0]], 1)
-    np.testing.assert_allclose(h.Phi, [[1.0]])
     qbar, rbar = dense_weights(np.array([[1.0]]), np.array([[4.0]]), 1)
     np.testing.assert_allclose(qbar, [[4.0]])
     np.testing.assert_allclose(rbar, [[2.0]])
@@ -59,16 +59,22 @@ def _stacked_states(plant, x, u):
 
 
 def test_stacked_prediction_identity():
+    # Phi u + Upsilon x stacks the predicted states, and G u - H x weights
+    # them by Rbar
     rng = np.random.default_rng(21)
     for _ in range(100):
         n = int(rng.integers(1, 5))
         N = int(rng.integers(1, 9))
         plant = random_reachable_plant(rng, n)
-        h = sppc.build_horizon(plant, random_spd(rng, n), random_spd(rng, n), N)
+        Q, P = random_spd(rng, n), random_spd(rng, n)
+        h = sppc.build_horizon(plant, Q, P, N)
+        phi, upsilon, _, _ = reference_horizon(plant, Q, P, N)
+        _, rbar = dense_weights(Q, P, N)
         x = rng.standard_normal(n)
         u = rng.standard_normal(N)
-        stacked = h.Phi @ u + h.Upsilon @ x
-        np.testing.assert_allclose(stacked, _stacked_states(plant, x, u),
+        states = _stacked_states(plant, x, u)
+        np.testing.assert_allclose(phi @ u + upsilon @ x, states, atol=1e-10, rtol=1e-10)
+        np.testing.assert_allclose(h.G @ u - h.H @ x, rbar @ states,
                                    atol=1e-10, rtol=1e-10)
 
 
@@ -83,48 +89,30 @@ def test_blockwise_square_root():
         Q = random_spd(rng, n)
         P = random_spd(rng, n)
         h = sppc.build_horizon(plant, Q, P, N)
+        phi, upsilon, _, _ = reference_horizon(plant, Q, P, N)
         qbar, rbar = dense_weights(Q, P, N)
         gap = np.abs(rbar.T @ rbar - qbar).max()
         assert gap <= 1e-10 * (1.0 + np.abs(qbar).max())
-        np.testing.assert_allclose(h.G, rbar @ h.Phi, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(h.H, -rbar @ h.Upsilon, rtol=1e-12, atol=1e-12)
-        reference = h.Phi.T @ qbar @ h.Phi
+        np.testing.assert_allclose(h.G, rbar @ phi, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(h.H, -rbar @ upsilon, rtol=1e-12, atol=1e-12)
+        reference = phi.T @ qbar @ phi
         assert np.abs(h.gram - reference).max() <= 1e-10 * np.abs(reference).max()
         np.testing.assert_allclose(h.col_norms, np.sqrt(np.diag(reference)), rtol=1e-10)
         assert not (h.gram.flags.writeable or h.col_norms.flags.writeable)
 
 
-def reference_horizon(plant, Q, P, N):
-    """The lifting as first written: A^k B gathered by a lag index into an
-    (N, N, n) array, masked by np.where. build_horizon must match its bits."""
-    n = plant.n
-    factors = np.array([cholesky(Q).T] * (N - 1) + [cholesky(P).T])
-    ab = np.empty((N, n))
-    powers = np.empty((N, n, n))
-    ab[0] = plant.B[:, 0]
-    powers[0] = plant.A
-    for k in range(1, N):
-        ab[k] = plant.A @ ab[k - 1]
-        powers[k] = plant.A @ powers[k - 1]
-    lag = np.subtract.outer(np.arange(N), np.arange(N))
-    phi = np.where((lag >= 0)[:, :, None], ab[np.maximum(lag, 0)], 0.0)
-    phi = phi.transpose(0, 2, 1)
-    return (phi.reshape(n * N, N), powers.reshape(n * N, n),
-            (factors @ phi).reshape(n * N, N), -(factors @ powers).reshape(n * N, n))
-
-
 @pytest.mark.parametrize("n, N", [(1, 1), (1, 64), (2, 1), (3, 7), (4, 10), (7, 33),
                                   (11, 20), (16, 3), (20, 1), (20, 20), (20, 64)])
 def test_horizon_bits_match_reference(n, N):
-    # same values and same memory layout: the batched product for G and
-    # compute_c's einsum on Phi round differently on differently strided
-    # operands (G does at n >= 16 with N = 3 or 20, for one)
+    # same values and same memory layout: the batched product for G rounds
+    # differently on a differently strided Phi (at n >= 16 with N = 3 or
+    # 20, for one)
     rng = np.random.default_rng(100 * n + N)
     for _ in range(3):
         plant = random_reachable_plant(rng, n)
         Q, P = random_spd(rng, n), random_spd(rng, n)
         h = sppc.build_horizon(plant, Q, P, N)
-        for got, want in zip((h.Phi, h.Upsilon, h.G, h.H), reference_horizon(plant, Q, P, N)):
+        for got, want in zip((h.G, h.H), reference_horizon(plant, Q, P, N)[2:]):
             assert (got.tobytes(), got.strides) == (want.tobytes(), want.strides)
 
 

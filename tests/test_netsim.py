@@ -388,7 +388,16 @@ def test_log_decay_slope_recovers_geometric_rate():
     ks = np.arange(101)
     slope = sppc.log_decay_slope(0.9 ** ks)
     assert slope == pytest.approx(np.log(0.9), rel=1e-9)
-    assert sppc.log_decay_slope(np.zeros(101)) == pytest.approx(0.0, abs=1e-12)
+    # a series at rest measured no decay
+    assert sppc.log_decay_slope(np.zeros(101)) == 0.0
+    assert sppc.log_decay_slope(np.r_[1.0, np.zeros(100)]) == 0.0
+
+
+def test_log_decay_slope_ignores_underflowed_tail():
+    # the entries at exact 0 are not part of the geometric tail
+    series = 0.9 ** np.arange(101)
+    series[80:] = 0.0
+    assert sppc.log_decay_slope(series) == pytest.approx(np.log(0.9), rel=1e-9)
 
 
 def test_log_decay_slope_two_points():

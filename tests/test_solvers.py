@@ -36,8 +36,7 @@ def feasible(packet):
 def identity_horizon():
     """Hand-solvable N=2, n=1 geometry: G is the identity, H x = [1, 1]."""
     eye = np.eye(2)
-    return HorizonData(N=2, Phi=eye, Upsilon=np.array([[-1.0], [-1.0]]),
-                       G=eye, H=np.array([[1.0], [1.0]]))
+    return HorizonData(N=2, G=eye, H=np.array([[1.0], [1.0]]))
 
 
 def test_omp_zero_state(scalar_case):
@@ -224,8 +223,7 @@ def test_omp_refits_when_projection_passes_threshold():
     # threshold 2e-16 while the projected one, d^2, is below it; the pick
     # still refits, and the loop stops on the refit residual
     d = math.sqrt(1.5 * 2.0 ** -53)
-    h = HorizonData(N=2, Phi=np.eye(2), Upsilon=np.array([[-1.0], [-d]]),
-                    G=np.eye(2), H=np.array([[1.0], [d]]))
+    h = HorizonData(N=2, G=np.eye(2), H=np.array([[1.0], [d]]))
     p = sppc.omp_design(h, np.array([[2e-16]]), np.array([1.0]))
     assert p.iterations == 1
     np.testing.assert_array_equal(p.coeffs, [1.0, 0.0])
@@ -237,8 +235,7 @@ def test_omp_unreachable_threshold_is_infeasible():
     # the loop still takes column 1, the smallest unpicked index, and then
     # reports the threshold out of reach
     G = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-    h = HorizonData(N=2, Phi=G, Upsilon=-np.ones((3, 1)), G=G,
-                    H=np.array([[1.0], [0.0], [1.0]]))
+    h = HorizonData(N=2, G=G, H=np.array([[1.0], [0.0], [1.0]]))
     with pytest.raises(errors.Infeasible):
         sppc.omp_design(h, np.array([[0.5]]), np.array([1.0]))
 
@@ -247,8 +244,7 @@ def test_omp_repeated_column_is_rank_deficient():
     # column 2 repeats column 0, and the threshold is out of reach of
     # columns 0 and 1, so the greedy loop has to pick the duplicate
     G = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
-    h = HorizonData(N=3, Phi=G, Upsilon=-np.ones((3, 1)), G=G,
-                    H=np.ones((3, 1)))
+    h = HorizonData(N=3, G=G, H=np.ones((3, 1)))
     # first from a cold prefix cache, then from the prefixes the first call
     # stored; the failing prefix is never stored
     for _ in range(2):
@@ -263,7 +259,7 @@ def packet_bits(p):
 
 
 def fresh_horizon(h):
-    return HorizonData(N=h.N, Phi=h.Phi, Upsilon=h.Upsilon, G=h.G, H=h.H)
+    return HorizonData(N=h.N, G=h.G, H=h.H)
 
 
 @pytest.mark.parametrize("N, p_drop", [(10, 0.5), (20, 0.9)])
@@ -497,8 +493,7 @@ def test_l1_equal_columns_are_rank_deficient():
     # the second one's step direction a rounding inside the boundary, so it
     # enters at step 0 and the singular K_AA must raise, not return
     G = np.array([[7.0, 7.0], [0.0, 0.0]])
-    h = HorizonData(N=2, Phi=G, Upsilon=np.zeros((2, 1)), G=G,
-                    H=np.array([[1.0], [0.0]]))
+    h = HorizonData(N=2, G=G, H=np.array([[1.0], [0.0]]))
     for x in (1.0, -3.0):
         with pytest.raises(errors.RankDeficient):
             sppc.l1_design(h, np.array([x]), 0.1, 1.0)

@@ -5,9 +5,11 @@ import pytest
 
 import sppc
 from sppc import errors, synthesis
+from sppc.lifting import HorizonData
 from sppc.numerics import solve_least_squares
 
 from conftest import random_reachable_plant, random_spd
+from oracles import per_index_c, reference_horizon
 
 
 def test_riccati_scalar_unstable():
@@ -116,7 +118,7 @@ def test_rho_scalar_plant_chain(scalar_case):
 def test_c_scalar_hand_value(scalar_case):
     _, syn, h = scalar_case
     expected = 5.0 * (3.0 + 2.0 * np.sqrt(2.0))
-    assert sppc.compute_c(h, syn.P, 0.0) == pytest.approx(expected, abs=1e-9)
+    assert sppc.compute_c(h, 0.0) == pytest.approx(expected, abs=1e-9)
 
 
 def test_c_geometric_prefactor():
@@ -125,19 +127,82 @@ def test_c_geometric_prefactor():
     plant = random_reachable_plant(rng, 2)
     P = random_spd(rng, 2)
     h = sppc.build_horizon(plant, random_spd(rng, 2), P, 10)
-    ratio = sppc.compute_c(h, P, 0.5) / sppc.compute_c(h, P, 0.0)
+    ratio = sppc.compute_c(h, 0.5) / sppc.compute_c(h, 0.0)
     assert ratio == pytest.approx((1.0 - 0.5 ** 10) / 0.5, rel=1e-12)
     single = sppc.build_horizon(plant, random_spd(rng, 2), P, 1)
-    lone = sppc.compute_c(single, P, 0.0)
-    assert sppc.compute_c(single, P, 0.9) == pytest.approx(lone, rel=1e-12)
+    lone = sppc.compute_c(single, 0.0)
+    assert sppc.compute_c(single, 0.9) == pytest.approx(lone, rel=1e-12)
+
+
+@pytest.mark.parametrize("N", [10, 20, 32])
+def test_c_matches_per_index_definition_on_example(example_plant, N):
+    syn = sppc.synthesize(example_plant, None, N, 0.5)
+    phi = reference_horizon(example_plant, syn.Q, syn.P, N)[0]
+    c, peak_index = per_index_c(syn.horizon, phi, syn.P, syn.rho)
+    assert peak_index == 0
+    assert syn.c == pytest.approx(c, rel=1e-12)
+
+
+def test_c_matches_per_index_definition_on_random_plants():
+    # where the lifted Gram matrix has no positive lambda_min there is no c
+    rng = np.random.default_rng(17)
+    checked = 0
+    for n in range(1, 21):
+        for N in (1, 2, 7, 20, 33, 64):
+            plant = random_reachable_plant(rng, n)
+            Q, P = random_spd(rng, n), random_spd(rng, n)
+            h = sppc.build_horizon(plant, Q, P, N)
+            rho = float(rng.uniform(0.0, 0.99))
+            if np.linalg.eigvalsh(h.gram)[0] <= 0.0:
+                with pytest.raises(errors.NotPositiveDefinite):
+                    sppc.compute_c(h, rho)
+                continue
+            c, peak_index = per_index_c(h, reference_horizon(plant, Q, P, N)[0], P, rho)
+            assert peak_index == 0
+            assert sppc.compute_c(h, rho) == pytest.approx(c, rel=1e-12)
+            checked += 1
+    assert checked >= 100
+
+
+def test_c_does_not_depend_on_layout(example_plant):
+    # the same G and H as row-strided, column-strided and Fortran-ordered
+    # views give c bit for bit
+    rng = np.random.default_rng(18)
+    cases = [(example_plant, 10), (example_plant, 32)]
+    cases += [(random_reachable_plant(rng, n), N) for n, N in ((7, 33), (16, 20), (20, 64))]
+    for plant, N in cases:
+        h = sppc.build_horizon(plant, np.eye(plant.n), random_spd(rng, plant.n), N)
+        c = sppc.compute_c(h, 0.5)
+        for view in (lambda m: np.repeat(m, 2, axis=0)[::2],
+                     lambda m: np.repeat(m, 2, axis=1)[:, ::2],
+                     lambda m: np.ascontiguousarray(m.T).T):
+            g, H = view(h.G), view(h.H)
+            assert g.base is not None and not g.flags.c_contiguous
+            np.testing.assert_array_equal(g, h.G)
+            assert sppc.compute_c(HorizonData(N=N, G=g, H=H), 0.5) == c
+
+
+def test_c_names_the_spectrum_when_rank_is_lost(example_plant):
+    # at N = 64 the example's G^T G has lambda_min below zero by rounding
+    # against lambda_max; the error says so with both numbers
+    P, _ = sppc.solve_riccati(example_plant, np.eye(4))
+    h = sppc.build_horizon(example_plant, np.eye(4), P, 64)
+    spectrum = np.linalg.eigvalsh(h.gram)
+    assert spectrum[0] <= 0.0
+    with pytest.raises(errors.NotPositiveDefinite) as info:
+        sppc.synthesize(example_plant, None, 64, 0.5)
+    message = str(info.value)
+    for value in (spectrum[0], spectrum[-1]):
+        assert f"{value:.3e}" in message
+    assert "N = 64" in message
 
 
 def test_c_rejects_bad_rho(scalar_case):
     _, syn, h = scalar_case
     with pytest.raises(errors.DegenerateInput):
-        sppc.compute_c(h, syn.P, 1.0)
+        sppc.compute_c(h, 1.0)
     with pytest.raises(errors.DegenerateInput):
-        sppc.compute_c(h, syn.P, -0.1)
+        sppc.compute_c(h, -0.1)
 
 
 def test_synthesize_scalar_values(scalar_case):
