@@ -26,8 +26,6 @@ EXIT_CONFIG = 1
 EXIT_NUMERIC = 2
 EXIT_SIMULATION = 3
 
-TRACE_HEADER = "k,norm_x,l0_u,dropped,input,design_time_us"
-
 # aggregate.csv column names per solver: (mean norm, mean l0)
 AGGREGATE_COLUMNS = {
     "omp": ("mean_norm_x_omp", "mean_l0_omp"),
@@ -42,12 +40,13 @@ def _write_json(path: str, document: dict) -> None:
     print(f"wrote {path}")
 
 
-def _write_csv(path: str, header: str, columns: list[np.ndarray]) -> None:
+def _write_csv(path: str, columns: dict[str, np.ndarray]) -> None:
     # integer columns as integers; 17 significant digits round-trip every double
-    fmt = ["%d" if column.dtype.kind in "iu" else "%.17g" for column in columns]
+    values = list(columns.values())
+    fmt = ["%d" if column.dtype.kind in "iu" else "%.17g" for column in values]
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        np.savetxt(handle, np.column_stack(columns), fmt=fmt, delimiter=",",
-                   header=header, comments="")
+        np.savetxt(handle, np.column_stack(values), fmt=fmt, delimiter=",",
+                   header=",".join(columns), comments="")
     print(f"wrote {path}")
 
 
@@ -83,12 +82,13 @@ def cmd_synthesize(cfg, out_dir: str) -> int:
 
 def cmd_simulate(cfg, out_dir: str) -> int:
     setup = config_mod.build_setup(cfg)
-    trace = run_trial(setup.plant, setup.horizon, setup.synthesis, cfg.solver,
-                      setup.x0, cfg.steps, cfg.seed, p_drop=cfg.p_drop,
-                      lam=cfg.lam)
-    _write_csv(os.path.join(out_dir, "trace.csv"), TRACE_HEADER,
-               [np.arange(cfg.steps + 1), trace.norm_x, trace.l0, trace.dropped,
-                trace.inputs, trace.design_time_us])
+    trace = run_trial(setup.plant, setup.horizon, setup.synthesis, setup.solver,
+                      setup.x0, setup.steps, cfg.seed, p_drop=setup.p_drop,
+                      lam=setup.lam)
+    _write_csv(os.path.join(out_dir, "trace.csv"), {
+        "k": np.arange(setup.steps + 1), "norm_x": trace.norm_x, "l0_u": trace.l0,
+        "dropped": trace.dropped, "input": trace.inputs,
+        "design_time_us": trace.design_time_us})
     ok = _emit_manifest("simulate", cfg, setup.plant, setup.synthesis, out_dir)
     return EXIT_OK if ok else EXIT_NUMERIC
 
@@ -109,11 +109,10 @@ def cmd_montecarlo(cfg, out_dir: str, workers: int) -> int:
     setup = config_mod.build_setup(cfg)
     result = run_montecarlo(setup, cfg.trials, cfg.seed, workers=workers)
     ok = _emit_manifest("montecarlo", cfg, setup.plant, setup.synthesis, out_dir)
-    names, columns = ["k"], [np.arange(cfg.steps + 1)]
+    columns = {"k": np.arange(setup.steps + 1)}
     for solver, agg in result.items():
-        names += AGGREGATE_COLUMNS[solver]
-        columns += [agg.mean_norm_x, agg.mean_l0]
-    _write_csv(os.path.join(out_dir, "aggregate.csv"), ",".join(names), columns)
+        columns.update(zip(AGGREGATE_COLUMNS[solver], (agg.mean_norm_x, agg.mean_l0)))
+    _write_csv(os.path.join(out_dir, "aggregate.csv"), columns)
     _write_json(os.path.join(out_dir, "summary.json"), _summary(result))
     return EXIT_OK if ok else EXIT_NUMERIC
 

@@ -25,12 +25,20 @@ from .plant import PlantModel
 class HorizonData:
     """G and H for one (plant, Q, P, N); derived data cached on first use.
 
-    The derived data include OMP's prefix cache, shared by every design here.
+    G and H are frozen C-ordered float64 arrays (copied only if needed), so
+    derived data, OMP's prefix cache among them, never depend on layout.
     """
 
     N: int
     G: np.ndarray            # (n N, N), Rbar @ Phi
     H: np.ndarray            # (n N, n), -Rbar @ Upsilon
+
+    def __post_init__(self):
+        G, H = (np.ascontiguousarray(a, float) for a in (self.G, self.H))
+        if G.shape[1:] != (self.N,) or H.ndim != 2 or len(H) != len(G):
+            raise DimensionMismatch(f"G {G.shape}, H {H.shape} do not fit N = {self.N}")
+        object.__setattr__(self, "G", _frozen(G))
+        object.__setattr__(self, "H", _frozen(H))
 
     @property
     def n(self) -> int:
@@ -47,9 +55,8 @@ class HorizonData:
 
     @cached_property
     def gram(self) -> np.ndarray:
-        """G^T G, taken on a C-ordered G, since the product rounds by layout."""
-        g = np.ascontiguousarray(self.G)
-        return _frozen(symmetrize(g.T @ g))
+        """G^T G."""
+        return _frozen(symmetrize(self.G.T @ self.G))
 
     @cached_property
     def omp_prefixes(self) -> dict:
@@ -90,6 +97,6 @@ def build_horizon(plant: PlantModel, Q, P, N: int) -> HorizonData:
     # lagged[i, j] = A^(i-j) B, zero for j > i: rows i..i+N-1 of ab, reversed
     lagged = np.ascontiguousarray(sliding_window_view(ab, (N, n))[:, 0, ::-1])
     phi = lagged.transpose(0, 2, 1)                         # block rows (N, n, N)
-    return HorizonData(N=N, G=_frozen((factors @ phi).reshape(n * N, N)),
-                       H=_frozen(-(factors @ powers).reshape(n * N, n)))
+    return HorizonData(N=N, G=(factors @ phi).reshape(n * N, N),
+                       H=-(factors @ powers).reshape(n * N, n))
 

@@ -10,11 +10,11 @@ exhausting the buffer. channel_step and buffer_apply are pure functions
 of that state; run_trial owns it. It checks W, x0 and lam once, and its
 designs skip those checks: plant.step keeps every later state finite.
 
-Randomness comes exclusively from the channel. Each trial owns one
-numpy PCG64 generator seeded with base_seed + trial_index, and drops
-are drawn by thresholding its 53-bit uniforms, so every trace field
-except the wall-clock design times is reproducible bit for bit across
-platforms and across sequential or parallel execution.
+Randomness comes exclusively from the channel: trial t of a Monte Carlo
+batch (run_trial mapped over seeds) owns one PCG64 generator seeded with
+base_seed + t, and drops are drawn by thresholding its 53-bit uniforms,
+so every trace field except the wall-clock design times is reproducible
+bit for bit across platforms and across sequential or parallel execution.
 """
 
 from __future__ import annotations
@@ -22,7 +22,9 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -62,7 +64,7 @@ def buffer_apply(held: np.ndarray, age: int) -> float:
 
 @dataclass(frozen=True)
 class SimTrace:
-    """Per-step record of one closed-loop trial.
+    """Per-step record of one closed-loop trial; its caller holds the solver and seed.
 
     All arrays have length steps + 1; the row at k = steps carries the
     final state only, with the action fields zero-filled. dropped[k] is 1
@@ -70,8 +72,6 @@ class SimTrace:
     is the one field outside the determinism guarantee.
     """
 
-    solver: str
-    seed: int
     states: np.ndarray
     norm_x: np.ndarray
     inputs: np.ndarray
@@ -145,9 +145,8 @@ def run_trial(plant: PlantModel, h: HorizonData, syn: SynthesisResult,
 
     for arr in (states, norm_x, inputs, dropped, l0, design_time_us):
         arr.setflags(write=False)
-    return SimTrace(solver=solver, seed=seed, states=states, norm_x=norm_x,
-                    inputs=inputs, dropped=dropped, l0=l0,
-                    design_time_us=design_time_us)
+    return SimTrace(states=states, norm_x=norm_x, inputs=inputs, dropped=dropped,
+                    l0=l0, design_time_us=design_time_us)
 
 
 @dataclass(frozen=True)
@@ -177,13 +176,6 @@ class SolverAggregate:
     mean_design_time_us: float
 
 
-def _trial_job(args) -> SimTrace:
-    setup, solver, seed = args
-    return run_trial(setup.plant, setup.horizon, setup.synthesis, solver,
-                     setup.x0, setup.steps, seed,
-                     p_drop=setup.p_drop, lam=setup.lam)
-
-
 def log_decay_slope(mean_norm_x: np.ndarray) -> float:
     """Least-squares slope of log ||x(k)|| over the final half of the horizon.
 
@@ -206,10 +198,10 @@ def run_montecarlo(setup: ExperimentSetup, trials: int, base_seed: int,
     """Repeat independent trials and average per time index, per solver.
 
     Returns one SolverAggregate per solver run, keyed and ordered as in
-    SOLVER_NAMES. Trial t uses seed base_seed + t, so omp and l1 batches
-    see identical drop patterns. Aggregation always reduces in trial
-    order, which keeps the result identical whether trials run
-    sequentially or across worker processes.
+    SOLVER_NAMES. A solver's batch is run_trial mapped over the seeds
+    base_seed + t (in chunks of 8 on worker processes), so omp and l1
+    batches see identical drop patterns. Aggregation reduces in trial
+    order, which keeps the result identical for any worker count.
     """
     trials = as_int(trials, "trials", 1)
     base_seed = as_int(base_seed, "base_seed", 0, 2 ** 64)
@@ -218,24 +210,23 @@ def run_montecarlo(setup: ExperimentSetup, trials: int, base_seed: int,
         raise ConfigError("montecarlo averages designs over steps; "
                           f"steps must be >= 1, got {setup.steps!r}")
     solvers = SOLVER_NAMES if setup.solver == "both" else (setup.solver,)
-    jobs = [(setup, solver, base_seed + t) for solver in solvers for t in range(trials)]
-    if workers == 1:
-        traces = [_trial_job(job) for job in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            traces = list(pool.map(_trial_job, jobs, chunksize=8))
+    seeds = range(base_seed, base_seed + trials)
+    runs = [partial(run_trial, setup.plant, setup.horizon, setup.synthesis, solver,
+                    setup.x0, setup.steps, p_drop=setup.p_drop, lam=setup.lam)
+            for solver in solvers]
+    with (ProcessPoolExecutor(workers) if workers > 1 else nullcontext()) as pool:
+        # pool.map queues a solver's trials at once: no worker idles between solvers
+        batches = [map(run, seeds) if pool is None else pool.map(run, seeds, chunksize=8)
+                   for run in runs]
+        batches = [list(batch) for batch in batches]
 
     aggregates = {}
-    for index, solver in enumerate(solvers):
-        batch = traces[index * trials:(index + 1) * trials]
+    for solver, batch in zip(solvers, batches):
         mean_norm = np.vstack([trace.norm_x for trace in batch]).mean(axis=0)
         mean_l0 = np.vstack([trace.l0 for trace in batch]).mean(axis=0)
         times = np.vstack([trace.design_time_us for trace in batch])
         for arr in (mean_norm, mean_l0):
             arr.setflags(write=False)
-        aggregates[solver] = SolverAggregate(
-            mean_norm_x=mean_norm,
-            mean_l0=mean_l0,
-            mean_design_time_us=float(times[:, :setup.steps].mean()),
-        )
+        aggregates[solver] = SolverAggregate(mean_norm, mean_l0,
+                                             float(times[:, :setup.steps].mean()))
     return aggregates

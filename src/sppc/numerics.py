@@ -44,24 +44,26 @@ def as_real(value, name: str) -> float:
     raise ConfigError(f"{name} must be a finite real, got {value!r}")
 
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce to a finite 2-D float64 array."""
-    m = np.asarray(a, dtype=float)
-    if m.ndim != 2:
-        raise DimensionMismatch(f"{name} must be 2-D, got shape {m.shape}")
+def _as_array(a, name: str, ndim: int) -> np.ndarray:
+    try:
+        m = np.asarray(a, dtype=float)
+    except (TypeError, ValueError) as exc:     # strings, ragged rows
+        raise DimensionMismatch(f"{name} is not a numeric array: {exc}") from exc
+    if m.ndim != ndim:
+        raise DimensionMismatch(f"{name} must be {ndim}-D, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise DimensionMismatch(f"{name} has non-finite entries")
     return m
 
 
+def as_matrix(a, name: str = "matrix") -> np.ndarray:
+    """Coerce to a finite 2-D float64 array."""
+    return _as_array(a, name, 2)
+
+
 def as_vector(a, name: str = "vector") -> np.ndarray:
     """Coerce to a finite 1-D float64 array."""
-    v = np.asarray(a, dtype=float)
-    if v.ndim != 1:
-        raise DimensionMismatch(f"{name} must be 1-D, got shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise DimensionMismatch(f"{name} has non-finite entries")
-    return v
+    return _as_array(a, name, 1)
 
 
 def _as_square(a, name: str) -> np.ndarray:

@@ -114,9 +114,9 @@ def compute_c(h: HorizonData, rho: float) -> float:
     block row of G. The numerator is the largest over packet indices j of
     sum_{k < N-j} (A^k B)^T P (A^k B), a partial sum of non-negative terms,
     so index 0 attains it, and G_T = R_P [A^(N-1) B, ..., A B, B] holds its
-    terms. It is one dot product of G_T's C-order ravel, so G's memory
-    layout cannot move c.
+    terms: the numerator is one dot product of G_T's ravel.
     """
+    rho = as_real(rho, "rho")
     if not 0.0 <= rho < 1.0:
         raise DegenerateInput(f"rho = {rho!r} outside [0, 1)")
     lam_min, lam_max = sym_eigenvalues(h.gram)[[0, -1]]

@@ -321,7 +321,7 @@ def test_csv_round_trips_exact_doubles(tmp_path, monkeypatch, config):
     (trace,), (result,) = traces, results
 
     header, columns = read_columns(tmp_path / "sim" / "trace.csv", (0, 2, 3))
-    assert header == cli.TRACE_HEADER
+    assert header == "k,norm_x,l0_u,dropped,input,design_time_us"
     expected = [np.arange(trace.steps + 1), trace.norm_x, trace.l0, trace.dropped,
                 trace.inputs, trace.design_time_us]
     assert columns == [values.tolist() for values in expected]
@@ -341,7 +341,7 @@ def test_csv_round_trips_extreme_doubles(tmp_path, capsys):
     extremes = np.array([5e-324, 1e-300, 2.2250738585072014e-308, -0.0,
                          1.7976931348623157e308, 0.1 + 0.2, -1.0 / 3.0])
     path = tmp_path / "extremes.csv"
-    cli._write_csv(str(path), "k,value", [np.arange(extremes.size), extremes])
+    cli._write_csv(str(path), {"k": np.arange(extremes.size), "value": extremes})
     assert capsys.readouterr().out == f"wrote {path}\n"
     header, columns = read_columns(path, (0,))
     assert header == "k,value"

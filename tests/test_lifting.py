@@ -116,6 +116,41 @@ def test_horizon_bits_match_reference(n, N):
             assert (got.tobytes(), got.strides) == (want.tobytes(), want.strides)
 
 
+def test_derived_data_do_not_depend_on_layout():
+    # a Fortran-ordered G is held C-ordered, so OMP's column norms, the Gram
+    # and both designs round as on the lifting itself (at a layout-keeping
+    # HorizonData the column norms differed on every case here)
+    rng = np.random.default_rng(3)
+    for n in (4, 8, 12, 16, 20):
+        for N in (10, 20, 33, 64):
+            plant = random_reachable_plant(rng, n)
+            h = sppc.build_horizon(plant, random_spd(rng, n), random_spd(rng, n), N)
+            f = sppc.HorizonData(N=N, G=np.asfortranarray(h.G), H=h.H)
+            assert f.G.flags.c_contiguous and not f.G.flags.writeable
+            x = rng.standard_normal(n)
+            y = h.H @ x
+            # OMP stops 5% of the way from ||y||^2 down to the least-squares floor
+            u = np.linalg.lstsq(h.G, y, rcond=None)[0]
+            floor = np.sum((h.G @ u - y) ** 2)
+            W = (floor + 0.05 * (y @ y - floor)) / (x @ x) * np.eye(n)
+            lam = 0.1 * np.abs(h.G.T @ y).max()
+            assert h.col_norms.tobytes() == f.col_norms.tobytes()
+            assert h.gram.tobytes() == f.gram.tobytes()
+            for design in (lambda k: sppc.omp_design(k, W, x),
+                           lambda k: sppc.l1_design(k, x, lam, 0.0)):
+                a, b = design(h), design(f)
+                assert a.coeffs.tobytes() == b.coeffs.tobytes()
+                assert (a.residual_sq, a.iterations) == (b.residual_sq, b.iterations)
+
+
+def test_horizon_shapes_must_fit():
+    # G needs N columns and H as many rows as G; n N rows are not required
+    with pytest.raises(errors.DimensionMismatch):
+        sppc.HorizonData(N=3, G=np.ones((8, 2)), H=np.ones((8, 2)))
+    with pytest.raises(errors.DimensionMismatch):
+        sppc.HorizonData(N=2, G=np.eye(4)[:, :2], H=np.ones((6, 2)))
+
+
 def test_lifted_input_map_full_column_rank():
     rng = np.random.default_rng(23)
     for _ in range(20):

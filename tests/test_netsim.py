@@ -182,7 +182,6 @@ def test_trial_solver_seed_pairing(example_case):
     a = sppc.run_trial(plant, h, syn, "omp", x0, 30, 5, p_drop=0.5)
     b = sppc.run_trial(plant, h, syn, "l1", x0, 30, 5, p_drop=0.5, lam=1.0)
     np.testing.assert_array_equal(a.dropped, b.dropped)
-    assert a.solver == "omp" and b.solver == "l1"
 
 
 def test_trial_zero_steps(example_case):
@@ -349,14 +348,18 @@ def test_montecarlo_reproducible(example_case):
 
 
 def test_montecarlo_parallel_matches_sequential(example_case):
+    # OMP in one chunk of 4 trials, then both solvers in three chunks of 8 each
     plant, syn, _ = example_case
     x0 = np.array([0.5, 0.5, 0.5, 0.5])
-    setup = sppc.ExperimentSetup(plant=plant, synthesis=syn,
-                                 solver="omp", x0=x0, steps=10, p_drop=0.5)
-    seq = sppc.run_montecarlo(setup, trials=4, base_seed=1)
-    par = sppc.run_montecarlo(setup, trials=4, base_seed=1, workers=2)
-    np.testing.assert_array_equal(seq["omp"].mean_norm_x, par["omp"].mean_norm_x)
-    np.testing.assert_array_equal(seq["omp"].mean_l0, par["omp"].mean_l0)
+    for solver, trials in (("omp", 4), ("both", 20)):
+        setup = sppc.ExperimentSetup(plant=plant, synthesis=syn, solver=solver,
+                                     x0=x0, steps=10, p_drop=0.5, lam=1.0)
+        seq = sppc.run_montecarlo(setup, trials=trials, base_seed=1)
+        par = sppc.run_montecarlo(setup, trials=trials, base_seed=1, workers=2)
+        assert list(seq) == list(par)
+        for agg in seq:
+            np.testing.assert_array_equal(seq[agg].mean_norm_x, par[agg].mean_norm_x)
+            np.testing.assert_array_equal(seq[agg].mean_l0, par[agg].mean_l0)
 
 
 def test_montecarlo_rejects_bad_arguments(example_case):
@@ -445,11 +448,19 @@ def _setup(plant, syn):
     (lambda p, s, x: sppc.l1_design(s.horizon, x, True, 1.0), errors.ConfigError),
     (lambda p, s, x: sppc.l1_design(s.horizon, x, 1.0, False), errors.ConfigError),
     (lambda p, s, x: sppc.run_montecarlo(_setup(p, s), 2, True), errors.ConfigError),
+    (lambda p, s, x: sppc.PlantModel(A=[["a"]], B=[[1.0]]), errors.DimensionMismatch),
+    (lambda p, s, x: sppc.build_horizon(p, "a", s.P, 10), errors.DimensionMismatch),
+    (lambda p, s, x: sppc.compute_rho([[1.0, 0.0], [1.0]], s.P), errors.DimensionMismatch),
+    (lambda p, s, x: sppc.omp_design(s.horizon, s.W, "a"), errors.DimensionMismatch),
+    (lambda p, s, x: sppc.compute_c(s.horizon, "0.5"), errors.ConfigError),
+    (lambda p, s, x: sppc.compute_c(s.horizon, None), errors.ConfigError),
+    (lambda p, s, x: sppc.compute_c(s.horizon, True), errors.ConfigError),
 ], ids=["lam-None", "lam-str", "bound-None", "bound-str", "trial-lam-str",
         "trials-float", "trials-bool", "workers-float", "alpha-None", "q-size",
         "q-rect", "riccati-q-size", "horizon-N-bool", "synthesize-N-bool",
         "trial-p_drop-bool", "trial-lam-bool", "lam-bool", "bound-bool",
-        "base_seed-bool"])
+        "base_seed-bool", "plant-str", "horizon-Q-str", "rho-ragged", "omp-x-str",
+        "c-rho-str", "c-rho-None", "c-rho-bool"])
 def test_bad_library_arguments_are_typed(example_case, call, error):
     plant, syn, _ = example_case
     with pytest.raises(error):
