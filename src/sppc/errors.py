@@ -18,8 +18,8 @@ class DimensionMismatch(SppcError):
     """Array argument has the wrong shape or non-finite entries."""
 
 
-class NonSymmetric(SppcError):
-    """Matrix violates the symmetry tolerance required by the operation."""
+class NonSymmetric(ConfigError):
+    """A symmetric-matrix argument violates the symmetry tolerance."""
 
 
 class NotPositiveDefinite(SppcError):

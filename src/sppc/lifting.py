@@ -17,7 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionMismatch
-from .numerics import as_int, as_matrix, cholesky, symmetrize
+from .numerics import as_int, as_symmetric, cholesky, symmetrize
 from .plant import PlantModel
 
 
@@ -72,7 +72,8 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 def build_horizon(plant: PlantModel, Q, P, N: int) -> HorizonData:
-    """Assemble HorizonData for horizon N >= 1 with SPD weights Q and P.
+    """Assemble HorizonData for horizon N >= 1 with SPD weights Q and P,
+    each checked by as_symmetric.
 
     The weight square root is taken blockwise: each diagonal block
     contributes the transpose of its Cholesky factor, so only two factors
@@ -82,10 +83,7 @@ def build_horizon(plant: PlantModel, Q, P, N: int) -> HorizonData:
     """
     N = as_int(N, "horizon N", 1)
     n = plant.n
-    Q = as_matrix(Q, "Q")
-    P = as_matrix(P, "P")
-    if Q.shape != (n, n) or P.shape != (n, n):
-        raise DimensionMismatch(f"Q and P must be {n} x {n}")
+    Q, P = as_symmetric(Q, "Q", n), as_symmetric(P, "P", n)
     factors = np.array([cholesky(Q).T] * (N - 1) + [cholesky(P).T])   # (N, n, n)
     ab = np.zeros((2 * N - 1, n))   # N - 1 zero rows, then A^k B for k < N
     powers = np.empty((N, n, n))    # A^(k+1)

@@ -51,12 +51,12 @@ def channel_step(drops: int, p_drop: float, max_consecutive: int,
 def buffer_apply(held: np.ndarray, age: int) -> float:
     """The input played `age` steps after the held packet was delivered.
 
-    Raises BufferExhausted when asked to play past the end of the packet,
-    which a channel honoring its drop bound can never cause.
+    Raises BufferExhausted when age falls outside the packet, which a
+    channel honoring its drop bound can never cause.
     """
-    if age >= held.size:
+    if not 0 <= age < held.size:
         raise BufferExhausted(
-            f"buffer of length {held.size} ran dry; "
+            f"age {age} is outside the buffer of length {held.size}; "
             "the channel exceeded its consecutive-drop bound"
         )
     return float(held[age])

@@ -7,7 +7,9 @@ preferred over speed here, so hot loops such as the OMP kernel keep their
 own incremental factorizations instead of calling in once per iteration
 (OMP shares its steps across designs, see HorizonData.omp_prefixes).
 as_int and as_real are the one check of a scalar argument, for the
-library and the config alike: both raise ConfigError.
+library and the config alike: both raise ConfigError. as_symmetric is the
+one check of a symmetric-matrix argument, made where it enters the
+library; the matrices the library builds are trusted from then on.
 """
 
 from __future__ import annotations
@@ -66,51 +68,44 @@ def as_vector(a, name: str = "vector") -> np.ndarray:
     return _as_array(a, name, 1)
 
 
-def _as_square(a, name: str) -> np.ndarray:
-    m = as_matrix(a, name)
-    if m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"{name} must be square, got shape {m.shape}")
-    return m
-
-
 def symmetrize(m: np.ndarray) -> np.ndarray:
     s = m + m.T
     s *= 0.5
     return s
 
 
-def require_symmetric(m: np.ndarray, name: str = "matrix") -> None:
-    gap = float(np.abs(m - m.T).max()) if m.size else 0.0
+def as_symmetric(a, name: str, n: int | None = None) -> np.ndarray:
+    """A finite square float64 matrix (n x n when n is given) within
+    SYMMETRY_TOL of symmetric, as (M + M^T) / 2: exactly symmetric, and
+    bit for bit M when M already is.
+    """
+    m = as_matrix(a, name)
+    size = m.shape[0] if n is None else n
+    if m.shape != (size, size):
+        raise DimensionMismatch(f"{name} must be {size} x {size}, got shape {m.shape}")
+    gap = float(np.abs(m - m.T).max(initial=0.0))
     if gap > SYMMETRY_TOL:
         raise NonSymmetric(f"{name} asymmetry {gap:.3e} exceeds tolerance "
                            f"{SYMMETRY_TOL:.1e}")
+    return symmetrize(m)
 
 
-def cholesky(s) -> np.ndarray:
+def cholesky(s: np.ndarray) -> np.ndarray:
     """Lower-triangular L with L @ L.T == s for symmetric positive definite s.
 
-    Raises NotPositiveDefinite when a pivot falls at or below
-    PIVOT_REL_TOL times the max-norm of s.
+    s is a checked array: square, float64 and exactly symmetric, as
+    as_symmetric returns or the library builds. Raises NotPositiveDefinite
+    when a pivot falls at or below PIVOT_REL_TOL times the max-norm of s.
     """
-    s = _as_square(s, "s")
-    require_symmetric(s, name="s")
-    sym = symmetrize(s)
-    scale = float(np.abs(sym).max()) if sym.size else 0.0
+    scale = float(np.abs(s).max(initial=0.0))
     try:
-        lower = np.linalg.cholesky(sym)
+        lower = np.linalg.cholesky(s)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"matrix is not positive definite: {exc}") from exc
     # diag(L)^2 are the elimination pivots
     if np.any(np.diag(lower) ** 2 <= PIVOT_REL_TOL * scale):
         raise NotPositiveDefinite("pivot below positive-definiteness threshold")
     return lower
-
-
-def sym_eigenvalues(s) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix, sorted ascending."""
-    s = _as_square(s, "s")
-    require_symmetric(s, name="s")
-    return np.linalg.eigvalsh(symmetrize(s))
 
 
 def solve_least_squares(m, y) -> np.ndarray:
@@ -132,19 +127,16 @@ def solve_least_squares(m, y) -> np.ndarray:
     return vt.T @ ((u.T @ y) / sv)
 
 
-def congruent_spectrum(numerator, spd) -> np.ndarray:
+def congruent_spectrum(numerator: np.ndarray, spd: np.ndarray) -> np.ndarray:
     """Eigenvalues (ascending) of numerator @ inv(spd).
 
-    numerator is symmetric and spd symmetric positive definite, of the
-    same shape. Computed through the symmetric congruence
-    L^-1 numerator L^-T with spd = L L^T; inv(spd) is never formed. The
-    product is similar to this symmetric matrix, so the spectrum is real.
+    Both are checked arrays of one shape (see cholesky): numerator
+    symmetric, spd symmetric positive definite. Computed through the
+    symmetric congruence L^-1 numerator L^-T with spd = L L^T; inv(spd) is
+    never formed. The product is similar to this symmetric matrix, so the
+    spectrum is real.
     """
-    numerator = _as_square(numerator, "numerator")
-    spd = _as_square(spd, "spd")
-    if numerator.shape != spd.shape:
-        raise DimensionMismatch(f"shape mismatch {numerator.shape} vs {spd.shape}")
     lower = cholesky(spd)
-    t = scipy.linalg.solve_triangular(lower, symmetrize(numerator), lower=True)
+    t = scipy.linalg.solve_triangular(lower, numerator, lower=True)
     m = scipy.linalg.solve_triangular(lower, t.T, lower=True)
     return np.linalg.eigvalsh(symmetrize(m))

@@ -52,7 +52,11 @@ def step(plant: PlantModel, x, u: float) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (plant.n,):
         raise DimensionMismatch(f"state must have shape ({plant.n},), got {x.shape}")
-    x = plant.A @ x + plant.B[:, 0] * float(u)
+    try:
+        u = float(u)
+    except (TypeError, ValueError) as exc:
+        raise DimensionMismatch(f"input must be a real number, got {u!r}") from exc
+    x = plant.A @ x + plant.B[:, 0] * u
     if not np.isfinite(x).all():
         raise DimensionMismatch("state, input and next state must be finite")
     return x

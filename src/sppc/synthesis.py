@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConfigError, DegenerateInput, DimensionMismatch, NoConvergence,
-                     NotPositiveDefinite, NotReachable)
+from .errors import (ConfigError, DegenerateInput, NoConvergence, NotPositiveDefinite,
+                     NotReachable)
 from .lifting import HorizonData, build_horizon
-from .numerics import as_matrix, as_real, congruent_spectrum, sym_eigenvalues, symmetrize
+from .numerics import as_real, as_symmetric, congruent_spectrum, symmetrize
 from .plant import PlantModel, is_reachable
 
 RICCATI_REL_TOL = 1e-12
@@ -60,13 +60,6 @@ def riccati_residual(plant: PlantModel, Q: np.ndarray, P: np.ndarray) -> float:
     return float(np.abs(image - P).max())
 
 
-def _stage_weight(plant: PlantModel, Q) -> np.ndarray:
-    Q = as_matrix(Q, "Q")
-    if Q.shape != plant.A.shape:
-        raise DimensionMismatch(f"Q must be {plant.n} x {plant.n}, got shape {Q.shape}")
-    return Q
-
-
 def solve_riccati(plant: PlantModel, Q):
     """Fixed-point iteration for P = A^T P A - A^T P B (B^T P B)^-1 B^T P A + Q.
 
@@ -76,11 +69,11 @@ def solve_riccati(plant: PlantModel, Q):
 
     Returns (P, iterations).
     """
-    Q = _stage_weight(plant, Q)
+    Q = as_symmetric(Q, "Q", plant.n)
     if not is_reachable(plant):
         raise NotReachable("plant not reachable")
     A, B = plant.A, plant.B
-    P = symmetrize(Q)
+    P = Q
     iterations = 0
     for iterations in range(1, RICCATI_MAX_ITERATIONS + 1):
         image = _riccati_image(A, B, Q, P)
@@ -102,7 +95,8 @@ def solve_riccati(plant: PlantModel, Q):
 
 def compute_rho(Q, P) -> float:
     """Contraction rate 1 - lambda_min(Q P^-1); in [0, 1) when Q <= P."""
-    rho = 1.0 - float(congruent_spectrum(Q, P)[0])
+    Q = as_symmetric(Q, "Q")
+    rho = 1.0 - float(congruent_spectrum(Q, as_symmetric(P, "P", len(Q)))[0])
     # P >= Q makes rho >= 0 exactly; clip rounding dust at the boundary
     return max(rho, 0.0)
 
@@ -119,7 +113,7 @@ def compute_c(h: HorizonData, rho: float) -> float:
     rho = as_real(rho, "rho")
     if not 0.0 <= rho < 1.0:
         raise DegenerateInput(f"rho = {rho!r} outside [0, 1)")
-    lam_min, lam_max = sym_eigenvalues(h.gram)[[0, -1]]
+    lam_min, lam_max = np.linalg.eigvalsh(h.gram)[[0, -1]]
     if lam_min <= 0.0:
         raise NotPositiveDefinite(f"lambda_min(G^T G) = {lam_min:.3e} <= 0 against "
                                   f"lambda_max = {lam_max:.3e} at horizon N = {h.N}")
@@ -131,19 +125,21 @@ def compute_c(h: HorizonData, rho: float) -> float:
 def synthesize(plant: PlantModel, Q, N: int, alpha: float = 0.5) -> SynthesisResult:
     """Run the synthesis procedure end to end.
 
-    Q may be None for the identity default. alpha in (0, 1) places
+    Q (checked by as_symmetric) may be None for the identity default.
+    P, Eps and W are built exactly symmetric from it, so none of them is
+    symmetrized again. alpha in (0, 1) places
     Eps = alpha (1 - rho) P / c strictly inside the admissible cone.
     """
     alpha = as_real(alpha, "alpha")
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha!r}")
-    Q = symmetrize(np.eye(plant.n) if Q is None else _stage_weight(plant, Q))
+    Q = np.eye(plant.n) if Q is None else as_symmetric(Q, "Q", plant.n)
     P, iterations = solve_riccati(plant, Q)
     rho = compute_rho(Q, P)
     horizon = build_horizon(plant, Q, P, N)
     c = compute_c(horizon, rho)
-    eps = symmetrize(alpha * (1.0 - rho) / c * P)
-    w = symmetrize(P - Q + eps)
+    eps = alpha * (1.0 - rho) / c * P
+    w = P - Q + eps
     for arr in (Q, P, eps, w):
         arr.setflags(write=False)
     return SynthesisResult(Q=Q, P=P, rho=rho, c=c, Eps=eps, W=w,
@@ -170,20 +166,19 @@ def check_invariants(plant: PlantModel, result: SynthesisResult) -> list[Invaria
     checks.append(InvariantCheck("riccati_residual", residual <= limit,
                                  residual, limit))
 
-    gap_min = float(sym_eigenvalues(symmetrize(P - Q))[0])
+    gap_min = float(np.linalg.eigvalsh(P - Q)[0])
     checks.append(InvariantCheck("p_minus_q_psd", gap_min >= -1e-9, gap_min, -1e-9))
 
     checks.append(InvariantCheck("rho_in_range", 0.0 <= result.rho < 1.0,
                                  result.rho, 1.0))
 
-    eps_min = float(sym_eigenvalues(eps)[0])
+    eps_min = float(np.linalg.eigvalsh(eps)[0])
     checks.append(InvariantCheck("eps_positive", eps_min > 0.0, eps_min, 0.0))
 
-    cone = symmetrize((1.0 - result.rho) / result.c * P - eps)
-    cone_min = float(sym_eigenvalues(cone)[0])
+    cone_min = float(np.linalg.eigvalsh((1.0 - result.rho) / result.c * P - eps)[0])
     checks.append(InvariantCheck("eps_inside_cone", cone_min > 0.0, cone_min, 0.0))
 
-    w_min = float(sym_eigenvalues(w)[0])
+    w_min = float(np.linalg.eigvalsh(w)[0])
     checks.append(InvariantCheck("w_positive_definite", w_min > 0.0, w_min, 0.0))
 
     w_gap = float(np.abs(w - (P - Q + eps)).max())

@@ -81,6 +81,9 @@ def test_buffer_plays_packet_then_tail():
     assert [buffer_apply(held, age) for age in range(3)] == [5.0, 6.0, 7.0]
     with pytest.raises(errors.BufferExhausted):
         buffer_apply(np.arange(3.0), 3)
+    # a negative index would silently play the packet's tail
+    with pytest.raises(errors.BufferExhausted, match="age -1"):
+        buffer_apply(np.arange(3.0), -1)
 
 
 def test_buffer_fresh_packet_resets_cursor(example_case):
@@ -424,6 +427,13 @@ def _setup(plant, syn):
     return sppc.ExperimentSetup(plant, syn, "omp", EXAMPLE_X0, 5, 0.5)
 
 
+def _skewed(m):
+    """A copy of m with an asymmetry of 0.5, far past the symmetry tolerance."""
+    m = np.array(m, dtype=float)
+    m[0, 1] += 0.5
+    return m
+
+
 @pytest.mark.parametrize("call, error", [
     (lambda p, s, x: sppc.l1_design(s.horizon, x, None, 1.0), errors.ConfigError),
     (lambda p, s, x: sppc.l1_design(s.horizon, x, "1.0", 1.0), errors.ConfigError),
@@ -455,12 +465,18 @@ def _setup(plant, syn):
     (lambda p, s, x: sppc.compute_c(s.horizon, "0.5"), errors.ConfigError),
     (lambda p, s, x: sppc.compute_c(s.horizon, None), errors.ConfigError),
     (lambda p, s, x: sppc.compute_c(s.horizon, True), errors.ConfigError),
+    (lambda p, s, x: sppc.synthesize(p, _skewed(s.Q), 10), errors.NonSymmetric),
+    (lambda p, s, x: sppc.solve_riccati(p, _skewed(s.Q)), errors.NonSymmetric),
+    (lambda p, s, x: sppc.compute_rho(_skewed(s.Q), s.P), errors.NonSymmetric),
+    (lambda p, s, x: sppc.build_horizon(p, s.Q, _skewed(s.P), 10), errors.NonSymmetric),
+    (lambda p, s, x: sppc.compute_rho(s.Q, _skewed(s.P)), errors.NonSymmetric),
 ], ids=["lam-None", "lam-str", "bound-None", "bound-str", "trial-lam-str",
         "trials-float", "trials-bool", "workers-float", "alpha-None", "q-size",
         "q-rect", "riccati-q-size", "horizon-N-bool", "synthesize-N-bool",
         "trial-p_drop-bool", "trial-lam-bool", "lam-bool", "bound-bool",
         "base_seed-bool", "plant-str", "horizon-Q-str", "rho-ragged", "omp-x-str",
-        "c-rho-str", "c-rho-None", "c-rho-bool"])
+        "c-rho-str", "c-rho-None", "c-rho-bool", "synthesize-Q-asym", "riccati-Q-asym",
+        "rho-Q-asym", "horizon-P-asym", "rho-P-asym"])
 def test_bad_library_arguments_are_typed(example_case, call, error):
     plant, syn, _ = example_case
     with pytest.raises(error):

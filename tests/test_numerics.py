@@ -6,12 +6,42 @@ from sppc import errors, numerics
 from conftest import random_spd
 
 
+def test_as_symmetric_keeps_symmetric_input():
+    rng = np.random.default_rng(13)
+    for n in range(1, 9):
+        s = numerics.symmetrize(random_spd(rng, n))
+        out = numerics.as_symmetric(s, "s", n)
+        assert out is not s and out.dtype == np.float64
+        assert out.tobytes() == s.tobytes()
+    np.testing.assert_array_equal(numerics.as_symmetric([[4.0]], "s"), [[4.0]])
+
+
+def test_as_symmetric_averages_within_tolerance():
+    gap = 0.5 * numerics.SYMMETRY_TOL
+    out = numerics.as_symmetric([[1.0, gap], [0.0, 1.0]], "s")
+    assert out.tobytes() == out.T.tobytes()
+    assert out[0, 1] == 0.5 * gap
+
+
+def test_as_symmetric_rejects_asymmetric():
+    for m in ([[1.0, 0.5], [0.0, 1.0]], [[0.0, 1.0], [0.0, 0.0]],
+              [[1.0, 2 * numerics.SYMMETRY_TOL], [0.0, 1.0]]):
+        with pytest.raises(errors.NonSymmetric, match="^Q asymmetry"):
+            numerics.as_symmetric(m, "Q")
+
+
+def test_as_symmetric_rejects_bad_shape():
+    for m, n in ((np.ones((2, 3)), None), (np.eye(2), 3), (np.ones(2), None)):
+        with pytest.raises(errors.DimensionMismatch, match="^P "):
+            numerics.as_symmetric(m, "P", n)
+
+
 def test_cholesky_identity():
     np.testing.assert_allclose(numerics.cholesky(np.eye(3)), np.eye(3))
 
 
 def test_cholesky_scalar():
-    np.testing.assert_allclose(numerics.cholesky([[4.0]]), [[2.0]])
+    np.testing.assert_allclose(numerics.cholesky(np.array([[4.0]])), [[2.0]])
 
 
 def test_cholesky_two_by_two():
@@ -23,17 +53,12 @@ def test_cholesky_two_by_two():
 
 def test_cholesky_rejects_indefinite():
     with pytest.raises(errors.NotPositiveDefinite):
-        numerics.cholesky([[1.0, 3.0], [3.0, 1.0]])
+        numerics.cholesky(np.array([[1.0, 3.0], [3.0, 1.0]]))
 
 
 def test_cholesky_rejects_tiny_pivot():
     with pytest.raises(errors.NotPositiveDefinite):
-        numerics.cholesky([[1.0, 0.0], [0.0, 1e-16]])
-
-
-def test_cholesky_rejects_asymmetric():
-    with pytest.raises(errors.NonSymmetric):
-        numerics.cholesky([[1.0, 0.5], [0.0, 1.0]])
+        numerics.cholesky(np.array([[1.0, 0.0], [0.0, 1e-16]]))
 
 
 def test_cholesky_roundtrip_random():
@@ -44,38 +69,6 @@ def test_cholesky_roundtrip_random():
         lower = numerics.cholesky(s)
         gap = np.abs(lower @ lower.T - s).max()
         assert gap <= 1e-10 * (1.0 + np.abs(s).max())
-
-
-def test_sym_eigenvalues_identity():
-    np.testing.assert_allclose(numerics.sym_eigenvalues(np.eye(2)), [1.0, 1.0])
-
-
-def test_sym_eigenvalues_diagonal_sorted():
-    np.testing.assert_allclose(numerics.sym_eigenvalues([[3.0, 0.0], [0.0, 2.0]]),
-                               [2.0, 3.0])
-
-
-def test_sym_eigenvalues_two_by_two():
-    # roots of the characteristic quadratic of [[1,-2],[-2,5]]
-    values = numerics.sym_eigenvalues([[1.0, -2.0], [-2.0, 5.0]])
-    expected = [3.0 - 2.0 * np.sqrt(2.0), 3.0 + 2.0 * np.sqrt(2.0)]
-    np.testing.assert_allclose(values, expected, rtol=1e-12)
-
-
-def test_sym_eigenvalues_rejects_asymmetric():
-    with pytest.raises(errors.NonSymmetric):
-        numerics.sym_eigenvalues([[0.0, 1.0], [0.0, 0.0]])
-
-
-def test_sym_eigenvalues_similarity_invariance():
-    rng = np.random.default_rng(11)
-    for _ in range(10):
-        n = int(rng.integers(2, 7))
-        s = random_spd(rng, n)
-        t, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        a = numerics.sym_eigenvalues(s)
-        b = numerics.sym_eigenvalues(t.T @ s @ t)
-        np.testing.assert_allclose(a, b, rtol=1e-8, atol=1e-8)
 
 
 def test_solve_least_squares_identity():
@@ -177,6 +170,33 @@ def test_general_eigen_requires_positive_definite():
         numerics.congruent_spectrum(np.eye(2), np.zeros((2, 2)))[0]
 
 
-def test_general_eigen_rejects_shape_mismatch():
-    with pytest.raises(errors.DimensionMismatch):
-        numerics.congruent_spectrum(np.eye(2), np.eye(3))[0]
+def test_congruent_spectrum_sorted_ascending():
+    # over the identity the spectrum is the numerator's own
+    identity = np.eye(2)
+    np.testing.assert_allclose(numerics.congruent_spectrum(identity, identity), [1.0, 1.0])
+    np.testing.assert_allclose(
+        numerics.congruent_spectrum(np.diag([3.0, 2.0]), identity), [2.0, 3.0])
+
+
+def test_congruent_spectrum_two_by_two():
+    # roots of the characteristic quadratic of [[1,-2],[-2,5]]
+    m = np.array([[1.0, -2.0], [-2.0, 5.0]])
+    expected = np.array([3.0 - 2.0 * np.sqrt(2.0), 3.0 + 2.0 * np.sqrt(2.0)])
+    np.testing.assert_allclose(numerics.congruent_spectrum(m, np.eye(2)), expected,
+                               rtol=1e-12)
+    np.testing.assert_allclose(numerics.congruent_spectrum(m, 2 * np.eye(2)), expected / 2,
+                               rtol=1e-12)
+
+
+def test_congruent_spectrum_congruence_invariance():
+    # m inv(s) and (T^T m T) inv(T^T s T) are similar for invertible T
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        n = int(rng.integers(2, 7))
+        m, s = random_spd(rng, n), random_spd(rng, n)
+        t, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        t = t * rng.uniform(0.5, 2.0, n)
+        a = numerics.congruent_spectrum(m, s)
+        b = numerics.congruent_spectrum(numerics.symmetrize(t.T @ m @ t),
+                                        numerics.symmetrize(t.T @ s @ t))
+        np.testing.assert_allclose(a, b, rtol=1e-8, atol=1e-8)

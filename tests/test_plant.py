@@ -32,6 +32,9 @@ def test_step_rejects_bad_state():
         sppc.step(plant, [1.0], np.nan)
     with np.errstate(over="ignore"), pytest.raises(errors.DimensionMismatch):
         sppc.step(plant, [1e308], 0.0)
+    for u in ("a", None, [1.0, 2.0]):
+        with pytest.raises(errors.DimensionMismatch, match="input must be a real number"):
+            sppc.step(plant, [1.0], u)
 
 
 def test_step_linearity():

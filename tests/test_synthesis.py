@@ -110,6 +110,29 @@ def test_rho_scalar_ratio():
     assert sppc.compute_rho([[1.0]], [[2.0]]) == pytest.approx(0.5)
 
 
+def test_compute_rho_rejects_shape_mismatch():
+    with pytest.raises(errors.DimensionMismatch, match="^P must be 2 x 2"):
+        sppc.compute_rho(np.eye(2), np.eye(3))
+
+
+def test_asymmetric_weights_are_rejected_by_name(example_case):
+    # every entry point checks Q (and P) once, with the same error
+    plant, syn, _ = example_case
+    q = np.eye(4)
+    q[0, 1] = 0.5
+    p = syn.P.copy()
+    p[0, 1] += 0.5
+    calls = [("Q", lambda: sppc.synthesize(plant, q, 10)),
+             ("Q", lambda: sppc.solve_riccati(plant, q)),
+             ("Q", lambda: sppc.build_horizon(plant, q, syn.P, 10)),
+             ("Q", lambda: sppc.compute_rho(q, syn.P)),
+             ("P", lambda: sppc.build_horizon(plant, syn.Q, p, 10)),
+             ("P", lambda: sppc.compute_rho(syn.Q, p))]
+    for name, call in calls:
+        with pytest.raises(errors.NonSymmetric, match=f"^{name} asymmetry 5.000e-01"):
+            call()
+
+
 def test_rho_scalar_plant_chain(scalar_case):
     _, syn, _ = scalar_case
     assert syn.rho == 0.0
@@ -281,6 +304,34 @@ def test_feasibility_identity_random():
             best = float(np.sum((h.G @ u - target) ** 2))
             value = float(x @ (syn.P - syn.Q) @ x)
             assert best == pytest.approx(value, rel=1e-8, abs=1e-10)
+
+
+def _exactly_symmetric(m) -> bool:
+    return m.tobytes() == np.ascontiguousarray(m.T).tobytes()
+
+
+@pytest.mark.parametrize("N", [10, 20, 32])
+def test_synthesis_matrices_exactly_symmetric_on_example(example_plant, N):
+    syn = sppc.synthesize(example_plant, None, N, 0.5)
+    assert all(_exactly_symmetric(m) for m in (syn.Q, syn.P, syn.Eps, syn.W))
+
+
+def test_synthesis_matrices_exactly_symmetric_on_random_plants():
+    # P, Eps and W are never symmetrized after the Riccati iteration, and
+    # the library's checks and eigenvalue calls rely on them being exact
+    rng = np.random.default_rng(23)
+    synthesized = 0
+    for _ in range(30):
+        n, N = int(rng.integers(1, 21)), int(rng.integers(1, 65))
+        plant = random_reachable_plant(rng, n)
+        Q = random_spd(rng, n) if rng.random() < 0.5 else None
+        try:
+            syn = sppc.synthesize(plant, Q, N, 0.5)
+        except errors.SppcError:
+            continue
+        synthesized += 1
+        assert all(_exactly_symmetric(m) for m in (syn.Q, syn.P, syn.Eps, syn.W))
+    assert synthesized >= 20
 
 
 def test_synthesis_result_matrices_read_only(scalar_case):
