@@ -24,10 +24,14 @@ def test_as_symmetric_averages_within_tolerance():
 
 
 def test_as_symmetric_rejects_asymmetric():
-    for m in ([[1.0, 0.5], [0.0, 1.0]], [[0.0, 1.0], [0.0, 0.0]],
-              [[1.0, 2 * numerics.SYMMETRY_TOL], [0.0, 1.0]]):
+    for m in ([[1.0, 0.5], [0.0, 1.0]], [[1.0, 2 * numerics.SYMMETRY_TOL], [0.0, 1.0]]):
         with pytest.raises(errors.NonSymmetric, match="^Q asymmetry"):
             numerics.as_symmetric(m, "Q")
+
+
+def test_as_symmetric_rejects_strictly_upper():
+    with pytest.raises(errors.NonSymmetric, match="^Q asymmetry"):
+        numerics.as_symmetric([[0.0, 1.0], [0.0, 0.0]], "Q")
 
 
 def test_as_symmetric_rejects_bad_shape():
@@ -170,12 +174,14 @@ def test_general_eigen_requires_positive_definite():
         numerics.congruent_spectrum(np.eye(2), np.zeros((2, 2)))[0]
 
 
-def test_congruent_spectrum_sorted_ascending():
-    # over the identity the spectrum is the numerator's own
-    identity = np.eye(2)
-    np.testing.assert_allclose(numerics.congruent_spectrum(identity, identity), [1.0, 1.0])
+def test_congruent_spectrum_identity():
+    np.testing.assert_allclose(numerics.congruent_spectrum(np.eye(2), np.eye(2)), [1.0, 1.0])
+
+
+def test_congruent_spectrum_diagonal_sorted():
+    # over the identity the spectrum is the numerator's own, ascending
     np.testing.assert_allclose(
-        numerics.congruent_spectrum(np.diag([3.0, 2.0]), identity), [2.0, 3.0])
+        numerics.congruent_spectrum(np.diag([3.0, 2.0]), np.eye(2)), [2.0, 3.0])
 
 
 def test_congruent_spectrum_two_by_two():
