@@ -175,8 +175,7 @@ def build_plant(config: ExperimentConfig) -> PlantModel:
         poles = [pole if isinstance(pole, float) else complex(pole[0], pole[1])
                  for pole in config.plant["poles"]]
         return from_poles(poles)
-    return PlantModel(A=np.array(config.plant["A"]),
-                      B=np.array(config.plant["B"]))
+    return PlantModel(**config.plant)
 
 
 def run_synthesis(config: ExperimentConfig) -> tuple[PlantModel, SynthesisResult]:

@@ -15,7 +15,7 @@ class ConfigError(SppcError):
 
 
 class DimensionMismatch(SppcError):
-    """Array argument has the wrong shape or non-finite entries."""
+    """Array argument holds other than ints or floats, is misshapen or non-finite."""
 
 
 class NonSymmetric(ConfigError):

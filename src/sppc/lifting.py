@@ -16,8 +16,7 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DimensionMismatch
-from .numerics import as_int, as_symmetric, cholesky, symmetrize
+from .numerics import as_array, as_int, as_symmetric, cholesky, symmetrize
 from .plant import PlantModel
 
 
@@ -34,11 +33,8 @@ class HorizonData:
     H: np.ndarray            # (n N, n), -Rbar @ Upsilon
 
     def __post_init__(self):
-        G, H = (np.ascontiguousarray(a, float) for a in (self.G, self.H))
-        if G.shape[1:] != (self.N,) or H.ndim != 2 or len(H) != len(G):
-            raise DimensionMismatch(f"G {G.shape}, H {H.shape} do not fit N = {self.N}")
-        object.__setattr__(self, "G", _frozen(G))
-        object.__setattr__(self, "H", _frozen(H))
+        object.__setattr__(self, "G", _frozen(as_array(self.G, "G", (None, self.N))))
+        object.__setattr__(self, "H", _frozen(as_array(self.H, "H", (len(self.G), None))))
 
     @property
     def n(self) -> int:
@@ -67,6 +63,7 @@ class HorizonData:
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr = np.ascontiguousarray(arr)
     arr.setflags(write=False)
     return arr
 

@@ -7,7 +7,8 @@ the count of consecutive drops and the last delivered packet (zeros
 before the first delivery). The plant plays the packet's element at that
 count, so the loop survives any admissible dropout pattern without
 exhausting the buffer. channel_step and buffer_apply are pure functions
-of that state; run_trial owns it. It checks W, x0 and lam once, and its
+of that state (a wrong-typed argument raises ConfigError, at no cost to a
+right one); run_trial owns it. It checks W, x0 and lam once, and its
 designs skip those checks: plant.step keeps every later state finite.
 
 Randomness comes exclusively from the channel: trial t of a Monte Carlo
@@ -30,7 +31,7 @@ import numpy as np
 
 from .errors import BufferExhausted, ConfigError
 from .lifting import HorizonData
-from .numerics import as_int, as_real, as_vector
+from .numerics import as_int, as_real
 from .plant import PlantModel, step
 from .solvers import _design_inputs, _l1, _l1_weight, _omp
 from .synthesis import SynthesisResult
@@ -45,7 +46,10 @@ def channel_step(drops: int, p_drop: float, max_consecutive: int,
     After max_consecutive drops the delivery is forced and consumes no
     random draw, which makes the drop counter a finite Markov chain.
     """
-    return drops >= max_consecutive or not rng.random() < p_drop
+    try:
+        return drops >= max_consecutive or not rng.random() < p_drop
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"channel_step needs numbers and a Generator: {exc}") from exc
 
 
 def buffer_apply(held: np.ndarray, age: int) -> float:
@@ -54,12 +58,13 @@ def buffer_apply(held: np.ndarray, age: int) -> float:
     Raises BufferExhausted when age falls outside the packet, which a
     channel honoring its drop bound can never cause.
     """
-    if not 0 <= age < held.size:
-        raise BufferExhausted(
-            f"age {age} is outside the buffer of length {held.size}; "
-            "the channel exceeded its consecutive-drop bound"
-        )
-    return float(held[age])
+    try:
+        if 0 <= age < held.size:
+            return float(held[age])
+    except (AttributeError, IndexError, TypeError, ValueError) as exc:
+        raise ConfigError(f"buffer_apply needs an array and an integer age: {exc}") from exc
+    raise BufferExhausted(f"age {age} is outside the buffer of length {held.size}; "
+                          "the channel exceeded its consecutive-drop bound")
 
 
 @dataclass(frozen=True)
@@ -92,6 +97,8 @@ def run_trial(plant: PlantModel, h: HorizonData, syn: SynthesisResult,
     solver is "omp" or "l1"; the l1 path needs lam, and both a finite
     x0^T W x0. The PRNG is PCG64(seed) and only the channel draws from it.
     """
+    if not all(map(isinstance, (plant, h, syn), (PlantModel, HorizonData, SynthesisResult))):
+        raise ConfigError("run_trial needs a PlantModel, a HorizonData and a SynthesisResult")
     if solver not in SOLVER_NAMES:
         raise ConfigError(f"solver must be one of {SOLVER_NAMES}, got {solver!r}")
     steps = as_int(steps, "steps", 0)
@@ -99,10 +106,7 @@ def run_trial(plant: PlantModel, h: HorizonData, syn: SynthesisResult,
     p_drop = as_real(p_drop, "p_drop")
     if not 0.0 <= p_drop <= 1.0:
         raise ConfigError(f"p_drop must lie in [0, 1], got {p_drop!r}")
-    x = as_vector(x0, "x0")
-    if x.size != plant.n:
-        raise ConfigError(f"x0 has length {x.size}, plant expects {plant.n}")
-    W, x = _design_inputs(h, syn.W, x)
+    W, x = _design_inputs(h, syn.W, x0)
     with np.errstate(over="ignore"):
         energy = float(x @ (W @ x))
     if not math.isfinite(energy):
@@ -119,7 +123,7 @@ def run_trial(plant: PlantModel, h: HorizonData, syn: SynthesisResult,
     held = np.zeros(h.N)
     max_drops = h.N - 1
 
-    states = np.zeros((steps + 1, plant.n))
+    states = np.zeros((steps + 1, h.n))
     inputs = np.zeros(steps + 1)
     dropped = np.zeros(steps + 1, dtype=np.uint8)
     l0 = np.zeros(steps + 1, dtype=np.int64)

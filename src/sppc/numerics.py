@@ -7,8 +7,10 @@ preferred over speed here, so hot loops such as the OMP kernel keep their
 own incremental factorizations instead of calling in once per iteration
 (OMP shares its steps across designs, see HorizonData.omp_prefixes).
 as_int and as_real are the one check of a scalar argument, for the
-library and the config alike: both raise ConfigError. as_symmetric is the
-one check of a symmetric-matrix argument, made where it enters the
+library and the config alike: both raise ConfigError. as_array is the one
+check of a matrix or vector argument: a finite float64 array of a given
+shape, built from ints or floats only, else DimensionMismatch.
+as_symmetric adds symmetry to it for Q and P, where they enter the
 library; the matrices the library builds are trusted from then on.
 """
 
@@ -46,26 +48,35 @@ def as_real(value, name: str) -> float:
     raise ConfigError(f"{name} must be a finite real, got {value!r}")
 
 
-def _as_array(a, name: str, ndim: int) -> np.ndarray:
-    try:
-        m = np.asarray(a, dtype=float)
-    except (TypeError, ValueError) as exc:     # strings, ragged rows
-        raise DimensionMismatch(f"{name} is not a numeric array: {exc}") from exc
-    if m.ndim != ndim:
-        raise DimensionMismatch(f"{name} must be {ndim}-D, got shape {m.shape}")
+def as_array(a, name: str, shape: tuple) -> np.ndarray:
+    """A finite float64 array of the given shape; None leaves an axis free.
+
+    Only arrays of ints or floats pass: strings, bools, complex values,
+    objects and ragged rows raise DimensionMismatch, as do a wrong shape
+    and non-finite entries.
+    """
+    m = _real_array(a, name, shape)
     if not np.isfinite(m).all():
         raise DimensionMismatch(f"{name} has non-finite entries")
     return m
 
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce to a finite 2-D float64 array."""
-    return _as_array(a, name, 2)
-
-
-def as_vector(a, name: str = "vector") -> np.ndarray:
-    """Coerce to a finite 1-D float64 array."""
-    return _as_array(a, name, 1)
+def _real_array(a, name: str, shape: tuple | None) -> np.ndarray:
+    """as_array without the finiteness pass; shape None accepts any shape."""
+    try:
+        m = np.asarray(a)
+    except (TypeError, ValueError) as exc:     # ragged rows
+        raise DimensionMismatch(f"{name} is not a numeric array: {exc}") from exc
+    if m.dtype != float:
+        if m.dtype.kind not in "iuf":
+            raise DimensionMismatch(f"{name} must hold ints or floats, got dtype {m.dtype}")
+        m = m.astype(float)
+    # the exact test first: it is the common case and costs one comparison
+    if shape is not None and m.shape != shape and (
+            m.ndim != len(shape) or any(s not in (None, d) for s, d in zip(shape, m.shape))):
+        shape = str(shape).replace("None", "any")
+        raise DimensionMismatch(f"{name} must have shape {shape}, got {m.shape}")
+    return m
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
@@ -79,10 +90,9 @@ def as_symmetric(a, name: str, n: int | None = None) -> np.ndarray:
     SYMMETRY_TOL of symmetric, as (M + M^T) / 2: exactly symmetric, and
     bit for bit M when M already is.
     """
-    m = as_matrix(a, name)
-    size = m.shape[0] if n is None else n
-    if m.shape != (size, size):
-        raise DimensionMismatch(f"{name} must be {size} x {size}, got shape {m.shape}")
+    m = as_array(a, name, (n, n))
+    if m.shape[0] != m.shape[1]:
+        raise DimensionMismatch(f"{name} must be square, got shape {m.shape}")
     gap = float(np.abs(m - m.T).max(initial=0.0))
     if gap > SYMMETRY_TOL:
         raise NonSymmetric(f"{name} asymmetry {gap:.3e} exceeds tolerance "
@@ -113,12 +123,8 @@ def solve_least_squares(m, y) -> np.ndarray:
 
     Solves through the thin SVD, which also supplies the rank test.
     """
-    m = as_matrix(m, "m")
-    y = as_vector(y, "y")
-    if y.size != m.shape[0]:
-        raise DimensionMismatch(
-            f"rhs length {y.size} does not match {m.shape[0]} rows"
-        )
+    m = as_array(m, "m", (None, None))
+    y = as_array(y, "y", (len(m),))
     if m.shape[0] < m.shape[1]:
         raise RankDeficient(f"{m.shape[0]} rows cannot span {m.shape[1]} columns")
     u, sv, vt = np.linalg.svd(m, full_matrices=False)

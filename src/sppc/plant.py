@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NonConjugatePoles
-from .numerics import as_matrix
+from .numerics import _real_array, as_array
 
 # Largest imaginary part, relative to the largest coefficient, that the
 # characteristic polynomial of conjugate-closed poles may carry.
@@ -22,21 +22,14 @@ class PlantModel:
     B: np.ndarray
 
     def __post_init__(self):
-        a = as_matrix(self.A, "A")
+        a = as_array(self.A, "A", (None, None))
         if a.shape[0] != a.shape[1]:
             raise DimensionMismatch(f"A must be square, got shape {a.shape}")
-        b = np.asarray(self.B, dtype=float)
-        if b.ndim == 1:
-            b = b.reshape(-1, 1)
-        b = as_matrix(b, "B")
-        if b.shape != (a.shape[0], 1):
-            raise DimensionMismatch(
-                f"B must be a {a.shape[0]} x 1 column, got shape {b.shape}"
-            )
-        a.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "A", a)
-        object.__setattr__(self, "B", b)
+        b = _real_array(self.B, "B", None)
+        b = as_array(b.reshape(-1, 1) if b.ndim == 1 else b, "B", (len(a), 1))
+        for name, arr in (("A", a), ("B", b)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def n(self) -> int:
@@ -46,15 +39,13 @@ class PlantModel:
 def step(plant: PlantModel, x, u: float) -> np.ndarray:
     """One plant update: A x + B u, rejected unless finite.
 
-    A non-finite x or u makes the result non-finite, so this one check
-    covers them and a state that overflows.
+    x passes as_array's dtype and shape rule; a non-finite x or u makes the
+    result non-finite, so this one check covers them and an overflow.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (plant.n,):
-        raise DimensionMismatch(f"state must have shape ({plant.n},), got {x.shape}")
+    x = _real_array(x, "state", (plant.n,))
     try:
-        u = float(u)
-    except (TypeError, ValueError) as exc:
+        u = u.__float__()       # str has none: a numeric string is no input
+    except (AttributeError, TypeError, ValueError) as exc:
         raise DimensionMismatch(f"input must be a real number, got {u!r}") from exc
     x = plant.A @ x + plant.B[:, 0] * u
     if not np.isfinite(x).all():

@@ -17,10 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dposv
 
-from .errors import (ConfigError, DegenerateInput, DimensionMismatch, Infeasible,
-                     NoConvergence, RankDeficient)
+from .errors import ConfigError, DegenerateInput, Infeasible, NoConvergence, RankDeficient
 from .lifting import HorizonData
-from .numerics import RANK_REL_TOL, as_matrix, as_real, as_vector
+from .numerics import RANK_REL_TOL, as_array, as_real
 
 FEASIBILITY_REL_SLACK = 1e-7
 # below this absolute scale the threshold sits in the denormal range where
@@ -62,14 +61,7 @@ class ControlPacket:
 
 
 def _design_inputs(h: HorizonData, W, x):
-    W = as_matrix(W, "W")
-    x = as_vector(x, "x")
-    if W.shape != (h.n, h.n) or x.size != h.n:
-        raise DimensionMismatch(
-            f"expected W {h.n}x{h.n} and x of length {h.n}, "
-            f"got {W.shape} and {x.size}"
-        )
-    return W, x
+    return as_array(W, "W", (h.n, h.n)), as_array(x, "x", (h.n,))
 
 
 def _greedy_picks(h: HorizonData, y: np.ndarray, eps: float):
@@ -188,10 +180,7 @@ def l1_design(h: HorizonData, x, lam: float, fixed_bound: float) -> ControlPacke
     fixed_bound = as_real(fixed_bound, "fixed_bound")
     if fixed_bound < 0.0:
         raise ConfigError(f"fixed_bound must be non-negative, got {fixed_bound!r}")
-    x = as_vector(x, "x")
-    if x.size != h.n:
-        raise DimensionMismatch(f"expected x of length {h.n}, got {x.size}")
-    y = h.H @ x
+    y = h.H @ as_array(x, "x", (h.n,))
     coeffs, segments = _l1(h, y, lam)
     r = h.G @ coeffs - y
     return ControlPacket(coeffs, float(r @ r), fixed_bound, segments)

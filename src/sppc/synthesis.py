@@ -130,6 +130,8 @@ def synthesize(plant: PlantModel, Q, N: int, alpha: float = 0.5) -> SynthesisRes
     symmetrized again. alpha in (0, 1) places
     Eps = alpha (1 - rho) P / c strictly inside the admissible cone.
     """
+    if not isinstance(plant, PlantModel):
+        raise ConfigError(f"synthesize needs a PlantModel, got {plant!r}")
     alpha = as_real(alpha, "alpha")
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha!r}")
@@ -158,6 +160,8 @@ class InvariantCheck:
 
 def check_invariants(plant: PlantModel, result: SynthesisResult) -> list[InvariantCheck]:
     """Evaluate every SynthesisResult invariant; used by tests and the CLI manifest."""
+    if not (isinstance(plant, PlantModel) and isinstance(result, SynthesisResult)):
+        raise ConfigError("check_invariants needs a PlantModel and a SynthesisResult")
     P, Q, eps, w = result.P, result.Q, result.Eps, result.W
     checks = []
 

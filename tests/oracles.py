@@ -11,9 +11,9 @@ import math
 
 import numpy as np
 
-from sppc.errors import ConfigError, DimensionMismatch, Infeasible, RankDeficient
+from sppc.errors import ConfigError, Infeasible, RankDeficient
 from sppc.lifting import HorizonData
-from sppc.numerics import RANK_REL_TOL, as_vector, cholesky, solve_least_squares
+from sppc.numerics import RANK_REL_TOL, as_array, cholesky, solve_least_squares
 from sppc.solvers import (FEASIBILITY_ABS_FLOOR, FEASIBILITY_REL_SLACK, ControlPacket,
                           _design_inputs)
 
@@ -56,14 +56,7 @@ def exhaustive_design(h: HorizonData, W, x) -> ControlPacket:
 
 def stage_cost(h: HorizonData, u, x) -> float:
     """||G u - H x||^2: the Q-weighted stage sum plus the terminal P term."""
-    u = as_vector(u, "u")
-    x = as_vector(x, "x")
-    if u.size != h.N or x.size != h.n:
-        raise DimensionMismatch(
-            f"expected u of length {h.N} and x of length {h.n}, "
-            f"got {u.size} and {x.size}"
-        )
-    r = h.G @ u - h.H @ x
+    r = h.G @ as_array(u, "u", (h.N,)) - h.H @ as_array(x, "x", (h.n,))
     return float(r @ r)
 
 

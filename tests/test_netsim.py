@@ -217,8 +217,14 @@ def test_trial_rejects_bad_arguments(example_case):
         sppc.run_trial(plant, h, syn, "l1", x0, 5, 0, p_drop=0.5)
     with pytest.raises(errors.ConfigError):
         sppc.run_trial(plant, h, syn, "omp", x0, -1, 0, p_drop=0.5)
-    with pytest.raises(errors.ConfigError):
+    # x0 is checked once, as omp_design checks x; a config x0 of the wrong
+    # length is a ConfigError before any trial runs
+    with pytest.raises(errors.DimensionMismatch, match=r"^x must have shape \(4,\)"):
         sppc.run_trial(plant, h, syn, "omp", np.zeros(2), 5, 0, p_drop=0.5)
+    # a plant that does not match the horizon fails typed at its first step
+    other = sppc.PlantModel([[0.5, 0.1], [0.0, 0.3]], [[0.0], [1.0]])
+    with pytest.raises(errors.DimensionMismatch, match=r"^state must have shape \(2,\)"):
+        sppc.run_trial(other, h, syn, "omp", x0, 5, 0, p_drop=0.5)
     for steps, seed, p_drop in ((True, 0, 0.5), (5, -1, 0.5), (5, 2 ** 64, 0.5),
                                 (5, 1.5, 0.5), (5, True, 0.5), (5, 0, "0.5")):
         with pytest.raises(errors.ConfigError):
@@ -470,13 +476,33 @@ def _skewed(m):
     (lambda p, s, x: sppc.compute_rho(_skewed(s.Q), s.P), errors.NonSymmetric),
     (lambda p, s, x: sppc.build_horizon(p, s.Q, _skewed(s.P), 10), errors.NonSymmetric),
     (lambda p, s, x: sppc.compute_rho(s.Q, _skewed(s.P)), errors.NonSymmetric),
+    (lambda p, s, x: sppc.omp_design(s.horizon, s.W, ["0.5"] * 4), errors.DimensionMismatch),
+    (lambda p, s, x: sppc.l1_design(s.horizon, ["0.5"] * 4, 1, 1), errors.DimensionMismatch),
+    (lambda p, s, x: sppc.run_trial(p, s.horizon, s, "omp", ["0.5"] * 4, 5, 0, p_drop=0.5),
+     errors.DimensionMismatch),
+    (lambda p, s, x: sppc.compute_rho([["1"] * 4] * 4, s.P), errors.DimensionMismatch),
+    (lambda p, s, x: sppc.PlantModel([[2.0]], [[True]]), errors.DimensionMismatch),
+    (lambda p, s, x: sppc.step(p, ["1"] * 4, 1.0), errors.DimensionMismatch),
+    (lambda p, s, x: sppc.HorizonData(N=1, G=[[np.nan]], H=[[1.0]]),
+     errors.DimensionMismatch),
+    (lambda p, s, x: channel_step(0, "0.5", 9, np.random.default_rng(0)), errors.ConfigError),
+    (lambda p, s, x: channel_step(0, 0.5, 9, None), errors.ConfigError),
+    (lambda p, s, x: buffer_apply(np.zeros(4), "a"), errors.ConfigError),
+    (lambda p, s, x: sppc.step(p, x, "1.5"), errors.DimensionMismatch),
+    (lambda p, s, x: sppc.synthesize(None, None, 10), errors.ConfigError),
+    (lambda p, s, x: sppc.check_invariants(p, None), errors.ConfigError),
+    (lambda p, s, x: sppc.run_trial(p, s.horizon, None, "omp", x, 5, 0, p_drop=0.5),
+     errors.ConfigError),
 ], ids=["lam-None", "lam-str", "bound-None", "bound-str", "trial-lam-str",
         "trials-float", "trials-bool", "workers-float", "alpha-None", "q-size",
         "q-rect", "riccati-q-size", "horizon-N-bool", "synthesize-N-bool",
         "trial-p_drop-bool", "trial-lam-bool", "lam-bool", "bound-bool",
         "base_seed-bool", "plant-str", "horizon-Q-str", "rho-ragged", "omp-x-str",
         "c-rho-str", "c-rho-None", "c-rho-bool", "synthesize-Q-asym", "riccati-Q-asym",
-        "rho-Q-asym", "horizon-P-asym", "rho-P-asym"])
+        "rho-Q-asym", "horizon-P-asym", "rho-P-asym", "omp-x-strs", "l1-x-strs",
+        "trial-x0-strs", "rho-Q-strs", "plant-B-bool", "step-x-strs", "horizon-G-nan",
+        "channel-p_drop-str", "channel-rng-None", "buffer-age-str", "step-u-str",
+        "synthesize-plant-None", "invariants-result-None", "trial-syn-None"])
 def test_bad_library_arguments_are_typed(example_case, call, error):
     plant, syn, _ = example_case
     with pytest.raises(error):

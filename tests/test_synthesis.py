@@ -111,7 +111,8 @@ def test_rho_scalar_ratio():
 
 
 def test_compute_rho_rejects_shape_mismatch():
-    with pytest.raises(errors.DimensionMismatch, match="^P must be 2 x 2"):
+    with pytest.raises(errors.DimensionMismatch,
+                       match=r"^P must have shape \(2, 2\), got \(3, 3\)"):
         sppc.compute_rho(np.eye(2), np.eye(3))
 
 
