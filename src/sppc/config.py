@@ -3,7 +3,8 @@
 The document is canonicalized on parse (complex poles become [re, im]
 pairs, matrices become nested float lists) so parse -> serialize ->
 parse is the identity, and the resolved form is embedded verbatim in
-every run manifest.
+every run manifest. Arrays pass the library's own checks (PlantModel for
+A and B, as_array for the rest); a misshapen one too is a ConfigError.
 """
 
 from __future__ import annotations
@@ -13,10 +14,11 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DimensionMismatch
 from .netsim import SOLVER_NAMES, ExperimentSetup
-from .numerics import as_int, as_real
+from .numerics import as_array, as_int, as_real
 from .plant import PlantModel, from_poles
+from .solvers import _l1_weight
 from .synthesis import SynthesisResult, synthesize
 
 SOLVER_CHOICES = SOLVER_NAMES + ("both",)
@@ -54,47 +56,17 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _canon_matrix(value, name: str) -> list:
-    _require(isinstance(value, list) and value
-             and all(isinstance(row, list) and row for row in value),
-             f"{name} must be a non-empty nested list of rows")
-    width = len(value[0])
-    _require(all(len(row) == width for row in value),
-             f"{name} rows have inconsistent lengths")
-    return [[as_real(entry, f"{name} entry") for entry in row] for row in value]
-
-
 def _canon_plant(value) -> dict:
-    _require(isinstance(value, dict), "plant must be an object")
-    has_explicit = "A" in value or "B" in value
-    has_poles = "poles" in value
-    _require(has_explicit != has_poles,
-             "plant must specify exactly one of (A, B) or poles")
-    extra = set(value) - {"A", "B", "poles"}
-    _require(not extra, f"unknown plant keys: {sorted(extra)}")
-    if has_poles:
-        poles = value["poles"]
-        _require(isinstance(poles, list) and poles, "poles must be a non-empty list")
-        canon = []
-        for pole in poles:
-            if isinstance(pole, list):
-                _require(len(pole) == 2, f"complex pole must be [re, im], got {pole!r}")
-                canon.append([as_real(pole[0], "pole real part"),
-                              as_real(pole[1], "pole imaginary part")])
-            else:
-                canon.append(as_real(pole, "pole"))
-        return {"poles": canon}
-    _require("A" in value and "B" in value, "explicit plant needs both A and B")
-    a = _canon_matrix(value["A"], "plant A")
-    _require(len(a) == len(a[0]), "plant A must be square")
-    b_raw = value["B"]
-    if isinstance(b_raw, list) and b_raw and not isinstance(b_raw[0], list):
-        b = [[as_real(entry, "plant B entry")] for entry in b_raw]
-    else:
-        b = _canon_matrix(b_raw, "plant B")
-    _require(len(b) == len(a) and len(b[0]) == 1,
-             "plant B must be a single column matching A")
-    return {"A": a, "B": b}
+    _require(isinstance(value, dict) and set(value) in ({"A", "B"}, {"poles"}),
+             "plant must be an object with keys A and B, or poles alone")
+    if "A" in value:
+        plant = PlantModel(value["A"], value["B"])
+        return {"A": plant.A.tolist(), "B": plant.B.tolist()}
+    poles = value["poles"]
+    _require(isinstance(poles, list) and poles, "poles must be a non-empty list")
+    return {"poles": [as_array(pole, "complex pole", (2,)).tolist()
+                      if isinstance(pole, list) else as_real(pole, "pole")
+                      for pole in poles]}
 
 
 def from_dict(document: dict) -> ExperimentConfig:
@@ -108,17 +80,18 @@ def from_dict(document: dict) -> ExperimentConfig:
     _require("plant" in document, "config requires a plant")
     _require("N" in document, "config requires a horizon N")
     document = {**_DEFAULTS, **document}
-
-    plant = _canon_plant(document["plant"])
-    n = len(plant["A"]) if "A" in plant else len(plant["poles"])
-
     horizon = as_int(document["N"], "N", 1)
 
-    q = document["Q"]
-    if q != "identity":
-        q = _canon_matrix(q, "Q")
-        _require(len(q) == n and len(q[0]) == n,
-                 f"Q must be {n}x{n} to match the plant")
+    try:
+        plant = _canon_plant(document["plant"])
+        n = len(plant["A"]) if "A" in plant else len(plant["poles"])
+        q, x0 = document["Q"], document["x0"]
+        if not isinstance(q, str) or q != "identity":
+            q = as_array(q, "Q", (n, n)).tolist()
+        if x0 is not None:
+            x0 = as_array(x0, "x0", (n,)).tolist()
+    except DimensionMismatch as exc:
+        raise ConfigError(str(exc)) from exc
 
     alpha = as_real(document["alpha"], "alpha")
     _require(0.0 < alpha < 1.0, f"alpha must lie in (0, 1), got {alpha}")
@@ -129,14 +102,7 @@ def from_dict(document: dict) -> ExperimentConfig:
 
     lam = document["lambda"]
     if lam is not None:
-        lam = as_real(lam, "lambda")
-        _require(lam > 0.0, f"lambda must be positive, got {lam}")
-
-    x0 = document["x0"]
-    if x0 is not None:
-        _require(isinstance(x0, list) and len(x0) == n,
-                 f"x0 must be a list of {n} numbers")
-        x0 = [as_real(entry, "x0 entry") for entry in x0]
+        lam = _l1_weight(lam)
 
     p_drop = as_real(document["p_drop"], "p_drop")
     _require(0.0 <= p_drop <= 1.0, f"p_drop must lie in [0, 1], got {p_drop}")

@@ -94,11 +94,15 @@ def run_trial(plant: PlantModel, h: HorizonData, syn: SynthesisResult,
               p_drop: float, lam: float | None = None) -> SimTrace:
     """Simulate one trial: design, transmit, buffer, actuate, advance.
 
-    solver is "omp" or "l1"; the l1 path needs lam, and both a finite
+    h is syn's lifting, or equal to it: W's margin holds for that G and H
+    only. solver is "omp" or "l1"; the l1 path needs lam, and both a finite
     x0^T W x0. The PRNG is PCG64(seed) and only the channel draws from it.
     """
     if not all(map(isinstance, (plant, h, syn), (PlantModel, HorizonData, SynthesisResult))):
         raise ConfigError("run_trial needs a PlantModel, a HorizonData and a SynthesisResult")
+    if h is not syn.horizon and not (np.array_equal(h.G, syn.horizon.G)
+                                     and np.array_equal(h.H, syn.horizon.H)):
+        raise ConfigError(f"h (N = {h.N}) is not the lifting syn was certified against")
     if solver not in SOLVER_NAMES:
         raise ConfigError(f"solver must be one of {SOLVER_NAMES}, got {solver!r}")
     steps = as_int(steps, "steps", 0)

@@ -9,9 +9,9 @@ own incremental factorizations instead of calling in once per iteration
 as_int and as_real are the one check of a scalar argument, for the
 library and the config alike: both raise ConfigError. as_array is the one
 check of a matrix or vector argument: a finite float64 array of a given
-shape, built from ints or floats only, else DimensionMismatch.
-as_symmetric adds symmetry to it for Q and P, where they enter the
-library; the matrices the library builds are trusted from then on.
+shape, built from ints or floats only (a bool in a list fails too),
+else DimensionMismatch. as_symmetric adds symmetry to it for Q and P
+where they enter; the matrices the library builds are trusted after.
 """
 
 from __future__ import annotations
@@ -71,6 +71,10 @@ def _real_array(a, name: str, shape: tuple | None) -> np.ndarray:
         if m.dtype.kind not in "iuf":
             raise DimensionMismatch(f"{name} must hold ints or floats, got dtype {m.dtype}")
         m = m.astype(float)
+    # numpy reads a bool among ints or floats as 0 or 1; no ndarray holds that mix
+    if not isinstance(a, np.ndarray) and any(
+            isinstance(v, (bool, np.bool_)) for v in np.asarray(a, dtype=object).flat):
+        raise DimensionMismatch(f"{name} must hold ints or floats, got a bool entry")
     # the exact test first: it is the common case and costs one comparison
     if shape is not None and m.shape != shape and (
             m.ndim != len(shape) or any(s not in (None, d) for s, d in zip(shape, m.shape))):

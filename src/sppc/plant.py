@@ -16,7 +16,7 @@ _CONJUGATE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class PlantModel:
-    """State-space pair (A, B); A is n x n, B an n x 1 column."""
+    """State-space pair (A, B), read-only copies; A is n x n, B an n x 1 column."""
 
     A: np.ndarray
     B: np.ndarray
@@ -27,7 +27,7 @@ class PlantModel:
             raise DimensionMismatch(f"A must be square, got shape {a.shape}")
         b = _real_array(self.B, "B", None)
         b = as_array(b.reshape(-1, 1) if b.ndim == 1 else b, "B", (len(a), 1))
-        for name, arr in (("A", a), ("B", b)):
+        for name, arr in (("A", a.copy()), ("B", b.copy())):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 

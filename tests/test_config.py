@@ -23,6 +23,9 @@ FULL_DOC = {
 }
 
 
+TWO_POLES = {"poles": [0.5, 0.2]}
+
+
 def minimal_doc(**extra):
     doc = {"plant": {"poles": [0.5]}, "N": 3}
     doc.update(extra)
@@ -104,6 +107,14 @@ def test_flat_b_becomes_column():
     lambda d: d.update(seed=-1),
     lambda d: d.update(seed=2 ** 64),
     lambda d: d.update(plant={"poles": [10 ** 400]}),   # no float holds it
+    # numpy reads a bool among numbers as 0 or 1; the document may not
+    lambda d: d.update(plant={"A": [[1.0, True], [0, 1]], "B": [[0.0], [1.0]]}),
+    lambda d: d.update(plant={"A": [[0.0, 1.0], [0.25, 0.0]], "B": [0.0, True]}),
+    lambda d: d.update(plant=TWO_POLES, Q=[[True, 0.0], [0.0, 1.0]]),
+    lambda d: d.update(plant=TWO_POLES, x0=[1.0, True]),
+    lambda d: d.update(plant={"poles": [[True, 0.5], [1.0, -0.5]]}),
+    lambda d: d.update(plant=TWO_POLES, Q=[[1.0, 0.0], [0.0]]),
+    lambda d: d.update(plant={"B": [[1.0]]}),
 ])
 def test_invalid_documents_rejected(mutate):
     doc = minimal_doc()
@@ -182,6 +193,11 @@ def test_q_matrix():
         plant, result = cfgmod.run_synthesis(cfgmod.from_dict(doc))
         np.testing.assert_array_equal(result.Q, q)
         assert all(c.passed for c in sppc.check_invariants(plant, result))
+
+
+def test_array_arguments_may_be_ndarrays():
+    cfg = cfgmod.from_dict(minimal_doc(plant=TWO_POLES, Q=np.eye(2), x0=np.ones(2)))
+    assert (cfg.Q, cfg.x0) == ([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0])
 
 
 def test_run_synthesis_produces_valid_parameters():

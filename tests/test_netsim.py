@@ -493,6 +493,11 @@ def _skewed(m):
     (lambda p, s, x: sppc.check_invariants(p, None), errors.ConfigError),
     (lambda p, s, x: sppc.run_trial(p, s.horizon, None, "omp", x, 5, 0, p_drop=0.5),
      errors.ConfigError),
+    (lambda p, s, x: sppc.omp_design(s.horizon, s.W, [0.5, True, 0.5, 0.5]),
+     errors.DimensionMismatch),
+    (lambda p, s, x: sppc.step(p, [True, 0, 0, 0], 1.0), errors.DimensionMismatch),
+    (lambda p, s, x: sppc.run_trial(p, sppc.build_horizon(p, s.Q, s.P, 20), s, "omp", x, 5,
+                                    0, p_drop=0.5), errors.ConfigError),
 ], ids=["lam-None", "lam-str", "bound-None", "bound-str", "trial-lam-str",
         "trials-float", "trials-bool", "workers-float", "alpha-None", "q-size",
         "q-rect", "riccati-q-size", "horizon-N-bool", "synthesize-N-bool",
@@ -502,7 +507,8 @@ def _skewed(m):
         "rho-Q-asym", "horizon-P-asym", "rho-P-asym", "omp-x-strs", "l1-x-strs",
         "trial-x0-strs", "rho-Q-strs", "plant-B-bool", "step-x-strs", "horizon-G-nan",
         "channel-p_drop-str", "channel-rng-None", "buffer-age-str", "step-u-str",
-        "synthesize-plant-None", "invariants-result-None", "trial-syn-None"])
+        "synthesize-plant-None", "invariants-result-None", "trial-syn-None",
+        "omp-x-bool-entry", "step-x-bool-entry", "trial-h-other-N"])
 def test_bad_library_arguments_are_typed(example_case, call, error):
     plant, syn, _ = example_case
     with pytest.raises(error):

@@ -55,6 +55,15 @@ def test_plant_model_normalizes_flat_b():
     assert plant.B.shape == (2, 1)
 
 
+def test_plant_model_leaves_arguments_writable():
+    a, b = np.array([[2.0]]), np.array([1.0])
+    plant = sppc.PlantModel(a, b)
+    a[0, 0], b[0] = 3.0, 4.0
+    assert (plant.A[0, 0], plant.B[0, 0]) == (2.0, 1.0)
+    with pytest.raises(ValueError):
+        plant.A[0, 0] = 5.0
+
+
 def test_plant_model_rejects_bad_shapes():
     with pytest.raises(errors.DimensionMismatch):
         sppc.PlantModel(A=np.ones((2, 3)), B=[[1.0], [1.0]])
