@@ -25,7 +25,7 @@ class HorizonData:
     """G and H for one (plant, Q, P, N); derived data cached on first use.
 
     G and H are frozen C-ordered float64 arrays (copied only if needed), so
-    derived data, OMP's prefix cache among them, never depend on layout.
+    derived data, OMP's and l1's caches among them, never depend on layout.
     """
 
     N: int
@@ -41,7 +41,7 @@ class HorizonData:
         return self.H.shape[1]
 
     def __getstate__(self) -> dict:
-        """The three fields only: a copy rebuilds derived data, OMP's cache too."""
+        """The three fields only: a copy rebuilds derived data, both caches too."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @cached_property
@@ -59,6 +59,12 @@ class HorizonData:
         """OMP's cache: ordered pick prefix -> Gram-Schmidt row of the last
         pick, then the new R^-1 column (filled by solvers._greedy_picks).
         """
+        return {}
+
+    @cached_property
+    def l1_segments(self) -> dict:
+        """l1's cache: (active set, signs) -> K[A], v = K_AA^-1 sign_A, v K[A]
+        and the free indices (filled by solvers._l1)."""
         return {}
 
 

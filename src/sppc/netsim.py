@@ -94,7 +94,7 @@ def run_trial(plant: PlantModel, h: HorizonData, syn: SynthesisResult,
               p_drop: float, lam: float | None = None) -> SimTrace:
     """Simulate one trial: design, transmit, buffer, actuate, advance.
 
-    h is syn's lifting, or equal to it: W's margin holds for that G and H
+    h and plant are syn's own, or equal to them: W's margin holds for those
     only. solver is "omp" or "l1"; the l1 path needs lam, and both a finite
     x0^T W x0. The PRNG is PCG64(seed) and only the channel draws from it.
     """
@@ -103,6 +103,9 @@ def run_trial(plant: PlantModel, h: HorizonData, syn: SynthesisResult,
     if h is not syn.horizon and not (np.array_equal(h.G, syn.horizon.G)
                                      and np.array_equal(h.H, syn.horizon.H)):
         raise ConfigError(f"h (N = {h.N}) is not the lifting syn was certified against")
+    if plant is not syn.plant and not (np.array_equal(plant.A, syn.plant.A)
+                                       and np.array_equal(plant.B, syn.plant.B)):
+        raise ConfigError("plant is not the plant syn was synthesized for")
     if solver not in SOLVER_NAMES:
         raise ConfigError(f"solver must be one of {SOLVER_NAMES}, got {solver!r}")
     steps = as_int(steps, "steps", 0)

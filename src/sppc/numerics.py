@@ -5,7 +5,7 @@ immutable, so the routines are safe to call from concurrent contexts.
 Matrices are tiny (state dimension <= 20, horizon <= 64); robustness is
 preferred over speed here, so hot loops such as the OMP kernel keep their
 own incremental factorizations instead of calling in once per iteration
-(OMP shares its steps across designs, see HorizonData.omp_prefixes).
+(and share them across designs: HorizonData.omp_prefixes, l1_segments).
 as_int and as_real are the one check of a scalar argument, for the
 library and the config alike: both raise ConfigError. as_array is the one
 check of a matrix or vector argument: a finite float64 array of a given

@@ -26,7 +26,7 @@ FEASIBILITY_REL_SLACK = 1e-7
 # relative margins are meaningless, so infeasibility is never diagnosed
 FEASIBILITY_ABS_FLOOR = 1e-280
 L1_MAX_ITERATIONS = 5000
-# float bytes OMP may keep per horizon in HorizonData.omp_prefixes
+# float bytes each solver may keep per horizon in its HorizonData cache
 OMP_PREFIX_BUDGET_BYTES = 1 << 19
 
 
@@ -165,16 +165,18 @@ def l1_design(h: HorizonData, x, lam: float, fixed_bound: float) -> ControlPacke
     The lasso homotopy (LARS-lasso): the minimizer is piecewise linear in
     the weight t, so the path is followed from t = ||G^T H x||_inf, where
     u = 0, down to t = lam. On each segment the active coefficients move
-    along K_AA^-1 sign_A (K = G^T G, by Cholesky; a failed factorization
+    along v = K_AA^-1 sign_A (K = G^T G, by Cholesky; a failed factorization
     raises RankDeficient) until a free correlation reaches +-t, when that
     index enters with the sign of the boundary it hit, or an active
     coefficient reaches zero, when it leaves. Entries are ranked
     side-major (+t first, then the smallest index), an entry wins a tie
     with a leave, and a correlation on a boundary it does not move inward
     from enters at step 0. Zeros are exact, and iterations counts
-    segments; more than L1_MAX_ITERATIONS raise NoConvergence. The packet
-    records fixed_bound as its threshold for comparison purposes only; no
-    feasibility is promised.
+    segments; more than L1_MAX_ITERATIONS raise NoConvergence. A segment's
+    K[A], v, v K[A] and free indices depend only on its active set
+    and signs: they are shared across calls through h.l1_segments, bit for
+    bit as recomputed. The packet records fixed_bound as its threshold for
+    comparison only; no feasibility is promised.
     """
     lam = _l1_weight(lam)
     fixed_bound = as_real(fixed_bound, "fixed_bound")
@@ -195,10 +197,11 @@ def _l1_weight(lam) -> float:
 
 def _l1(h: HorizonData, y: np.ndarray, lam: float):
     """l1_design's homotopy on y = H x and a checked lam: (coeffs, segments)."""
-    K = h.gram
+    K, cache = h.gram, h.l1_segments
+    room = OMP_PREFIX_BUDGET_BYTES // (8 * h.N * (h.N + 3))   # entries that fit at full size
     b = h.G.T @ y
-    t = float(np.abs(b).max())
     first = int(np.abs(b).argmax())
+    t = abs(float(b[first]))
     active = [first]                # ascending; sign and u run parallel to it
     sign = [1.0 if b[first] > 0.0 else -1.0]
     u = [0.0]
@@ -208,18 +211,24 @@ def _l1(h: HorizonData, y: np.ndarray, lam: float):
             raise NoConvergence(f"l1 homotopy still at weight {t:.6e} > {lam:.6e} "
                                 f"after {L1_MAX_ITERATIONS} segments")
         segments += 1
-        rows = K.take(active, axis=0)              # K[A]
-        _, v, info = dposv(rows.take(active, axis=1), sign)
-        if info:
-            raise RankDeficient(f"active columns {active} are linearly dependent")
-        c = (b - np.dot(u, rows)).tolist()
-        a = (v @ rows).tolist()
-        v = v.tolist()
+        key = (tuple(active), tuple(sign))
+        segment = cache.get(key)
+        if segment is None:
+            rows = K.take(active, axis=0)              # K[A]
+            _, v, info = dposv(rows.take(active, axis=1), sign)
+            if info:
+                raise RankDeficient(f"active columns {active} are linearly dependent")
+            free = [j for j in range(h.N) if j not in active]
+            segment = rows, v.tolist(), (v @ rows).tolist(), free
+            if len(cache) < room:
+                cache[key] = segment
+        rows, v, a, free = segment
+        # u = 0 on the first segment, where b - u K[A] is b exactly
+        c = (b - np.dot(u, rows)).tolist() if segments > 1 else b.tolist()
         # steps g at which a free correlation c - g a meets +-(t - g); one
         # on a boundary enters at g = 0 unless it moves inward (den <= 0),
         # as the index that just left does on the side it left from
         gamma, enter, side = math.inf, -1, 0.0
-        free = [j for j in range(h.N) if j not in active]
         for s in (1.0, -1.0):
             for j in free:
                 den = 1.0 - s * a[j]

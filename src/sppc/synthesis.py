@@ -40,6 +40,7 @@ class SynthesisResult:
     W: np.ndarray
     riccati_iterations: int
     horizon: HorizonData     # the lifting of this Q, P and N; c is read off its G
+    plant: PlantModel        # the plant this synthesis was computed for
 
 
 def _riccati_image(A, B, Q, P) -> np.ndarray:
@@ -145,7 +146,7 @@ def synthesize(plant: PlantModel, Q, N: int, alpha: float = 0.5) -> SynthesisRes
     for arr in (Q, P, eps, w):
         arr.setflags(write=False)
     return SynthesisResult(Q=Q, P=P, rho=rho, c=c, Eps=eps, W=w,
-                           riccati_iterations=iterations, horizon=horizon)
+                           riccati_iterations=iterations, horizon=horizon, plant=plant)
 
 
 @dataclass(frozen=True)

@@ -221,10 +221,13 @@ def test_trial_rejects_bad_arguments(example_case):
     # length is a ConfigError before any trial runs
     with pytest.raises(errors.DimensionMismatch, match=r"^x must have shape \(4,\)"):
         sppc.run_trial(plant, h, syn, "omp", np.zeros(2), 5, 0, p_drop=0.5)
-    # a plant that does not match the horizon fails typed at its first step
+    # a plant other than syn's own fails up front; an equal rebuilt one runs
     other = sppc.PlantModel([[0.5, 0.1], [0.0, 0.3]], [[0.0], [1.0]])
-    with pytest.raises(errors.DimensionMismatch, match=r"^state must have shape \(2,\)"):
+    with pytest.raises(errors.ConfigError, match=r"^plant is not the plant syn"):
         sppc.run_trial(other, h, syn, "omp", x0, 5, 0, p_drop=0.5)
+    rebuilt = sppc.PlantModel(plant.A, plant.B)
+    assert np.array_equal(sppc.run_trial(rebuilt, h, syn, "omp", x0, 5, 0, p_drop=0.5).states,
+                          sppc.run_trial(plant, h, syn, "omp", x0, 5, 0, p_drop=0.5).states)
     for steps, seed, p_drop in ((True, 0, 0.5), (5, -1, 0.5), (5, 2 ** 64, 0.5),
                                 (5, 1.5, 0.5), (5, True, 0.5), (5, 0, "0.5")):
         with pytest.raises(errors.ConfigError):
@@ -498,6 +501,8 @@ def _skewed(m):
     (lambda p, s, x: sppc.step(p, [True, 0, 0, 0], 1.0), errors.DimensionMismatch),
     (lambda p, s, x: sppc.run_trial(p, sppc.build_horizon(p, s.Q, s.P, 20), s, "omp", x, 5,
                                     0, p_drop=0.5), errors.ConfigError),
+    (lambda p, s, x: sppc.run_trial(sppc.from_poles([0.9, 0.5, 0.2, -0.3]), s.horizon, s,
+                                    "omp", x, 50, 0, p_drop=0.5), errors.ConfigError),
 ], ids=["lam-None", "lam-str", "bound-None", "bound-str", "trial-lam-str",
         "trials-float", "trials-bool", "workers-float", "alpha-None", "q-size",
         "q-rect", "riccati-q-size", "horizon-N-bool", "synthesize-N-bool",
@@ -508,7 +513,7 @@ def _skewed(m):
         "trial-x0-strs", "rho-Q-strs", "plant-B-bool", "step-x-strs", "horizon-G-nan",
         "channel-p_drop-str", "channel-rng-None", "buffer-age-str", "step-u-str",
         "synthesize-plant-None", "invariants-result-None", "trial-syn-None",
-        "omp-x-bool-entry", "step-x-bool-entry", "trial-h-other-N"])
+        "omp-x-bool-entry", "step-x-bool-entry", "trial-h-other-N", "trial-plant-other"])
 def test_bad_library_arguments_are_typed(example_case, call, error):
     plant, syn, _ = example_case
     with pytest.raises(error):

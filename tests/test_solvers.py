@@ -282,21 +282,17 @@ def test_omp_shared_horizon_matches_fresh_horizons(example_plant, N, p_drop):
         assert 0 < len(shared.omp_prefixes) < picks / 2
 
 
-def test_omp_prefix_cache_shared_across_threads(example_plant):
-    # concurrent designs on one horizon insert the same bits under the same
-    # prefix, so interleaved hits and misses still give the cold-horizon result
-    syn = sppc.synthesize(example_plant, None, 20, 0.5)
-    states = sppc.run_trial(example_plant, syn.horizon, syn, "omp", EXAMPLE_X0,
-                            100, 0, p_drop=0.9).states[:-1]
-    expected = [packet_bits(sppc.omp_design(fresh_horizon(syn.horizon), syn.W, x))
-                for x in states]
-    shared = fresh_horizon(syn.horizon)
+def assert_threads_match_cold_horizons(h, design, states):
+    """Four threads design at every state on one shared copy of h, two of
+    them in reverse order and switching often; each thread's packets equal
+    the cold-horizon packets bit for bit."""
+    expected = [packet_bits(design(fresh_horizon(h), x)) for x in states]
+    shared = fresh_horizon(h)
     results = {}
 
     def work(t):
         order = range(len(states)) if t % 2 else range(len(states) - 1, -1, -1)
-        results[t] = {i: packet_bits(sppc.omp_design(shared, syn.W, states[i]))
-                      for i in order}
+        results[t] = {i: packet_bits(design(shared, states[i])) for i in order}
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -311,6 +307,16 @@ def test_omp_prefix_cache_shared_across_threads(example_plant):
     assert not any(thread.is_alive() for thread in threads)
     for t in range(4):
         assert [results[t][i] for i in range(len(states))] == expected
+
+
+def test_omp_prefix_cache_shared_across_threads(example_plant):
+    # concurrent designs on one horizon insert the same bits under the same
+    # prefix, so interleaved hits and misses still give the cold-horizon result
+    syn = sppc.synthesize(example_plant, None, 20, 0.5)
+    states = sppc.run_trial(example_plant, syn.horizon, syn, "omp", EXAMPLE_X0,
+                            100, 0, p_drop=0.9).states[:-1]
+    assert_threads_match_cold_horizons(
+        syn.horizon, lambda h, x: sppc.omp_design(h, syn.W, x), states)
 
 
 def test_pickled_setup_leaves_prefix_cache_behind(example_plant):
@@ -356,6 +362,71 @@ def test_omp_prefix_cache_stays_within_budget(monkeypatch):
         assert (packet_bits(sppc.omp_design(h, syn.W, x))
                 == packet_bits(sppc.omp_design(fresh_horizon(h), syn.W, x)))
     assert sum(step.nbytes for step in h.omp_prefixes.values()) == stored
+
+
+def l1_states(plant, syn, p_drop, seeds):
+    """The states of l1 trials (lam = 1) from the example x0, stacked."""
+    return np.vstack([sppc.run_trial(plant, syn.horizon, syn, "l1", EXAMPLE_X0, 100, seed,
+                                     p_drop=p_drop, lam=1.0).states[:-1]
+                      for seed in seeds])
+
+
+@pytest.mark.parametrize("N, p_drop", [(10, 0.5), (20, 0.9)])
+def test_l1_shared_horizon_matches_fresh_horizons(example_plant, N, p_drop):
+    # designs reading segments from one horizon's l1 cache, in either order,
+    # are bit for bit the designs that solve every segment on a cold horizon
+    syn = sppc.synthesize(example_plant, None, N, 0.5)
+    states = l1_states(example_plant, syn, p_drop, range(3))
+    for order in (states, states[::-1]):
+        shared = fresh_horizon(syn.horizon)
+        segments = 0
+        for x in order:
+            p = sppc.l1_design(shared, x, 1.0, 1.0)
+            assert packet_bits(p) == packet_bits(
+                sppc.l1_design(fresh_horizon(shared), x, 1.0, 1.0))
+            segments += p.iterations
+        assert 0 < len(shared.l1_segments) < segments
+
+
+def test_l1_segment_cache_shared_across_threads(example_plant):
+    syn = sppc.synthesize(example_plant, None, 20, 0.5)
+    assert_threads_match_cold_horizons(
+        syn.horizon, lambda h, x: sppc.l1_design(h, x, 1.0, 1.0),
+        l1_states(example_plant, syn, 0.9, [0]))
+
+
+def test_pickled_l1_setup_leaves_segment_cache_behind(example_plant):
+    syn = sppc.synthesize(example_plant, None, 10, 0.5)
+    setup = sppc.ExperimentSetup(plant=example_plant, synthesis=syn, solver="l1",
+                                 x0=EXAMPLE_X0, steps=100, p_drop=0.5, lam=1.0)
+    cold = pickle.dumps(setup)
+    sppc.run_montecarlo(setup, 3, 0)
+    assert setup.horizon.l1_segments
+    warm = pickle.dumps(setup)
+    assert len(warm) == len(cold)
+    assert "l1_segments" not in vars(pickle.loads(warm).horizon)
+
+
+def test_l1_segment_cache_stays_within_budget(monkeypatch):
+    # envelope-sized designs fill the cache up to its byte budget, each entry
+    # counted at its full size; a budget of one entry changes no packet
+    rng = np.random.default_rng(7)
+    plant = random_reachable_plant(rng, 19)
+    syn = sppc.synthesize(plant, None, 46, 0.5)
+    h = fresh_horizon(syn.horizon)
+    full_size = 8 * h.N * (h.N + 3)
+    states = rng.standard_normal((20, plant.n))
+    lams = [0.1 * float(np.abs(h.G.T @ (h.H @ x)).max()) for x in states]
+    packets = [packet_bits(sppc.l1_design(h, x, lam, 1.0)) for x, lam in zip(states, lams)]
+    stored = sum(rows.nbytes + 8 * (len(v) + len(a) + len(free))
+                 for rows, v, a, free in h.l1_segments.values())
+    assert len(h.l1_segments) == solvers.OMP_PREFIX_BUDGET_BYTES // full_size
+    assert stored <= len(h.l1_segments) * full_size <= solvers.OMP_PREFIX_BUDGET_BYTES
+    tiny = fresh_horizon(h)
+    monkeypatch.setattr(solvers, "OMP_PREFIX_BUDGET_BYTES", full_size)
+    assert packets == [packet_bits(sppc.l1_design(tiny, x, lam, 1.0))
+                       for x, lam in zip(states, lams)]
+    assert len(tiny.l1_segments) == 1
 
 
 def test_omp_state_scaling_covariance():
@@ -494,9 +565,13 @@ def test_l1_equal_columns_are_rank_deficient():
     # enters at step 0 and the singular K_AA must raise, not return
     G = np.array([[7.0, 7.0], [0.0, 0.0]])
     h = HorizonData(N=2, G=G, H=np.array([[1.0], [0.0]]))
-    for x in (1.0, -3.0):
-        with pytest.raises(errors.RankDeficient):
-            sppc.l1_design(h, np.array([x]), 0.1, 1.0)
+    # first from a cold segment cache, then from the one-index segments the
+    # first calls stored; the failing segment is never stored
+    for _ in range(2):
+        for x in (1.0, -3.0):
+            with pytest.raises(errors.RankDeficient):
+                sppc.l1_design(h, np.array([x]), 0.1, 1.0)
+        assert set(h.l1_segments) == {((0,), (1.0,)), ((0,), (-1.0,))}
 
 
 def reference_l1(h, x, lam):
