@@ -50,8 +50,8 @@ def _write_csv(path: str, columns: dict[str, np.ndarray]) -> None:
     print(f"wrote {path}")
 
 
-def _emit_manifest(command: str, cfg, plant, syn, out_dir: str) -> bool:
-    checks = check_invariants(plant, syn)
+def _emit_manifest(command: str, cfg, syn, out_dir: str) -> bool:
+    checks = check_invariants(syn.plant, syn)
     passed = all(c.passed for c in checks)
     _write_json(os.path.join(out_dir, "manifest.json"), {
         "command": command,
@@ -75,8 +75,8 @@ def _emit_manifest(command: str, cfg, plant, syn, out_dir: str) -> bool:
 
 
 def cmd_synthesize(cfg, out_dir: str) -> int:
-    plant, syn = config_mod.run_synthesis(cfg)
-    ok = _emit_manifest("synthesize", cfg, plant, syn, out_dir)
+    syn = config_mod.run_synthesis(cfg)
+    ok = _emit_manifest("synthesize", cfg, syn, out_dir)
     return EXIT_OK if ok else EXIT_NUMERIC
 
 
@@ -89,7 +89,7 @@ def cmd_simulate(cfg, out_dir: str) -> int:
         "k": np.arange(setup.steps + 1), "norm_x": trace.norm_x, "l0_u": trace.l0,
         "dropped": trace.dropped, "input": trace.inputs,
         "design_time_us": trace.design_time_us})
-    ok = _emit_manifest("simulate", cfg, setup.plant, setup.synthesis, out_dir)
+    ok = _emit_manifest("simulate", cfg, setup.synthesis, out_dir)
     return EXIT_OK if ok else EXIT_NUMERIC
 
 
@@ -108,7 +108,7 @@ def _summary(result: dict[str, SolverAggregate]) -> dict:
 def cmd_montecarlo(cfg, out_dir: str, workers: int) -> int:
     setup = config_mod.build_setup(cfg)
     result = run_montecarlo(setup, cfg.trials, cfg.seed, workers=workers)
-    ok = _emit_manifest("montecarlo", cfg, setup.plant, setup.synthesis, out_dir)
+    ok = _emit_manifest("montecarlo", cfg, setup.synthesis, out_dir)
     columns = {"k": np.arange(setup.steps + 1)}
     for solver, agg in result.items():
         columns.update(zip(AGGREGATE_COLUMNS[solver], (agg.mean_norm_x, agg.mean_l0)))
@@ -175,7 +175,3 @@ def _fail(exc: Exception, code: int) -> int:
     print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
           file=sys.stderr)
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -144,19 +144,19 @@ def build_plant(config: ExperimentConfig) -> PlantModel:
     return PlantModel(**config.plant)
 
 
-def run_synthesis(config: ExperimentConfig) -> tuple[PlantModel, SynthesisResult]:
-    plant = build_plant(config)
+def run_synthesis(config: ExperimentConfig) -> SynthesisResult:
+    """Synthesize for the config's plant; the result holds that plant."""
     q = None if config.Q == "identity" else config.Q
-    return plant, synthesize(plant, q, config.N, config.alpha)
+    return synthesize(build_plant(config), q, config.N, config.alpha)
 
 
 def build_setup(config: ExperimentConfig) -> ExperimentSetup:
     """Resolve the document into simulation-ready objects."""
-    plant, result = run_synthesis(config)
+    result = run_synthesis(config)
     _require(config.x0 is not None, "simulation requires x0")
     if config.solver in ("l1", "both"):
         _require(config.lam is not None, "l1 solver requires lambda")
-    return ExperimentSetup(plant=plant, synthesis=result, solver=config.solver,
+    return ExperimentSetup(synthesis=result, solver=config.solver,
                            x0=np.array(config.x0, dtype=float),
                            steps=config.steps, p_drop=config.p_drop,
                            lam=config.lam)

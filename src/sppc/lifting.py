@@ -20,7 +20,7 @@ from .numerics import as_array, as_int, as_symmetric, cholesky, symmetrize
 from .plant import PlantModel
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HorizonData:
     """G and H for one (plant, Q, P, N); derived data cached on first use.
 

@@ -67,7 +67,7 @@ def buffer_apply(held: np.ndarray, age: int) -> float:
                           "the channel exceeded its consecutive-drop bound")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimTrace:
     """Per-step record of one closed-loop trial; its caller holds the solver and seed.
 
@@ -94,18 +94,16 @@ def run_trial(plant: PlantModel, h: HorizonData, syn: SynthesisResult,
               p_drop: float, lam: float | None = None) -> SimTrace:
     """Simulate one trial: design, transmit, buffer, actuate, advance.
 
-    h and plant are syn's own, or equal to them: W's margin holds for those
-    only. solver is "omp" or "l1"; the l1 path needs lam, and both a finite
+    plant and h are syn's own, by identity: W's margin holds for those only.
+    solver is "omp" or "l1"; the l1 path needs lam, and both a finite
     x0^T W x0. The PRNG is PCG64(seed) and only the channel draws from it.
     """
     if not all(map(isinstance, (plant, h, syn), (PlantModel, HorizonData, SynthesisResult))):
         raise ConfigError("run_trial needs a PlantModel, a HorizonData and a SynthesisResult")
-    if h is not syn.horizon and not (np.array_equal(h.G, syn.horizon.G)
-                                     and np.array_equal(h.H, syn.horizon.H)):
-        raise ConfigError(f"h (N = {h.N}) is not the lifting syn was certified against")
-    if plant is not syn.plant and not (np.array_equal(plant.A, syn.plant.A)
-                                       and np.array_equal(plant.B, syn.plant.B)):
-        raise ConfigError("plant is not the plant syn was synthesized for")
+    if h is not syn.horizon:
+        raise ConfigError(f"h (N = {h.N}) is not syn.horizon, the lifting syn certified")
+    if plant is not syn.plant:
+        raise ConfigError("plant is not syn.plant, the plant syn was synthesized for")
     if solver not in SOLVER_NAMES:
         raise ConfigError(f"solver must be one of {SOLVER_NAMES}, got {solver!r}")
     steps = as_int(steps, "steps", 0)
@@ -160,11 +158,11 @@ def run_trial(plant: PlantModel, h: HorizonData, syn: SynthesisResult,
                     l0=l0, design_time_us=design_time_us)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentSetup:
-    """Everything run_montecarlo needs besides trial count and seeding."""
+    """Everything run_montecarlo needs besides trial count and seeding; the
+    plant and the lifting are read off the synthesis, their one holder."""
 
-    plant: PlantModel
     synthesis: SynthesisResult
     solver: str
     x0: np.ndarray
@@ -173,12 +171,16 @@ class ExperimentSetup:
     lam: float | None = None
 
     @property
+    def plant(self) -> PlantModel:
+        return self.synthesis.plant
+
+    @property
     def horizon(self) -> HorizonData:
         """The lifting the synthesis certified c against."""
         return self.synthesis.horizon
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolverAggregate:
     """Per-step means across trials for one solver, plus the mean design time."""
 

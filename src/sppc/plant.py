@@ -14,7 +14,7 @@ from .numerics import _real_array, as_array
 _CONJUGATE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlantModel:
     """State-space pair (A, B), read-only copies; A is n x n, B an n x 1 column."""
 

@@ -30,7 +30,7 @@ L1_MAX_ITERATIONS = 5000
 OMP_PREFIX_BUDGET_BYTES = 1 << 19
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ControlPacket:
     """A designed input sequence; its sparsity is read off the coefficients.
 

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (ConfigError, DegenerateInput, NoConvergence, NotPositiveDefinite,
                      NotReachable)
-from .lifting import HorizonData, build_horizon
+from .lifting import HorizonData, _frozen, build_horizon
 from .numerics import as_real, as_symmetric, congruent_spectrum, symmetrize
 from .plant import PlantModel, is_reachable
 
@@ -28,19 +28,23 @@ RICCATI_REL_TOL = 1e-12
 RICCATI_MAX_ITERATIONS = 100_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SynthesisResult:
-    """Parameters produced by the synthesis procedure, all immutable."""
+    """Parameters produced by the synthesis procedure, all immutable; the one
+    holder of its plant, its lifting and W, which is P - Q + Eps by construction."""
 
     Q: np.ndarray
     P: np.ndarray
     rho: float
     c: float
     Eps: np.ndarray
-    W: np.ndarray
+    W: np.ndarray = field(init=False)
     riccati_iterations: int
     horizon: HorizonData     # the lifting of this Q, P and N; c is read off its G
     plant: PlantModel        # the plant this synthesis was computed for
+
+    def __post_init__(self):
+        object.__setattr__(self, "W", _frozen(self.P - self.Q + self.Eps))
 
 
 def _riccati_image(A, B, Q, P) -> np.ndarray:
@@ -142,10 +146,9 @@ def synthesize(plant: PlantModel, Q, N: int, alpha: float = 0.5) -> SynthesisRes
     horizon = build_horizon(plant, Q, P, N)
     c = compute_c(horizon, rho)
     eps = alpha * (1.0 - rho) / c * P
-    w = P - Q + eps
-    for arr in (Q, P, eps, w):
+    for arr in (Q, P, eps):
         arr.setflags(write=False)
-    return SynthesisResult(Q=Q, P=P, rho=rho, c=c, Eps=eps, W=w,
+    return SynthesisResult(Q=Q, P=P, rho=rho, c=c, Eps=eps,
                            riccati_iterations=iterations, horizon=horizon, plant=plant)
 
 
@@ -160,10 +163,12 @@ class InvariantCheck:
 
 
 def check_invariants(plant: PlantModel, result: SynthesisResult) -> list[InvariantCheck]:
-    """Evaluate every SynthesisResult invariant; used by tests and the CLI manifest."""
+    """Evaluate result's invariants; plant must be result.plant, by identity."""
     if not (isinstance(plant, PlantModel) and isinstance(result, SynthesisResult)):
         raise ConfigError("check_invariants needs a PlantModel and a SynthesisResult")
-    P, Q, eps, w = result.P, result.Q, result.Eps, result.W
+    if plant is not result.plant:
+        raise ConfigError("plant is not result.plant, the plant result was synthesized for")
+    P, Q, eps = result.P, result.Q, result.Eps
     checks = []
 
     limit = 1e-9 * (1.0 + float(np.abs(P).max()))
@@ -183,10 +188,6 @@ def check_invariants(plant: PlantModel, result: SynthesisResult) -> list[Invaria
     cone_min = float(np.linalg.eigvalsh((1.0 - result.rho) / result.c * P - eps)[0])
     checks.append(InvariantCheck("eps_inside_cone", cone_min > 0.0, cone_min, 0.0))
 
-    w_min = float(np.linalg.eigvalsh(w)[0])
+    w_min = float(np.linalg.eigvalsh(result.W)[0])
     checks.append(InvariantCheck("w_positive_definite", w_min > 0.0, w_min, 0.0))
-
-    w_gap = float(np.abs(w - (P - Q + eps)).max())
-    w_limit = 1e-12 * (1.0 + float(np.abs(w).max()))
-    checks.append(InvariantCheck("w_composition", w_gap <= w_limit, w_gap, w_limit))
     return checks

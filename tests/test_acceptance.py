@@ -141,7 +141,7 @@ def test_criterion_5_example_experiment():
     plant = sppc.from_poles(EXAMPLE_POLES)
     syn = sppc.synthesize(plant, None, 10, 0.5)
     x0 = np.array([0.5, 0.5, 0.5, 0.5])
-    setup = sppc.ExperimentSetup(plant=plant, synthesis=syn, solver="both",
+    setup = sppc.ExperimentSetup(synthesis=syn, solver="both",
                                  x0=x0, steps=100, p_drop=0.5, lam=1.0)
     result = sppc.run_montecarlo(setup, trials=500, base_seed=20260814)
     m = result["omp"].mean_norm_x

@@ -221,13 +221,11 @@ def test_trial_rejects_bad_arguments(example_case):
     # length is a ConfigError before any trial runs
     with pytest.raises(errors.DimensionMismatch, match=r"^x must have shape \(4,\)"):
         sppc.run_trial(plant, h, syn, "omp", np.zeros(2), 5, 0, p_drop=0.5)
-    # a plant other than syn's own fails up front; an equal rebuilt one runs
+    # a plant other than syn's own fails up front, an equal rebuilt one too
     other = sppc.PlantModel([[0.5, 0.1], [0.0, 0.3]], [[0.0], [1.0]])
-    with pytest.raises(errors.ConfigError, match=r"^plant is not the plant syn"):
-        sppc.run_trial(other, h, syn, "omp", x0, 5, 0, p_drop=0.5)
-    rebuilt = sppc.PlantModel(plant.A, plant.B)
-    assert np.array_equal(sppc.run_trial(rebuilt, h, syn, "omp", x0, 5, 0, p_drop=0.5).states,
-                          sppc.run_trial(plant, h, syn, "omp", x0, 5, 0, p_drop=0.5).states)
+    for stranger in (other, sppc.PlantModel(plant.A, plant.B)):
+        with pytest.raises(errors.ConfigError, match=r"^plant is not syn\.plant"):
+            sppc.run_trial(stranger, h, syn, "omp", x0, 5, 0, p_drop=0.5)
     for steps, seed, p_drop in ((True, 0, 0.5), (5, -1, 0.5), (5, 2 ** 64, 0.5),
                                 (5, 1.5, 0.5), (5, True, 0.5), (5, 0, "0.5")):
         with pytest.raises(errors.ConfigError):
@@ -335,8 +333,7 @@ def test_omp_cost_bound_between_receptions(plant_id, n, N, p_drop):
 def test_montecarlo_single_trial_matches_run_trial(example_case):
     plant, syn, h = example_case
     x0 = np.array([0.5, 0.5, 0.5, 0.5])
-    setup = sppc.ExperimentSetup(plant=plant, synthesis=syn,
-                                 solver="omp", x0=x0, steps=25, p_drop=0.5)
+    setup = sppc.ExperimentSetup(synthesis=syn, solver="omp", x0=x0, steps=25, p_drop=0.5)
     result = sppc.run_montecarlo(setup, trials=1, base_seed=42)
     trace = sppc.run_trial(plant, h, syn, "omp", x0, 25, 42, p_drop=0.5)
     assert list(result) == ["omp"]
@@ -346,10 +343,9 @@ def test_montecarlo_single_trial_matches_run_trial(example_case):
 
 
 def test_montecarlo_reproducible(example_case):
-    plant, syn, _ = example_case
+    _, syn, _ = example_case
     x0 = np.array([0.5, 0.5, 0.5, 0.5])
-    setup = sppc.ExperimentSetup(plant=plant, synthesis=syn,
-                                 solver="both", x0=x0, steps=15, p_drop=0.5,
+    setup = sppc.ExperimentSetup(synthesis=syn, solver="both", x0=x0, steps=15, p_drop=0.5,
                                  lam=1.0)
     a = sppc.run_montecarlo(setup, trials=3, base_seed=9)
     b = sppc.run_montecarlo(setup, trials=3, base_seed=9)
@@ -361,10 +357,10 @@ def test_montecarlo_reproducible(example_case):
 
 def test_montecarlo_parallel_matches_sequential(example_case):
     # OMP in one chunk of 4 trials, then both solvers in three chunks of 8 each
-    plant, syn, _ = example_case
+    _, syn, _ = example_case
     x0 = np.array([0.5, 0.5, 0.5, 0.5])
     for solver, trials in (("omp", 4), ("both", 20)):
-        setup = sppc.ExperimentSetup(plant=plant, synthesis=syn, solver=solver,
+        setup = sppc.ExperimentSetup(synthesis=syn, solver=solver,
                                      x0=x0, steps=10, p_drop=0.5, lam=1.0)
         seq = sppc.run_montecarlo(setup, trials=trials, base_seed=1)
         par = sppc.run_montecarlo(setup, trials=trials, base_seed=1, workers=2)
@@ -375,26 +371,23 @@ def test_montecarlo_parallel_matches_sequential(example_case):
 
 
 def test_montecarlo_rejects_bad_arguments(example_case):
-    plant, syn, _ = example_case
+    _, syn, _ = example_case
     x0 = np.array([0.5, 0.5, 0.5, 0.5])
-    good = sppc.ExperimentSetup(plant=plant, synthesis=syn,
-                                solver="omp", x0=x0, steps=5, p_drop=0.5)
+    good = sppc.ExperimentSetup(synthesis=syn, solver="omp", x0=x0, steps=5, p_drop=0.5)
     with pytest.raises(errors.ConfigError):
         sppc.run_montecarlo(good, trials=0, base_seed=0)
     with pytest.raises(errors.ConfigError):
         sppc.run_montecarlo(good, trials=1, base_seed=0, workers=0)
-    bad_solver = sppc.ExperimentSetup(plant=plant, synthesis=syn,
-                                      solver="newton", x0=x0, steps=5, p_drop=0.5)
+    bad_solver = sppc.ExperimentSetup(synthesis=syn, solver="newton", x0=x0, steps=5,
+                                      p_drop=0.5)
     with pytest.raises(errors.ConfigError):
         sppc.run_montecarlo(bad_solver, trials=1, base_seed=0)
-    no_lam = sppc.ExperimentSetup(plant=plant, synthesis=syn,
-                                  solver="l1", x0=x0, steps=5, p_drop=0.5)
+    no_lam = sppc.ExperimentSetup(synthesis=syn, solver="l1", x0=x0, steps=5, p_drop=0.5)
     with pytest.raises(errors.ConfigError):
         sppc.run_montecarlo(no_lam, trials=1, base_seed=0)
     with pytest.raises(errors.ConfigError):
         sppc.run_montecarlo(good, trials=1, base_seed=-5)
-    no_steps = sppc.ExperimentSetup(plant=plant, synthesis=syn,
-                                    solver="omp", x0=x0, steps=0, p_drop=0.5)
+    no_steps = sppc.ExperimentSetup(synthesis=syn, solver="omp", x0=x0, steps=0, p_drop=0.5)
     with pytest.raises(errors.ConfigError):
         sppc.run_montecarlo(no_steps, trials=1, base_seed=0)
 
@@ -432,8 +425,8 @@ def test_trace_arrays_read_only(example_case):
         tr.norm_x[0] = 1.0
 
 
-def _setup(plant, syn):
-    return sppc.ExperimentSetup(plant, syn, "omp", EXAMPLE_X0, 5, 0.5)
+def _setup(syn):
+    return sppc.ExperimentSetup(syn, "omp", EXAMPLE_X0, 5, 0.5)
 
 
 def _skewed(m):
@@ -450,9 +443,9 @@ def _skewed(m):
     (lambda p, s, x: sppc.l1_design(s.horizon, x, 1.0, "a"), errors.ConfigError),
     (lambda p, s, x: sppc.run_trial(p, s.horizon, s, "l1", x, 5, 0, p_drop=0.5,
                                     lam="a"), errors.ConfigError),
-    (lambda p, s, x: sppc.run_montecarlo(_setup(p, s), 1.5, 0), errors.ConfigError),
-    (lambda p, s, x: sppc.run_montecarlo(_setup(p, s), True, 0), errors.ConfigError),
-    (lambda p, s, x: sppc.run_montecarlo(_setup(p, s), 2, 0, workers=1.0),
+    (lambda p, s, x: sppc.run_montecarlo(_setup(s), 1.5, 0), errors.ConfigError),
+    (lambda p, s, x: sppc.run_montecarlo(_setup(s), True, 0), errors.ConfigError),
+    (lambda p, s, x: sppc.run_montecarlo(_setup(s), 2, 0, workers=1.0),
      errors.ConfigError),
     (lambda p, s, x: sppc.synthesize(p, None, 10, None), errors.ConfigError),
     (lambda p, s, x: sppc.synthesize(p, np.eye(3), 10), errors.DimensionMismatch),
@@ -466,7 +459,7 @@ def _skewed(m):
                                     lam=True), errors.ConfigError),
     (lambda p, s, x: sppc.l1_design(s.horizon, x, True, 1.0), errors.ConfigError),
     (lambda p, s, x: sppc.l1_design(s.horizon, x, 1.0, False), errors.ConfigError),
-    (lambda p, s, x: sppc.run_montecarlo(_setup(p, s), 2, True), errors.ConfigError),
+    (lambda p, s, x: sppc.run_montecarlo(_setup(s), 2, True), errors.ConfigError),
     (lambda p, s, x: sppc.PlantModel(A=[["a"]], B=[[1.0]]), errors.DimensionMismatch),
     (lambda p, s, x: sppc.build_horizon(p, "a", s.P, 10), errors.DimensionMismatch),
     (lambda p, s, x: sppc.compute_rho([[1.0, 0.0], [1.0]], s.P), errors.DimensionMismatch),
@@ -503,6 +496,13 @@ def _skewed(m):
                                     0, p_drop=0.5), errors.ConfigError),
     (lambda p, s, x: sppc.run_trial(sppc.from_poles([0.9, 0.5, 0.2, -0.3]), s.horizon, s,
                                     "omp", x, 50, 0, p_drop=0.5), errors.ConfigError),
+    (lambda p, s, x: sppc.check_invariants(sppc.from_poles([0.5, 0.2]), s), errors.ConfigError),
+    (lambda p, s, x: sppc.check_invariants(sppc.from_poles([0.9, 0.5, 0.2, -0.3]), s),
+     errors.ConfigError),
+    (lambda p, s, x: sppc.run_trial(sppc.PlantModel(p.A, p.B), s.horizon, s, "omp", x, 5, 0,
+                                    p_drop=0.5), errors.ConfigError),
+    (lambda p, s, x: sppc.run_trial(p, sppc.HorizonData(s.horizon.N, s.horizon.G, s.horizon.H),
+                                    s, "omp", x, 5, 0, p_drop=0.5), errors.ConfigError),
 ], ids=["lam-None", "lam-str", "bound-None", "bound-str", "trial-lam-str",
         "trials-float", "trials-bool", "workers-float", "alpha-None", "q-size",
         "q-rect", "riccati-q-size", "horizon-N-bool", "synthesize-N-bool",
@@ -513,7 +513,9 @@ def _skewed(m):
         "trial-x0-strs", "rho-Q-strs", "plant-B-bool", "step-x-strs", "horizon-G-nan",
         "channel-p_drop-str", "channel-rng-None", "buffer-age-str", "step-u-str",
         "synthesize-plant-None", "invariants-result-None", "trial-syn-None",
-        "omp-x-bool-entry", "step-x-bool-entry", "trial-h-other-N", "trial-plant-other"])
+        "omp-x-bool-entry", "step-x-bool-entry", "trial-h-other-N", "trial-plant-other",
+        "invariants-plant-2-state", "invariants-plant-other", "trial-plant-copy",
+        "trial-h-copy"])
 def test_bad_library_arguments_are_typed(example_case, call, error):
     plant, syn, _ = example_case
     with pytest.raises(error):

@@ -7,6 +7,15 @@ from sppc import errors
 from conftest import EXAMPLE_POLES, random_reachable_plant
 
 
+def test_plants_compare_by_identity():
+    # records holding arrays compare and hash as objects: the library's
+    # "same plant" is the identical one, and equal values do not make it so
+    a, b = (sppc.from_poles(EXAMPLE_POLES) for _ in range(2))
+    assert np.array_equal(a.A, b.A) and np.array_equal(a.B, b.B)
+    assert a == a and a != b
+    assert {a: "a", b: "b"}[b] == "b"
+
+
 def test_step_zero_input():
     plant = sppc.PlantModel(A=[[2.0]], B=[[1.0]])
     np.testing.assert_allclose(sppc.step(plant, [1.0], 0.0), [2.0])

@@ -129,7 +129,7 @@ def assert_same_greedy(h, W, x):
 @pytest.mark.parametrize("N, p_drop", [(10, 0.5), (20, 0.9)])
 def test_omp_matches_reference_on_example_trajectories(example_plant, N, p_drop):
     syn = sppc.synthesize(example_plant, None, N, 0.5)
-    h = sppc.build_horizon(example_plant, syn.Q, syn.P, N)
+    h = syn.horizon
     checked = 0
     for seed in range(3):
         trace = sppc.run_trial(example_plant, h, syn, "omp", EXAMPLE_X0, 100,
@@ -323,7 +323,7 @@ def test_pickled_setup_leaves_prefix_cache_behind(example_plant):
     # a setup whose horizon has designed pickles to its cold size, as worker
     # jobs carry it; the copy rebuilds its own cache with the same packets
     syn = sppc.synthesize(example_plant, None, 20, 0.5)
-    setup = sppc.ExperimentSetup(plant=example_plant, synthesis=syn, solver="omp",
+    setup = sppc.ExperimentSetup(synthesis=syn, solver="omp",
                                  x0=EXAMPLE_X0, steps=100, p_drop=0.9)
     cold = pickle.dumps(setup)
     sppc.run_montecarlo(setup, 3, 0)
@@ -397,7 +397,7 @@ def test_l1_segment_cache_shared_across_threads(example_plant):
 
 def test_pickled_l1_setup_leaves_segment_cache_behind(example_plant):
     syn = sppc.synthesize(example_plant, None, 10, 0.5)
-    setup = sppc.ExperimentSetup(plant=example_plant, synthesis=syn, solver="l1",
+    setup = sppc.ExperimentSetup(synthesis=syn, solver="l1",
                                  x0=EXAMPLE_X0, steps=100, p_drop=0.5, lam=1.0)
     cold = pickle.dumps(setup)
     sppc.run_montecarlo(setup, 3, 0)

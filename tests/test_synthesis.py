@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import sys
 
 import numpy as np
@@ -283,8 +285,7 @@ def test_invariant_checks_pass(example_case, scalar_case):
         checks = sppc.check_invariants(plant, syn)
         names = {c.name for c in checks}
         assert {"riccati_residual", "p_minus_q_psd", "rho_in_range",
-                "eps_positive", "eps_inside_cone", "w_positive_definite",
-                "w_composition"} <= names
+                "eps_positive", "eps_inside_cone", "w_positive_definite"} <= names
         assert all(c.passed for c in checks)
 
 
@@ -339,6 +340,22 @@ def test_synthesis_result_matrices_read_only(scalar_case):
     _, syn, _ = scalar_case
     with pytest.raises(ValueError):
         syn.W[0, 0] = 2.0
+
+
+def test_synthesis_result_derives_w(example_case):
+    # W is no constructor argument: it is P - Q + Eps bit for bit, read-only,
+    # set anew by dataclasses.replace and carried through pickling
+    _, syn, _ = example_case
+    given = {f.name: getattr(syn, f.name) for f in dataclasses.fields(syn) if f.init}
+    assert "W" not in given
+    with pytest.raises(TypeError):
+        synthesis.SynthesisResult(**given, W=syn.W)
+    assert (syn.W == syn.P - syn.Q + syn.Eps).all()
+    assert not syn.W.flags.writeable
+    scaled = dataclasses.replace(syn, Eps=2.0 * syn.Eps)
+    assert (scaled.W == syn.P - syn.Q + 2.0 * syn.Eps).all()
+    copy = pickle.loads(pickle.dumps(syn))
+    assert copy.W.tobytes() == syn.W.tobytes()
 
 
 def test_riccati_iteration_limit(monkeypatch):
