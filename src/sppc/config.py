@@ -12,8 +12,6 @@ from __future__ import annotations
 import json
 from dataclasses import MISSING, dataclass, fields
 
-import numpy as np
-
 from .errors import ConfigError, DimensionMismatch
 from .netsim import SOLVER_NAMES, ExperimentSetup
 from .numerics import as_array, as_int, as_real
@@ -156,7 +154,5 @@ def build_setup(config: ExperimentConfig) -> ExperimentSetup:
     _require(config.x0 is not None, "simulation requires x0")
     if config.solver in ("l1", "both"):
         _require(config.lam is not None, "l1 solver requires lambda")
-    return ExperimentSetup(synthesis=result, solver=config.solver,
-                           x0=np.array(config.x0, dtype=float),
-                           steps=config.steps, p_drop=config.p_drop,
-                           lam=config.lam)
+    return ExperimentSetup(synthesis=result, solver=config.solver, x0=config.x0,
+                           steps=config.steps, p_drop=config.p_drop, lam=config.lam)

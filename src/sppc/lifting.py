@@ -10,22 +10,22 @@ into the single residual ||G u - H x||^2. Only G and H are stored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .numerics import as_array, as_int, as_symmetric, cholesky, symmetrize
+from .numerics import (as_array, as_instance, as_int, as_symmetric, cholesky, frozen, record,
+                       symmetrize)
 from .plant import PlantModel
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class HorizonData:
     """G and H for one (plant, Q, P, N); derived data cached on first use.
 
-    G and H are frozen C-ordered float64 arrays (copied only if needed), so
-    derived data, OMP's and l1's caches among them, never depend on layout.
+    G and H are held C-ordered (numerics.record), so derived data, OMP's and
+    l1's caches among them, never depend on layout.
     """
 
     N: int
@@ -33,26 +33,23 @@ class HorizonData:
     H: np.ndarray            # (n N, n), -Rbar @ Upsilon
 
     def __post_init__(self):
-        object.__setattr__(self, "G", _frozen(as_array(self.G, "G", (None, self.N))))
-        object.__setattr__(self, "H", _frozen(as_array(self.H, "H", (len(self.G), None))))
+        object.__setattr__(self, "N", as_int(self.N, "horizon N", 1))
+        object.__setattr__(self, "G", as_array(self.G, "G", (None, self.N)))
+        object.__setattr__(self, "H", as_array(self.H, "H", (len(self.G), None)))
 
     @property
     def n(self) -> int:
         return self.H.shape[1]
 
-    def __getstate__(self) -> dict:
-        """The three fields only: a copy rebuilds derived data, both caches too."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
     @cached_property
     def col_norms(self) -> np.ndarray:
         """Euclidean norm of each column of G."""
-        return _frozen(np.sqrt(np.einsum("ij,ij->j", self.G, self.G)))
+        return frozen(np.sqrt(np.einsum("ij,ij->j", self.G, self.G)))
 
     @cached_property
     def gram(self) -> np.ndarray:
         """G^T G."""
-        return _frozen(symmetrize(self.G.T @ self.G))
+        return frozen(symmetrize(self.G.T @ self.G))
 
     @cached_property
     def omp_prefixes(self) -> dict:
@@ -68,12 +65,6 @@ class HorizonData:
         return {}
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr)
-    arr.setflags(write=False)
-    return arr
-
-
 def build_horizon(plant: PlantModel, Q, P, N: int) -> HorizonData:
     """Assemble HorizonData for horizon N >= 1 with SPD weights Q and P,
     each checked by as_symmetric.
@@ -85,7 +76,7 @@ def build_horizon(plant: PlantModel, Q, P, N: int) -> HorizonData:
     and H's batched products; neither is stored.
     """
     N = as_int(N, "horizon N", 1)
-    n = plant.n
+    n = as_instance(plant, PlantModel, "plant").n
     Q, P = as_symmetric(Q, "Q", n), as_symmetric(P, "P", n)
     factors = np.array([cholesky(Q).T] * (N - 1) + [cholesky(P).T])   # (N, n, n)
     ab = np.zeros((2 * N - 1, n))   # N - 1 zero rows, then A^k B for k < N
@@ -98,6 +89,6 @@ def build_horizon(plant: PlantModel, Q, P, N: int) -> HorizonData:
     # lagged[i, j] = A^(i-j) B, zero for j > i: rows i..i+N-1 of ab, reversed
     lagged = np.ascontiguousarray(sliding_window_view(ab, (N, n))[:, 0, ::-1])
     phi = lagged.transpose(0, 2, 1)                         # block rows (N, n, N)
-    return HorizonData(N=N, G=(factors @ phi).reshape(n * N, N),
-                       H=-(factors @ powers).reshape(n * N, n))
+    return HorizonData(N=N, G=frozen((factors @ phi).reshape(n * N, N)),
+                       H=frozen(-(factors @ powers).reshape(n * N, n)))
 

@@ -24,14 +24,13 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .errors import BufferExhausted, ConfigError
 from .lifting import HorizonData
-from .numerics import as_int, as_real
+from .numerics import as_array, as_instance, as_int, as_real, record
 from .plant import PlantModel, step
 from .solvers import _design_inputs, _l1, _l1_weight, _omp
 from .synthesis import SynthesisResult
@@ -67,7 +66,7 @@ def buffer_apply(held: np.ndarray, age: int) -> float:
                           "the channel exceeded its consecutive-drop bound")
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class SimTrace:
     """Per-step record of one closed-loop trial; its caller holds the solver and seed.
 
@@ -98,11 +97,9 @@ def run_trial(plant: PlantModel, h: HorizonData, syn: SynthesisResult,
     solver is "omp" or "l1"; the l1 path needs lam, and both a finite
     x0^T W x0. The PRNG is PCG64(seed) and only the channel draws from it.
     """
-    if not all(map(isinstance, (plant, h, syn), (PlantModel, HorizonData, SynthesisResult))):
-        raise ConfigError("run_trial needs a PlantModel, a HorizonData and a SynthesisResult")
-    if h is not syn.horizon:
+    if as_instance(h, HorizonData, "h") is not as_instance(syn, SynthesisResult, "syn").horizon:
         raise ConfigError(f"h (N = {h.N}) is not syn.horizon, the lifting syn certified")
-    if plant is not syn.plant:
+    if as_instance(plant, PlantModel, "plant") is not syn.plant:
         raise ConfigError("plant is not syn.plant, the plant syn was synthesized for")
     if solver not in SOLVER_NAMES:
         raise ConfigError(f"solver must be one of {SOLVER_NAMES}, got {solver!r}")
@@ -151,14 +148,11 @@ def run_trial(plant: PlantModel, h: HorizonData, syn: SynthesisResult,
     states[steps] = x
     # one ddot per row, the arithmetic of np.linalg.norm on each state
     norm_x = np.sqrt((states[:, None, :] @ states[:, :, None]).ravel())
-
-    for arr in (states, norm_x, inputs, dropped, l0, design_time_us):
-        arr.setflags(write=False)
     return SimTrace(states=states, norm_x=norm_x, inputs=inputs, dropped=dropped,
                     l0=l0, design_time_us=design_time_us)
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class ExperimentSetup:
     """Everything run_montecarlo needs besides trial count and seeding; the
     plant and the lifting are read off the synthesis, their one holder."""
@@ -170,6 +164,9 @@ class ExperimentSetup:
     p_drop: float
     lam: float | None = None
 
+    def __post_init__(self):    # x0's length is run_trial's to check, against the plant
+        object.__setattr__(self, "x0", as_array(self.x0, "x0", (None,)))
+
     @property
     def plant(self) -> PlantModel:
         return self.synthesis.plant
@@ -180,7 +177,7 @@ class ExperimentSetup:
         return self.synthesis.horizon
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class SolverAggregate:
     """Per-step means across trials for one solver, plus the mean design time."""
 
@@ -196,7 +193,7 @@ def log_decay_slope(mean_norm_x: np.ndarray) -> float:
     skips those at or below 1e-300; with fewer than two left it measured no
     decay and is 0.0. A strictly negative slope indicates geometric decay.
     """
-    values = np.asarray(mean_norm_x, dtype=float)
+    values = as_array(mean_norm_x, "mean_norm_x", (None,))
     if values.size < 2:
         raise ConfigError(f"a decay slope needs at least two values, got {values.size}")
     start = min(values.size // 2, values.size - 2)
@@ -219,13 +216,11 @@ def run_montecarlo(setup: ExperimentSetup, trials: int, base_seed: int,
     trials = as_int(trials, "trials", 1)
     base_seed = as_int(base_seed, "base_seed", 0, 2 ** 64)
     workers = as_int(workers, "workers", 1)
-    if setup.steps < 1:
-        raise ConfigError("montecarlo averages designs over steps; "
-                          f"steps must be >= 1, got {setup.steps!r}")
+    steps = as_int(as_instance(setup, ExperimentSetup, "setup").steps, "steps", 1)
     solvers = SOLVER_NAMES if setup.solver == "both" else (setup.solver,)
     seeds = range(base_seed, base_seed + trials)
     runs = [partial(run_trial, setup.plant, setup.horizon, setup.synthesis, solver,
-                    setup.x0, setup.steps, p_drop=setup.p_drop, lam=setup.lam)
+                    setup.x0, steps, p_drop=setup.p_drop, lam=setup.lam)
             for solver in solvers]
     with (ProcessPoolExecutor(workers) if workers > 1 else nullcontext()) as pool:
         # pool.map queues a solver's trials at once: no worker idles between solvers
@@ -238,8 +233,6 @@ def run_montecarlo(setup: ExperimentSetup, trials: int, base_seed: int,
         mean_norm = np.vstack([trace.norm_x for trace in batch]).mean(axis=0)
         mean_l0 = np.vstack([trace.l0 for trace in batch]).mean(axis=0)
         times = np.vstack([trace.design_time_us for trace in batch])
-        for arr in (mean_norm, mean_l0):
-            arr.setflags(write=False)
         aggregates[solver] = SolverAggregate(mean_norm, mean_l0,
-                                             float(times[:, :setup.steps].mean()))
+                                             float(times[:, :steps].mean()))
     return aggregates

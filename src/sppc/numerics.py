@@ -1,21 +1,21 @@
-"""Dense double-precision linear algebra for small control matrices.
+"""Dense float64 linear algebra for small control matrices; the library's checks.
 
-Everything here operates on float64 ndarrays and treats inputs as
-immutable, so the routines are safe to call from concurrent contexts.
-Matrices are tiny (state dimension <= 20, horizon <= 64); robustness is
-preferred over speed here, so hot loops such as the OMP kernel keep their
-own incremental factorizations instead of calling in once per iteration
-(and share them across designs: HorizonData.omp_prefixes, l1_segments).
-as_int and as_real are the one check of a scalar argument, for the
-library and the config alike: both raise ConfigError. as_array is the one
-check of a matrix or vector argument: a finite float64 array of a given
-shape, built from ints or floats only (a bool in a list fails too),
-else DimensionMismatch. as_symmetric adds symmetry to it for Q and P
-where they enter; the matrices the library builds are trusted after.
+Matrices are tiny (state dimension <= 20, horizon <= 64): robustness is
+preferred over speed, and hot loops such as the OMP kernel keep their own
+incremental factorizations (shared across designs in HorizonData's caches).
+as_int and as_real check a scalar argument, for the library and the config
+alike, and as_instance a library object (all raise ConfigError); as_array
+a matrix or vector: a finite float64 array of a given shape, built from
+ints or floats only (a bool in a list fails too), else DimensionMismatch.
+as_symmetric adds symmetry for Q and P where they enter; the matrices the
+library builds are trusted after. record is the one rule of a record that
+holds arrays: frozen, compared by identity, never freezing a caller's
+array, and pickled through its own checks.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from numbers import Real
 
@@ -46,6 +46,13 @@ def as_real(value, name: str) -> float:
     except OverflowError:       # an int beyond the float range
         pass
     raise ConfigError(f"{name} must be a finite real, got {value!r}")
+
+
+def as_instance(value, cls: type, name: str):
+    """value if it is a cls, else ConfigError: the check of a library object."""
+    if not isinstance(value, cls):
+        raise ConfigError(f"{name} must be of type {cls.__name__}, got {type(value).__name__}")
+    return value
 
 
 def as_array(a, name: str, shape: tuple) -> np.ndarray:
@@ -81,6 +88,34 @@ def _real_array(a, name: str, shape: tuple | None) -> np.ndarray:
         shape = str(shape).replace("None", "any")
         raise DimensionMismatch(f"{name} must have shape {shape}, got {m.shape}")
     return m
+
+
+def frozen(arr) -> np.ndarray:
+    """arr read-only and C-ordered; a C-ordered array is frozen in place."""
+    arr = np.asarray(arr, order="C")
+    arr.setflags(False)     # write=False: numpy parses the keyword at 4x the cost
+    return arr
+
+
+def record(cls):
+    """cls as a frozen dataclass compared by identity. Once its __post_init__
+    has checked them, its np.ndarray fields are frozen, each copied first
+    unless read-only; pickle and copy rebuild it through its constructor."""
+    check = getattr(cls, "__post_init__", lambda self: None)
+
+    def __post_init__(self):
+        check(self)
+        for name in arrays:
+            a = getattr(self, name)
+            object.__setattr__(self, name, frozen(
+                a if isinstance(a, np.ndarray) and not a.flags.writeable else np.array(a)))
+
+    cls.__post_init__ = __post_init__
+    cls.__reduce__ = lambda self: (cls, tuple(getattr(self, name) for name in init))
+    cls = dataclasses.dataclass(frozen=True, eq=False)(cls)
+    arrays = [f.name for f in dataclasses.fields(cls) if f.type in (np.ndarray, "np.ndarray")]
+    init = [f.name for f in dataclasses.fields(cls) if f.init]
+    return cls
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:

@@ -2,21 +2,19 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DimensionMismatch, NonConjugatePoles
-from .numerics import _real_array, as_array
+from .errors import ConfigError, DimensionMismatch, NonConjugatePoles
+from .numerics import _real_array, as_array, as_instance, record
 
 # Largest imaginary part, relative to the largest coefficient, that the
 # characteristic polynomial of conjugate-closed poles may carry.
 _CONJUGATE_TOL = 1e-9
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class PlantModel:
-    """State-space pair (A, B), read-only copies; A is n x n, B an n x 1 column."""
+    """State-space pair (A, B); A is n x n, B an n x 1 column."""
 
     A: np.ndarray
     B: np.ndarray
@@ -27,9 +25,8 @@ class PlantModel:
             raise DimensionMismatch(f"A must be square, got shape {a.shape}")
         b = _real_array(self.B, "B", None)
         b = as_array(b.reshape(-1, 1) if b.ndim == 1 else b, "B", (len(a), 1))
-        for name, arr in (("A", a.copy()), ("B", b.copy())):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "A", a)
+        object.__setattr__(self, "B", b)
 
     @property
     def n(self) -> int:
@@ -42,12 +39,16 @@ def step(plant: PlantModel, x, u: float) -> np.ndarray:
     x passes as_array's dtype and shape rule; a non-finite x or u makes the
     result non-finite, so this one check covers them and an overflow.
     """
-    x = _real_array(x, "state", (plant.n,))
+    try:        # no isinstance on the per-step path: a wrong plant has no A
+        A, B = plant.A, plant.B
+    except AttributeError as exc:
+        raise ConfigError(f"plant must be of type PlantModel, got {plant!r}") from exc
+    x = _real_array(x, "state", (len(A),))
     try:
         u = u.__float__()       # str has none: a numeric string is no input
     except (AttributeError, TypeError, ValueError) as exc:
         raise DimensionMismatch(f"input must be a real number, got {u!r}") from exc
-    x = plant.A @ x + plant.B[:, 0] * u
+    x = A @ x + B[:, 0] * u
     if not np.isfinite(x).all():
         raise DimensionMismatch("state, input and next state must be finite")
     return x
@@ -79,7 +80,7 @@ def from_poles(poles) -> PlantModel:
 
 def reachability_matrix(plant: PlantModel) -> np.ndarray:
     """[B, AB, ..., A^(n-1) B], n x n for a scalar-input plant."""
-    cols = [plant.B[:, 0]]
+    cols = [as_instance(plant, PlantModel, "plant").B[:, 0]]
     for _ in range(plant.n - 1):
         cols.append(plant.A @ cols[-1])
     return np.column_stack(cols)

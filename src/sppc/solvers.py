@@ -12,14 +12,13 @@ al., Least Angle Regression, 2004).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dposv
 
 from .errors import ConfigError, DegenerateInput, Infeasible, NoConvergence, RankDeficient
 from .lifting import HorizonData
-from .numerics import RANK_REL_TOL, as_array, as_real
+from .numerics import RANK_REL_TOL, as_array, as_instance, as_real, record
 
 FEASIBILITY_REL_SLACK = 1e-7
 # below this absolute scale the threshold sits in the denormal range where
@@ -30,7 +29,7 @@ L1_MAX_ITERATIONS = 5000
 OMP_PREFIX_BUDGET_BYTES = 1 << 19
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class ControlPacket:
     """A designed input sequence; its sparsity is read off the coefficients.
 
@@ -40,16 +39,13 @@ class ControlPacket:
     residual_sq is ||G coeffs - H x||^2 at the solution and threshold the
     bound it was designed against (state dependent for OMP and the oracle,
     caller supplied for the l1 solver, which does not promise
-    residual_sq <= threshold). coeffs is frozen on construction.
+    residual_sq <= threshold).
     """
 
     coeffs: np.ndarray
     residual_sq: float
     threshold: float
     iterations: int
-
-    def __post_init__(self):
-        self.coeffs.setflags(write=False)
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -61,7 +57,8 @@ class ControlPacket:
 
 
 def _design_inputs(h: HorizonData, W, x):
-    return as_array(W, "W", (h.n, h.n)), as_array(x, "x", (h.n,))
+    n = as_instance(h, HorizonData, "h").n
+    return as_array(W, "W", (n, n)), as_array(x, "x", (n,))
 
 
 def _greedy_picks(h: HorizonData, y: np.ndarray, eps: float):
@@ -182,7 +179,7 @@ def l1_design(h: HorizonData, x, lam: float, fixed_bound: float) -> ControlPacke
     fixed_bound = as_real(fixed_bound, "fixed_bound")
     if fixed_bound < 0.0:
         raise ConfigError(f"fixed_bound must be non-negative, got {fixed_bound!r}")
-    y = h.H @ as_array(x, "x", (h.n,))
+    y = as_instance(h, HorizonData, "h").H @ as_array(x, "x", (h.n,))
     coeffs, segments = _l1(h, y, lam)
     r = h.G @ coeffs - y
     return ControlPacket(coeffs, float(r @ r), fixed_bound, segments)

@@ -20,18 +20,18 @@ import numpy as np
 
 from .errors import (ConfigError, DegenerateInput, NoConvergence, NotPositiveDefinite,
                      NotReachable)
-from .lifting import HorizonData, _frozen, build_horizon
-from .numerics import as_real, as_symmetric, congruent_spectrum, symmetrize
+from .lifting import HorizonData, build_horizon
+from .numerics import as_instance, as_real, as_symmetric, congruent_spectrum, record, symmetrize
 from .plant import PlantModel, is_reachable
 
 RICCATI_REL_TOL = 1e-12
 RICCATI_MAX_ITERATIONS = 100_000
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class SynthesisResult:
-    """Parameters produced by the synthesis procedure, all immutable; the one
-    holder of its plant, its lifting and W, which is P - Q + Eps by construction."""
+    """Parameters produced by the synthesis procedure; the one holder of its
+    plant, its lifting and W, which is P - Q + Eps by construction."""
 
     Q: np.ndarray
     P: np.ndarray
@@ -44,7 +44,7 @@ class SynthesisResult:
     plant: PlantModel        # the plant this synthesis was computed for
 
     def __post_init__(self):
-        object.__setattr__(self, "W", _frozen(self.P - self.Q + self.Eps))
+        object.__setattr__(self, "W", self.P - self.Q + self.Eps)
 
 
 def _riccati_image(A, B, Q, P) -> np.ndarray:
@@ -74,7 +74,7 @@ def solve_riccati(plant: PlantModel, Q):
 
     Returns (P, iterations).
     """
-    Q = as_symmetric(Q, "Q", plant.n)
+    Q = as_symmetric(Q, "Q", as_instance(plant, PlantModel, "plant").n)
     if not is_reachable(plant):
         raise NotReachable("plant not reachable")
     A, B = plant.A, plant.B
@@ -118,7 +118,7 @@ def compute_c(h: HorizonData, rho: float) -> float:
     rho = as_real(rho, "rho")
     if not 0.0 <= rho < 1.0:
         raise DegenerateInput(f"rho = {rho!r} outside [0, 1)")
-    lam_min, lam_max = np.linalg.eigvalsh(h.gram)[[0, -1]]
+    lam_min, lam_max = np.linalg.eigvalsh(as_instance(h, HorizonData, "h").gram)[[0, -1]]
     if lam_min <= 0.0:
         raise NotPositiveDefinite(f"lambda_min(G^T G) = {lam_min:.3e} <= 0 against "
                                   f"lambda_max = {lam_max:.3e} at horizon N = {h.N}")
@@ -135,8 +135,7 @@ def synthesize(plant: PlantModel, Q, N: int, alpha: float = 0.5) -> SynthesisRes
     symmetrized again. alpha in (0, 1) places
     Eps = alpha (1 - rho) P / c strictly inside the admissible cone.
     """
-    if not isinstance(plant, PlantModel):
-        raise ConfigError(f"synthesize needs a PlantModel, got {plant!r}")
+    as_instance(plant, PlantModel, "plant")
     alpha = as_real(alpha, "alpha")
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha!r}")
@@ -146,8 +145,6 @@ def synthesize(plant: PlantModel, Q, N: int, alpha: float = 0.5) -> SynthesisRes
     horizon = build_horizon(plant, Q, P, N)
     c = compute_c(horizon, rho)
     eps = alpha * (1.0 - rho) / c * P
-    for arr in (Q, P, eps):
-        arr.setflags(write=False)
     return SynthesisResult(Q=Q, P=P, rho=rho, c=c, Eps=eps,
                            riccati_iterations=iterations, horizon=horizon, plant=plant)
 
@@ -164,9 +161,8 @@ class InvariantCheck:
 
 def check_invariants(plant: PlantModel, result: SynthesisResult) -> list[InvariantCheck]:
     """Evaluate result's invariants; plant must be result.plant, by identity."""
-    if not (isinstance(plant, PlantModel) and isinstance(result, SynthesisResult)):
-        raise ConfigError("check_invariants needs a PlantModel and a SynthesisResult")
-    if plant is not result.plant:
+    as_instance(plant, PlantModel, "plant")
+    if plant is not as_instance(result, SynthesisResult, "result").plant:
         raise ConfigError("plant is not result.plant, the plant result was synthesized for")
     P, Q, eps = result.P, result.Q, result.Eps
     checks = []

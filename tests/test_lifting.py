@@ -116,6 +116,18 @@ def test_horizon_bits_match_reference(n, N):
             assert (got.tobytes(), got.strides) == (want.tobytes(), want.strides)
 
 
+def test_horizon_leaves_callers_arrays_writable(example_case):
+    _, syn, h = example_case
+    G, H = np.array(h.G), np.array(h.H)
+    f = sppc.HorizonData(N=h.N, G=G, H=H)
+    assert G.flags.writeable and H.flags.writeable
+    assert not (f.G.flags.writeable or f.H.flags.writeable)
+    G[0, 0] = H[0, 0] = 7.0
+    assert (f.G.tobytes(), f.H.tobytes()) == (h.G.tobytes(), h.H.tobytes())
+    # a read-only array is shared, not copied: build_horizon's G and H too
+    assert sppc.HorizonData(N=h.N, G=h.G, H=h.H).G is h.G
+
+
 def test_derived_data_do_not_depend_on_layout():
     # a Fortran-ordered G is held C-ordered, so OMP's column norms, the Gram
     # and both designs round as on the lifting itself (at a layout-keeping

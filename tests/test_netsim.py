@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import warnings
 
 import numpy as np
@@ -425,6 +427,54 @@ def test_trace_arrays_read_only(example_case):
         tr.norm_x[0] = 1.0
 
 
+def _array_fields(record):
+    return {f.name: getattr(record, f.name) for f in dataclasses.fields(record)
+            if isinstance(getattr(record, f.name), np.ndarray)}
+
+
+def test_every_record_array_is_read_only_and_survives_pickling(example_case):
+    # each of the seven records that hold arrays, as built and as a pool
+    # worker receives or returns it: read-only arrays, the same bits
+    plant, syn, h = example_case
+    setup = sppc.ExperimentSetup(syn, "both", EXAMPLE_X0, 5, 0.5, lam=1.0)
+    records = [plant, h, syn, sppc.omp_design(h, syn.W, EXAMPLE_X0), setup,
+               sppc.run_trial(plant, h, syn, "omp", EXAMPLE_X0, 5, 0, p_drop=0.5),
+               *sppc.run_montecarlo(setup, 2, 0).values()]
+    assert len({type(r) for r in records}) == 7
+    for record in records:
+        arrays = _array_fields(record)
+        assert arrays
+        copy = pickle.loads(pickle.dumps(record))
+        for name, arr in _array_fields(copy).items():
+            assert not (arr.flags.writeable or arrays[name].flags.writeable), name
+            assert arr.tobytes() == arrays[name].tobytes()
+
+
+def test_unpickled_setup_keeps_one_plant_and_lifting(example_case):
+    # run_montecarlo pickles the plant, the lifting and the synthesis to its
+    # workers together: the copies keep run_trial's identity rule
+    plant, syn, h = example_case
+    setup = _setup(syn)
+    p, g, s = pickle.loads(pickle.dumps((setup.plant, setup.horizon, setup.synthesis)))
+    assert s.plant is p and s.horizon is g
+    copy = pickle.loads(pickle.dumps(setup))
+    assert copy.synthesis.plant is copy.plant and copy.horizon is copy.synthesis.horizon
+    assert not (copy.x0.flags.writeable or copy.synthesis.W.flags.writeable
+                or copy.plant.A.flags.writeable or copy.horizon.G.flags.writeable)
+    trace = sppc.run_trial(p, g, s, "omp", EXAMPLE_X0, 5, 0, p_drop=0.5)
+    assert trace.norm_x.tobytes() == sppc.run_trial(plant, h, syn, "omp", EXAMPLE_X0, 5, 0,
+                                                    p_drop=0.5).norm_x.tobytes()
+
+
+def test_setup_x0_is_read_only_and_leaves_callers_array_writable(example_case):
+    # every trial of a run shares x0
+    x0 = np.array(EXAMPLE_X0)
+    setup = sppc.ExperimentSetup(example_case[1], "omp", x0, 5, 0.5)
+    assert x0.flags.writeable and not setup.x0.flags.writeable
+    x0[0] = 9.0
+    assert setup.x0.tobytes() == EXAMPLE_X0.tobytes()
+
+
 def _setup(syn):
     return sppc.ExperimentSetup(syn, "omp", EXAMPLE_X0, 5, 0.5)
 
@@ -503,6 +553,22 @@ def _skewed(m):
                                     p_drop=0.5), errors.ConfigError),
     (lambda p, s, x: sppc.run_trial(p, sppc.HorizonData(s.horizon.N, s.horizon.G, s.horizon.H),
                                     s, "omp", x, 5, 0, p_drop=0.5), errors.ConfigError),
+    (lambda p, s, x: sppc.omp_design(None, s.W, x), errors.ConfigError),
+    (lambda p, s, x: sppc.l1_design(None, x, 1.0, 1.0), errors.ConfigError),
+    (lambda p, s, x: sppc.compute_c(None, 0.5), errors.ConfigError),
+    (lambda p, s, x: sppc.build_horizon(None, s.Q, s.P, 10), errors.ConfigError),
+    (lambda p, s, x: sppc.solve_riccati(None, s.Q), errors.ConfigError),
+    (lambda p, s, x: sppc.is_reachable(None), errors.ConfigError),
+    (lambda p, s, x: sppc.reachability_matrix(None), errors.ConfigError),
+    (lambda p, s, x: sppc.step(None, x, 1.0), errors.ConfigError),
+    (lambda p, s, x: sppc.run_montecarlo(None, 2, 0), errors.ConfigError),
+    (lambda p, s, x: sppc.run_montecarlo(sppc.ExperimentSetup(s, "omp", x, "5", 0.5), 2, 0),
+     errors.ConfigError),
+    (lambda p, s, x: sppc.log_decay_slope("ab"), errors.DimensionMismatch),
+    (lambda p, s, x: sppc.HorizonData(N=True, G=s.horizon.G[:, :1], H=s.horizon.H),
+     errors.ConfigError),
+    (lambda p, s, x: sppc.ExperimentSetup(s, "omp", [[0.5], [0.5, 0.5]], 5, 0.5),
+     errors.DimensionMismatch),
 ], ids=["lam-None", "lam-str", "bound-None", "bound-str", "trial-lam-str",
         "trials-float", "trials-bool", "workers-float", "alpha-None", "q-size",
         "q-rect", "riccati-q-size", "horizon-N-bool", "synthesize-N-bool",
@@ -515,7 +581,10 @@ def _skewed(m):
         "synthesize-plant-None", "invariants-result-None", "trial-syn-None",
         "omp-x-bool-entry", "step-x-bool-entry", "trial-h-other-N", "trial-plant-other",
         "invariants-plant-2-state", "invariants-plant-other", "trial-plant-copy",
-        "trial-h-copy"])
+        "trial-h-copy", "omp-h-None", "l1-h-None", "c-h-None", "horizon-plant-None",
+        "riccati-plant-None", "reachable-plant-None", "reachability-plant-None",
+        "step-plant-None", "montecarlo-setup-None", "montecarlo-steps-str", "slope-str",
+        "horizon-data-N-bool", "setup-x0-ragged"])
 def test_bad_library_arguments_are_typed(example_case, call, error):
     plant, syn, _ = example_case
     with pytest.raises(error):

@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -206,3 +210,43 @@ def test_congruent_spectrum_congruence_invariance():
         b = numerics.congruent_spectrum(numerics.symmetrize(t.T @ m @ t),
                                         numerics.symmetrize(t.T @ s @ t))
         np.testing.assert_allclose(a, b, rtol=1e-8, atol=1e-8)
+
+
+@numerics.record
+class _Pair:
+    """A record with one array field, counting the checks it passes."""
+
+    a: np.ndarray
+    n: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "n", numerics.as_int(self.n, "n", 0))
+        _checked.append(self.n)
+
+
+_checked: list = []
+
+
+def test_record_freezes_a_copy_of_a_writable_array():
+    mine = np.asfortranarray(np.arange(6.0).reshape(2, 3))
+    r = _Pair(mine, 1)
+    assert mine.flags.writeable and r.a is not mine
+    assert r.a.flags.c_contiguous and not r.a.flags.writeable
+    assert (r.a == mine).all()
+    assert _Pair(r.a, 1).a is r.a           # a read-only array is taken as it is
+    assert _Pair([[1.0, 2.0]], 1).a.shape == (1, 2)
+    assert _Pair(r.a, 1) != _Pair(r.a, 1)   # compared by identity
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        r.n = 2
+    with pytest.raises(errors.ConfigError):
+        _Pair(r.a, True)
+
+
+def test_record_copies_through_its_constructor():
+    r = _Pair(np.ones(3), 4)
+    for clone in (lambda: pickle.loads(pickle.dumps(r)), lambda: copy.copy(r),
+                  lambda: copy.deepcopy(r)):
+        del _checked[:]
+        c = clone()
+        assert _checked == [4]              # the copy passed the check again
+        assert not c.a.flags.writeable and c.a.tobytes() == r.a.tobytes()

@@ -732,3 +732,11 @@ def test_packets_are_read_only(scalar_case):
     p = sppc.omp_design(h, syn.W, np.array([1.0]))
     with pytest.raises(ValueError):
         p.coeffs[0] = 5.0
+
+
+def test_packet_leaves_callers_coeffs_writable():
+    coeffs = np.array([0.0, 1.5])
+    p = sppc.ControlPacket(coeffs, 0.0, 1.0, 1)
+    coeffs[0] = 2.0
+    assert coeffs.flags.writeable and not p.coeffs.flags.writeable
+    assert (p.support, p.l0) == ((1,), 1)

@@ -358,6 +358,21 @@ def test_synthesis_result_derives_w(example_case):
     assert copy.W.tobytes() == syn.W.tobytes()
 
 
+def test_hand_built_synthesis_is_read_only(example_case):
+    # Q, P and Eps are frozen copies, so W = P - Q + Eps cannot go stale and
+    # the caller's arrays stay writable
+    _, syn, _ = example_case
+    given = {f.name: getattr(syn, f.name) for f in dataclasses.fields(syn) if f.init}
+    mine = {name: np.array(given[name]) for name in ("Q", "P", "Eps")}
+    built = synthesis.SynthesisResult(**{**given, **mine})
+    for name, arr in mine.items():
+        assert arr.flags.writeable and not getattr(built, name).flags.writeable
+        with pytest.raises(ValueError):
+            getattr(built, name)[0, 0] = 5.0
+    mine["Q"][0, 0] = 5.0
+    assert built.W.tobytes() == syn.W.tobytes()
+
+
 def test_riccati_iteration_limit(monkeypatch):
     plant = sppc.PlantModel(A=[[2.0, 0.1], [0.0, 1.5]], B=[[0.3], [1.0]])
     monkeypatch.setattr(synthesis, "RICCATI_MAX_ITERATIONS", 2)
