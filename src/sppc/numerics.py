@@ -91,24 +91,28 @@ def _real_array(a, name: str, shape: tuple | None) -> np.ndarray:
 
 
 def frozen(arr) -> np.ndarray:
-    """arr read-only and C-ordered; a C-ordered array is frozen in place."""
-    arr = np.asarray(arr, order="C")
-    arr.setflags(False)     # write=False: numpy parses the keyword at 4x the cost
+    """arr read-only and C-ordered; a C-ordered array is frozen in place, with all it views."""
+    arr = view = np.asarray(arr, order="C")
+    while isinstance(view, np.ndarray):
+        view.setflags(False)    # write=False: numpy parses the keyword at 4x the cost
+        view = view.base
     return arr
 
 
 def record(cls):
     """cls as a frozen dataclass compared by identity. Once its __post_init__
-    has checked them, its np.ndarray fields are frozen, each copied first
-    unless read-only; pickle and copy rebuild it through its constructor."""
+    has checked them, its np.ndarray fields are frozen, each copied unless it is
+    read-only down to the array owning its memory; pickle and copy rebuild it
+    through its constructor."""
     check = getattr(cls, "__post_init__", lambda self: None)
 
     def __post_init__(self):
         check(self)
         for name in arrays:
-            a = getattr(self, name)
-            object.__setattr__(self, name, frozen(
-                a if isinstance(a, np.ndarray) and not a.flags.writeable else np.array(a)))
+            a = base = getattr(self, name)
+            while isinstance(base, np.ndarray) and not base.flags.writeable:
+                base = base.base
+            object.__setattr__(self, name, frozen(a if base is None else np.array(a)))
 
     cls.__post_init__ = __post_init__
     cls.__reduce__ = lambda self: (cls, tuple(getattr(self, name) for name in init))

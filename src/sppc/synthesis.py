@@ -65,22 +65,48 @@ def riccati_residual(plant: PlantModel, Q: np.ndarray, P: np.ndarray) -> float:
     return float(np.abs(image - P).max())
 
 
+@np.errstate(all="ignore")     # overflow ends in a non-finite beta or step
+def _doubling(A, b, Q):
+    """Doubling from H = Q, G = t b b^T at t -> inf; H after k steps is value
+    iterate 2^k - 1. Ghat = G - t b b^T, M = I + Ghat H, Z = lim (I + G H)^-1."""
+    H, Ghat = Q, np.zeros_like(Q)
+    for steps in range(1, math.ceil(math.log2(RICCATI_MAX_ITERATIONS + 1)) + 1):
+        try:
+            m_inv = np.linalg.inv(np.eye(len(b)) + Ghat.dot(H))
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergence(f"Riccati doubling failed: {exc}") from exc
+        mb, bhm = m_inv.dot(b), H.dot(b).dot(m_inv)
+        beta = float(bhm.dot(b))
+        Z = m_inv - np.outer(mb, bhm / beta)
+        ZA = Z.dot(A)
+        Ghat = symmetrize(Ghat + A.dot(np.outer(mb, b / beta) + Z.dot(Ghat)).dot(A.T))
+        step, A = symmetrize(A.T.dot(H).dot(ZA)), A.dot(ZA)
+        H, delta = H + step, float(np.abs(step).max())
+        if not (0.0 < beta < math.inf and math.isfinite(delta)):
+            raise NoConvergence(f"Riccati doubling failed: beta = {beta:.1e}, step {delta:.1e}")
+        if delta <= RICCATI_REL_TOL * (1.0 + float(np.abs(H).max())):
+            break
+    return H, steps
+
+
 def solve_riccati(plant: PlantModel, Q):
     """Fixed-point iteration for P = A^T P A - A^T P B (B^T P B)^-1 B^T P A + Q.
 
     Starts at P = Q, symmetrizes every iterate, and stops when the relative
     max-norm change drops below RICCATI_REL_TOL. Converges for reachable
     (A, B) with Q > 0; this is the value-iteration form of the equation.
+    Not converged after n + 1 steps (a deadbeat loop is), it polishes _doubling's limit.
 
-    Returns (P, iterations).
+    Returns (P, iterations), _doubling's steps among the iterations.
     """
     Q = as_symmetric(Q, "Q", as_instance(plant, PlantModel, "plant").n)
     if not is_reachable(plant):
         raise NotReachable("plant not reachable")
     A, B = plant.A, plant.B
-    P = Q
-    iterations = 0
+    P, doublings = Q, 0
     for iterations in range(1, RICCATI_MAX_ITERATIONS + 1):
+        if iterations == plant.n + 2:
+            P, doublings = _doubling(A, B[:, 0], Q)
         image = _riccati_image(A, B, Q, P)
         p_next = symmetrize(image)
         # image holds |p_next - P|, then |p_next|; inf or nan in p_next reach delta
@@ -95,7 +121,7 @@ def solve_riccati(plant: PlantModel, Q):
             f"Riccati iteration missed tolerance {RICCATI_REL_TOL:.1e} "
             f"after {RICCATI_MAX_ITERATIONS} iterations"
         )
-    return P, iterations
+    return P, iterations + doublings
 
 
 def compute_rho(Q, P) -> float:

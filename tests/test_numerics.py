@@ -5,7 +5,9 @@ import pickle
 import numpy as np
 import pytest
 
+import sppc
 from sppc import errors, numerics
+from sppc.solvers import ControlPacket
 
 from conftest import random_spd
 
@@ -240,6 +242,21 @@ def test_record_freezes_a_copy_of_a_writable_array():
         r.n = 2
     with pytest.raises(errors.ConfigError):
         _Pair(r.a, True)
+
+
+def test_record_copies_a_read_only_view_of_a_writable_array():
+    a = np.ones(3)
+    v = a.view()
+    v.setflags(write=False)
+    p = ControlPacket(v, 0.0, 1.0, 1)
+    a[0] = 5.0
+    assert p.coeffs[0] == 1.0 and a.flags.writeable
+    # frozen freezes what a view sees, so the record takes it without a copy
+    view = numerics.frozen(np.arange(6.0).reshape(2, 3))
+    assert not view.base.flags.writeable and _Pair(view, 1).a is view
+    plant = sppc.PlantModel(A=[[2.0, 0.1], [0.0, 1.5]], B=[[0.3], [1.0]])
+    h = sppc.build_horizon(plant, np.eye(2), np.eye(2), 3)
+    assert h.G.base is not None and not h.G.base.flags.writeable   # G: a view, not a copy
 
 
 def test_record_copies_through_its_constructor():

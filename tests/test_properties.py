@@ -6,13 +6,29 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import sppc
+from sppc import synthesis
 from sppc.errors import ConfigError
 from sppc.solvers import FEASIBILITY_ABS_FLOOR, FEASIBILITY_REL_SLACK
 
-from conftest import random_reachable_plant
+from conftest import random_reachable_plant, random_spd
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=25,
                              database=None)
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 20), st.integers(0, 2 ** 32 - 1))
+def test_riccati_passes_its_residual_check_or_raises_typed(n, seed):
+    # value iteration, the doubling's jump and the polish together: a returned
+    # P is a fixed point to the invariant check's limit
+    rng = np.random.default_rng(seed)
+    plant = random_reachable_plant(rng, n)
+    Q = random_spd(rng, n)
+    try:
+        P, _ = sppc.solve_riccati(plant, Q)
+    except sppc.SppcError:
+        return
+    assert synthesis.riccati_residual(plant, Q, P) <= 1e-9 * (1.0 + float(np.abs(P).max()))
 
 
 @st.composite

@@ -77,21 +77,64 @@ def reference_residual(plant, Q, P):
     return float(np.abs(image - P).max())
 
 
-def test_riccati_bits_match_reference():
-    # the lean loop does the reference's floating-point operations in its
-    # order: every P, iteration count and residual is equal to the last bit
+@pytest.fixture(scope="module")
+def riccati_references():
+    """(plant, Q, P_ref, iterations_ref) on 404 pairs: a deadbeat chain, a
+    fixed unstable plant and 200 random plants with n in 1..20, each with
+    Q = I and a random SPD Q."""
     rng = np.random.default_rng(31)
     chain = np.diag(np.ones(2), k=1)            # deadbeat chain: zero columns in A
     plants = [sppc.PlantModel(A=chain, B=[[0.0], [0.0], [1.0]]),
               sppc.PlantModel(A=[[2.0, 0.1], [0.0, 1.5]], B=[[0.3], [1.0]])]
     plants += [random_reachable_plant(rng, int(n)) for n in rng.integers(1, 21, 200)]
-    for plant in plants:
-        for Q in (np.eye(plant.n), random_spd(rng, plant.n)):
-            P, iterations = sppc.solve_riccati(plant, Q)
-            P_ref, iterations_ref = reference_riccati(plant, Q)
-            assert (P.tobytes(), iterations) == (P_ref.tobytes(), iterations_ref)
-            assert (synthesis.riccati_residual(plant, Q, P)
-                    == reference_residual(plant, Q, P))
+    pairs = [(plant, Q) for plant in plants for Q in (np.eye(plant.n), random_spd(rng, plant.n))]
+    return [(plant, Q, *reference_riccati(plant, Q)) for plant, Q in pairs]
+
+
+def test_riccati_bits_match_reference(riccati_references, example_plant):
+    # within n + 1 steps the lean loop does the reference's floating-point
+    # operations in its order: every P, iteration count and residual is equal
+    # to the last bit
+    example = (example_plant, np.eye(4), *reference_riccati(example_plant, np.eye(4)))
+    cases = [case for case in [example] + riccati_references if case[3] <= case[0].n + 1]
+    assert len(cases) == 20 and cases[0] is example and example[3] == 4
+    assert cases[1] is riccati_references[0]        # the deadbeat chain, Q = I
+    for plant, Q, P_ref, iterations_ref in cases:
+        P, iterations = sppc.solve_riccati(plant, Q)
+        assert (P.tobytes(), iterations) == (P_ref.tobytes(), iterations_ref)
+        assert (synthesis.riccati_residual(plant, Q, P)
+                == reference_residual(plant, Q, P))
+
+
+def test_riccati_doubling_matches_reference(riccati_references):
+    # past n + 1 steps the loop polishes the doubling's limit: P agrees with
+    # the value iteration's to 1e-9 relative and passes the invariant check's
+    # residual bound
+    cases = [case for case in riccati_references if case[3] > case[0].n + 1]
+    assert len(cases) == 404 - 19
+    for plant, Q, P_ref, _ in cases:
+        P, _ = sppc.solve_riccati(plant, Q)
+        assert float(np.abs(P - P_ref).max()) <= 1e-9 * float(np.abs(P_ref).max())
+        assert synthesis.riccati_residual(plant, Q, P) <= 1e-9 * (1.0 + np.abs(P).max())
+
+
+def test_riccati_doubling_linalg_error_is_typed(monkeypatch):
+    def singular(m):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    plant = sppc.PlantModel(A=[[2.0, 0.1], [0.0, 1.5]], B=[[0.3], [1.0]])
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    with pytest.raises(errors.NoConvergence, match="doubling failed: Singular matrix"):
+        synthesis.solve_riccati(plant, np.eye(2))
+
+
+def test_riccati_doubling_breakdown_is_typed():
+    # a non-positive pivot, and an overflow that pytest's error filter would
+    # turn into a RuntimeWarning failure, both end in NoConvergence
+    A, b = np.array([[2.0, 0.1], [0.0, 1.5]]), np.array([0.3, 1.0])
+    for Q in (-np.eye(2), 1e306 * np.eye(2)):
+        with pytest.raises(errors.NoConvergence, match="doubling failed: beta = "):
+            synthesis._doubling(A, b, Q)
 
 
 def test_riccati_homogeneous_in_q():
