@@ -5,7 +5,8 @@ Phi @ u + Upsilon @ x, with Phi block lower-triangular (block (i, j) is
 A^(i-j) B) and Upsilon stacking A, A^2, ..., A^N. With Rbar the block
 diagonal of the weight factors (N-1 copies of R_Q, then R_P, R^T R the
 weight), G = Rbar Phi, H = -Rbar Upsilon turn the summed quadratic cost
-into the single residual ||G u - H x||^2. Only G and H are stored.
+into the single residual ||G u - H x||^2. Only G and H are formed; G is
+block Toeplitz but for its last block row.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .numerics import (as_array, as_instance, as_int, as_symmetric, cholesky, frozen, record,
                        symmetrize)
@@ -70,25 +71,34 @@ def build_horizon(plant: PlantModel, Q, P, N: int) -> HorizonData:
     each checked by as_symmetric.
 
     The weight square root is taken blockwise: each diagonal block
-    contributes the transpose of its Cholesky factor, so only two factors
-    are ever computed. Any factor R with R.T @ R equal to the block gives
-    the same residual norms. Phi and Upsilon are only the operands of G's
-    and H's batched products; neither is stored.
+    contributes the transpose of its Cholesky factor (any R with R.T @ R
+    equal to the block gives the same residual norms). One product
+    R_Q [A^(N-1) B, ..., B, 0, ..., 0] holds every block (i, j) of G above
+    its last block row, as column N-1-i+j.
     """
-    N = as_int(N, "horizon N", 1)
     n = as_instance(plant, PlantModel, "plant").n
     Q, P = as_symmetric(Q, "Q", n), as_symmetric(P, "P", n)
-    factors = np.array([cholesky(Q).T] * (N - 1) + [cholesky(P).T])   # (N, n, n)
-    ab = np.zeros((2 * N - 1, n))   # N - 1 zero rows, then A^k B for k < N
+    return _lift(plant, cholesky(Q), cholesky(P), N)
+
+
+def _lift(plant: PlantModel, lower_q, lower_p, N: int) -> HorizonData:
+    """build_horizon from the Cholesky factors of Q and P. Each product has a
+    C-ordered R^T and the operand layout of one block of the batched Rbar @ Phi
+    in tests/oracles.py, so G and H keep its bits; other layouts do not."""
+    N, n = as_int(N, "horizon N", 1), plant.n
+    rq, rp = np.ascontiguousarray(lower_q.T), np.ascontiguousarray(lower_p.T)
+    ab = np.zeros((2 * N - 1, n))   # A^k B for k = N-1, ..., 0, then N - 1 zero rows
     powers = np.empty((N, n, n))    # A^(k+1)
     ab[N - 1] = plant.B[:, 0]
     powers[0] = plant.A
     for k in range(1, N):
-        plant.A.dot(ab[N - 2 + k], out=ab[N - 1 + k])
+        plant.A.dot(ab[N - k], out=ab[N - 1 - k])
         plant.A.dot(powers[k - 1], out=powers[k])
-    # lagged[i, j] = A^(i-j) B, zero for j > i: rows i..i+N-1 of ab, reversed
-    lagged = np.ascontiguousarray(sliding_window_view(ab, (N, n))[:, 0, ::-1])
-    phi = lagged.transpose(0, 2, 1)                         # block rows (N, n, N)
-    return HorizonData(N=N, G=frozen((factors @ phi).reshape(n * N, N)),
-                       H=frozen(-(factors @ powers).reshape(n * N, n)))
-
+    G, H = np.empty((N, n, N)), np.empty((N, n, n))
+    toeplitz = rq.dot(ab.T)     # block row i < N - 1 of G: columns N-1-i, ..., 2N-2-i
+    G[:-1] = as_strided(toeplitz[:, N - 1:], (N - 1, n, N), (-8, 8 * (2 * N - 1), 8))
+    rp.dot(ab[:N].T, out=G[-1])
+    np.matmul(rq, powers[:-1], out=H[:-1])
+    rp.dot(powers[-1], out=H[-1])
+    return HorizonData(N=N, G=frozen(G.reshape(n * N, N)),
+                       H=frozen(np.negative(H, out=H).reshape(n * N, n)))

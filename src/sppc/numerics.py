@@ -176,16 +176,15 @@ def solve_least_squares(m, y) -> np.ndarray:
     return vt.T @ ((u.T @ y) / sv)
 
 
-def congruent_spectrum(numerator: np.ndarray, spd: np.ndarray) -> np.ndarray:
-    """Eigenvalues (ascending) of numerator @ inv(spd).
+def congruent_spectrum(numerator: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """Eigenvalues (ascending) of numerator @ inv(spd), given lower = cholesky(spd).
 
-    Both are checked arrays of one shape (see cholesky): numerator
-    symmetric, spd symmetric positive definite. Computed through the
-    symmetric congruence L^-1 numerator L^-T with spd = L L^T; inv(spd) is
-    never formed. The product is similar to this symmetric matrix, so the
-    spectrum is real.
+    numerator is a checked symmetric array of spd's shape (see cholesky).
+    Computed through the symmetric congruence L^-1 numerator L^-T, which is
+    similar to the product, so the spectrum is real; inv(spd) is never
+    formed. Both operands derive from as_symmetric's checks, so the
+    triangular solves skip scipy's finiteness scan.
     """
-    lower = cholesky(spd)
-    t = scipy.linalg.solve_triangular(lower, numerator, lower=True)
-    m = scipy.linalg.solve_triangular(lower, t.T, lower=True)
+    t = scipy.linalg.solve_triangular(lower, numerator, lower=True, check_finite=False)
+    m = scipy.linalg.solve_triangular(lower, t.T, lower=True, check_finite=False)
     return np.linalg.eigvalsh(symmetrize(m))

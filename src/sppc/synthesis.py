@@ -20,8 +20,9 @@ import numpy as np
 
 from .errors import (ConfigError, DegenerateInput, NoConvergence, NotPositiveDefinite,
                      NotReachable)
-from .lifting import HorizonData, build_horizon
-from .numerics import as_instance, as_real, as_symmetric, congruent_spectrum, record, symmetrize
+from .lifting import HorizonData, _lift
+from .numerics import (as_instance, as_real, as_symmetric, cholesky, congruent_spectrum, record,
+                       symmetrize)
 from .plant import PlantModel, is_reachable
 
 RICCATI_REL_TOL = 1e-12
@@ -99,7 +100,11 @@ def solve_riccati(plant: PlantModel, Q):
 
     Returns (P, iterations), _doubling's steps among the iterations.
     """
-    Q = as_symmetric(Q, "Q", as_instance(plant, PlantModel, "plant").n)
+    return _riccati(plant, as_symmetric(Q, "Q", as_instance(plant, PlantModel, "plant").n))
+
+
+def _riccati(plant: PlantModel, Q: np.ndarray):
+    """solve_riccati for a checked Q."""
     if not is_reachable(plant):
         raise NotReachable("plant not reachable")
     A, B = plant.A, plant.B
@@ -127,7 +132,12 @@ def solve_riccati(plant: PlantModel, Q):
 def compute_rho(Q, P) -> float:
     """Contraction rate 1 - lambda_min(Q P^-1); in [0, 1) when Q <= P."""
     Q = as_symmetric(Q, "Q")
-    rho = 1.0 - float(congruent_spectrum(Q, as_symmetric(P, "P", len(Q)))[0])
+    return _rho(Q, cholesky(as_symmetric(P, "P", len(Q))))
+
+
+def _rho(Q: np.ndarray, lower_p: np.ndarray) -> float:
+    """compute_rho for a checked Q and the Cholesky factor of P."""
+    rho = 1.0 - float(congruent_spectrum(Q, lower_p)[0])
     # P >= Q makes rho >= 0 exactly; clip rounding dust at the boundary
     return max(rho, 0.0)
 
@@ -159,16 +169,18 @@ def synthesize(plant: PlantModel, Q, N: int, alpha: float = 0.5) -> SynthesisRes
     Q (checked by as_symmetric) may be None for the identity default.
     P, Eps and W are built exactly symmetric from it, so none of them is
     symmetrized again. alpha in (0, 1) places
-    Eps = alpha (1 - rho) P / c strictly inside the admissible cone.
+    Eps = alpha (1 - rho) P / c strictly inside the admissible cone. Each
+    argument is checked once; one factor of P serves rho and the lifting.
     """
     as_instance(plant, PlantModel, "plant")
     alpha = as_real(alpha, "alpha")
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha!r}")
     Q = np.eye(plant.n) if Q is None else as_symmetric(Q, "Q", plant.n)
-    P, iterations = solve_riccati(plant, Q)
-    rho = compute_rho(Q, P)
-    horizon = build_horizon(plant, Q, P, N)
+    P, iterations = _riccati(plant, Q)
+    lower_p = cholesky(P)
+    rho = _rho(Q, lower_p)
+    horizon = _lift(plant, cholesky(Q), lower_p, N)
     c = compute_c(horizon, rho)
     eps = alpha * (1.0 - rho) / c * P
     return SynthesisResult(Q=Q, P=P, rho=rho, c=c, Eps=eps,

@@ -101,16 +101,22 @@ def test_blockwise_square_root():
         assert not (h.gram.flags.writeable or h.col_norms.flags.writeable)
 
 
-@pytest.mark.parametrize("n, N", [(1, 1), (1, 64), (2, 1), (3, 7), (4, 10), (7, 33),
-                                  (11, 20), (16, 3), (20, 1), (20, 20), (20, 64)])
-def test_horizon_bits_match_reference(n, N):
+@pytest.mark.parametrize("n, N, identity_q", [
+    pytest.param(n, N, False, id=f"{n}-{N}")
+    for n, N in ((1, 1), (1, 64), (2, 1), (3, 7), (4, 10), (7, 33), (11, 20), (16, 3), (20, 1),
+                 (20, 20), (20, 64), (8, 1), (16, 1), (20, 2), (20, 3), (20, 5), (20, 10),
+                 (20, 32))
+] + [pytest.param(20, 64, True, id="20-64-identity-q")])
+def test_horizon_bits_match_reference(n, N, identity_q):
     # same values and same memory layout: the batched product for G rounds
     # differently on a differently strided Phi (at n >= 16 with N = 3 or
-    # 20, for one)
+    # 20, for one), and G's Toeplitz product differently in other layouts
+    # (at N = 1, and at n = 20 with a non-identity Q)
     rng = np.random.default_rng(100 * n + N)
     for _ in range(3):
         plant = random_reachable_plant(rng, n)
         Q, P = random_spd(rng, n), random_spd(rng, n)
+        Q = np.eye(n) if identity_q else Q
         h = sppc.build_horizon(plant, Q, P, N)
         for got, want in zip((h.G, h.H), reference_horizon(plant, Q, P, N)[2:]):
             assert (got.tobytes(), got.strides) == (want.tobytes(), want.strides)

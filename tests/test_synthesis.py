@@ -179,6 +179,23 @@ def test_asymmetric_weights_are_rejected_by_name(example_case):
             call()
 
 
+@pytest.mark.parametrize("n, N", [(4, 10), (11, 34), (20, 64)])
+def test_synthesis_matches_the_public_entries_bit_for_bit(example_plant, n, N):
+    # synthesize checks each weight once and shares P's factor between rho
+    # and the lifting; the public entries check and factor on their own
+    if n == 4:
+        plant, Q = example_plant, None
+    else:
+        rng = np.random.default_rng(1)
+        plant, Q = random_reachable_plant(rng, n), random_spd(rng, n)
+    syn = sppc.synthesize(plant, Q, N)
+    assert syn.P.tobytes() == sppc.solve_riccati(plant, syn.Q)[0].tobytes()
+    assert syn.rho == sppc.compute_rho(syn.Q, syn.P)
+    h = sppc.build_horizon(plant, syn.Q, syn.P, N)
+    for got, want in ((syn.horizon.G, h.G), (syn.horizon.H, h.H)):
+        assert (got.tobytes(), got.strides) == (want.tobytes(), want.strides)
+
+
 def test_rho_scalar_plant_chain(scalar_case):
     _, syn, _ = scalar_case
     assert syn.rho == 0.0
