@@ -93,25 +93,32 @@ def _doubling(A, b, Q):
 def solve_riccati(plant: PlantModel, Q):
     """Fixed-point iteration for P = A^T P A - A^T P B (B^T P B)^-1 B^T P A + Q.
 
-    Starts at P = Q, symmetrizes every iterate, and stops when the relative
-    max-norm change drops below RICCATI_REL_TOL. Converges for reachable
-    (A, B) with Q > 0; this is the value-iteration form of the equation.
-    Not converged after n + 1 steps (a deadbeat loop is), it polishes _doubling's limit.
-
-    Returns (P, iterations), _doubling's steps among the iterations.
+    _doubling runs first. Stopped within ceil(log2(n + 2)) + 1 steps, value
+    iteration from P = Q (a deadbeat loop settles by step n + 1) runs and
+    takes the limit at step n + 2; else the limit is polished at once. Each
+    iterate is symmetrized; the loop stops when the relative max-norm change
+    drops below RICCATI_REL_TOL or, past n + 1 polish steps, stops shrinking.
+    Returns (P, iterations): value steps, plus doublings and polish steps if used.
     """
     return _riccati(plant, as_symmetric(Q, "Q", as_instance(plant, PlantModel, "plant").n))
 
 
 def _riccati(plant: PlantModel, Q: np.ndarray):
-    """solve_riccati for a checked Q."""
+    """solve_riccati for a checked Q; a doubling error is raised at step n + 2."""
     if not is_reachable(plant):
         raise NotReachable("plant not reachable")
-    A, B = plant.A, plant.B
-    P, doublings = Q, 0
-    for iterations in range(1, RICCATI_MAX_ITERATIONS + 1):
-        if iterations == plant.n + 2:
-            P, doublings = _doubling(A, B[:, 0], Q)
+    A, B, n = plant.A, plant.B, plant.n
+    try:
+        limit, doublings = _doubling(A, B[:, 0], Q)
+    except NoConvergence as exc:
+        limit, doublings = exc, 0
+    warm = doublings <= math.ceil(math.log2(n + 2)) + 1
+    P, counted, last = (Q, 0, math.inf) if warm else (limit, doublings - n - 1, math.inf)
+    for iterations in range(1 if warm else n + 2, RICCATI_MAX_ITERATIONS + 1):
+        if warm and iterations == n + 2:
+            if isinstance(limit, NoConvergence):
+                raise limit
+            P, counted = limit, doublings
         image = _riccati_image(A, B, Q, P)
         p_next = symmetrize(image)
         # image holds |p_next - P|, then |p_next|; inf or nan in p_next reach delta
@@ -119,14 +126,16 @@ def _riccati(plant: PlantModel, Q: np.ndarray):
         if not math.isfinite(delta):
             raise NoConvergence("Riccati iteration diverged")
         P = p_next
-        if delta <= RICCATI_REL_TOL * (1.0 + float(np.abs(P, out=image).max())):
+        if (delta <= RICCATI_REL_TOL * (1.0 + float(np.abs(P, out=image).max()))
+                or (iterations - n - 1 > n + 1 and delta >= last)):
             break
+        last = delta
     else:
         raise NoConvergence(
             f"Riccati iteration missed tolerance {RICCATI_REL_TOL:.1e} "
             f"after {RICCATI_MAX_ITERATIONS} iterations"
         )
-    return P, iterations + doublings
+    return P, iterations + counted
 
 
 def compute_rho(Q, P) -> float:

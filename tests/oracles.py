@@ -3,7 +3,7 @@
 None of these is on a library or CLI path: the small-horizon exhaustive
 oracle, the lifted stage cost, the OMP kernel that refits every pick, the
 lifting as first written and the horizon constant by its per-index
-definition.
+definition, and the Riccati solve in its value-first order.
 """
 
 import itertools
@@ -11,9 +11,10 @@ import math
 
 import numpy as np
 
-from sppc.errors import ConfigError, Infeasible, RankDeficient
+from sppc import synthesis
+from sppc.errors import ConfigError, Infeasible, NoConvergence, RankDeficient
 from sppc.lifting import HorizonData
-from sppc.numerics import RANK_REL_TOL, as_array, cholesky, solve_least_squares
+from sppc.numerics import RANK_REL_TOL, as_array, cholesky, solve_least_squares, symmetrize
 from sppc.solvers import (FEASIBILITY_ABS_FLOOR, FEASIBILITY_REL_SLACK, ControlPacket,
                           _design_inputs)
 
@@ -130,3 +131,27 @@ def per_index_c(h: HorizonData, phi, P, rho: float):
     lam_min = float(np.linalg.eigvalsh(h.gram)[0])
     prefactor = (1.0 - rho ** h.N) / (1.0 - rho)
     return float(prefactor * (float(forms.max()) / lam_min)), int(forms.argmax())
+
+
+def value_first_riccati(plant, Q):
+    """The Riccati solve in value-first order: n + 1 value steps from P = Q,
+    then the doubling's limit, then the polish, under solve_riccati's stop
+    rules (the relative tolerance, or after n + 1 polish steps a change no
+    smaller than the one before). Returns (P, iterations), the iterations
+    counting every value step, doubling and polish step. solve_riccati,
+    which runs the doubling first, must match P's bits."""
+    A, B, n = plant.A, plant.B, plant.n
+    P, doublings, last = Q, 0, math.inf
+    for iterations in range(1, synthesis.RICCATI_MAX_ITERATIONS + 1):
+        if iterations == n + 2:
+            P, doublings = synthesis._doubling(A, B[:, 0], Q)
+        p_next = symmetrize(synthesis._riccati_image(A, B, Q, P))
+        delta = float(np.abs(p_next - P).max())
+        if not math.isfinite(delta):
+            raise NoConvergence("value-first Riccati iteration diverged")
+        P = p_next
+        if (delta <= synthesis.RICCATI_REL_TOL * (1.0 + float(np.abs(P).max()))
+                or (iterations - n - 1 > n + 1 and delta >= last)):
+            return P, iterations + doublings
+        last = delta
+    raise NoConvergence("value-first Riccati iteration hit its cap")

@@ -11,7 +11,7 @@ from sppc.lifting import HorizonData
 from sppc.numerics import solve_least_squares
 
 from conftest import random_reachable_plant, random_spd
-from oracles import per_index_c, reference_horizon
+from oracles import per_index_c, reference_horizon, value_first_riccati
 
 
 def test_riccati_scalar_unstable():
@@ -135,6 +135,54 @@ def test_riccati_doubling_breakdown_is_typed():
     for Q in (-np.eye(2), 1e306 * np.eye(2)):
         with pytest.raises(errors.NoConvergence, match="doubling failed: beta = "):
             synthesis._doubling(A, b, Q)
+
+
+def test_riccati_matches_the_value_first_order(riccati_references, example_plant):
+    # the doubling runs first only to choose a path: P is the value-first
+    # order's to the last bit, and so is the count of a loop that value
+    # iteration settles by step n + 1
+    rng = np.random.default_rng(29)
+    cases = [(plant, Q) for plant, Q, _, _ in riccati_references]
+    cases += [(random_reachable_plant(rng, n), np.eye(n)) for n in range(2, 21, 2)]
+    for plant, Q in cases:
+        P_ref, iterations_ref = value_first_riccati(plant, Q)
+        P, iterations = sppc.solve_riccati(plant, Q)
+        assert P.tobytes() == P_ref.tobytes()
+        assert iterations == iterations_ref or iterations_ref > plant.n + 1
+    P_ref, _ = value_first_riccati(example_plant, np.eye(4))
+    for N in (10, 20):
+        assert sppc.synthesize(example_plant, None, N).P.tobytes() == P_ref.tobytes()
+
+
+def test_riccati_value_path_survives_a_doubling_error(monkeypatch, example_case):
+    # a loop that value iteration settles by step n + 1 never needs the limit
+    plant, syn, _ = example_case
+
+    def breakdown(A, b, Q):
+        raise errors.NoConvergence("Riccati doubling failed: beta = -1.0e+00, step 1.0e+00")
+
+    monkeypatch.setattr(synthesis, "_doubling", breakdown)
+    again = sppc.synthesize(plant, None, syn.horizon.N)
+    assert (again.P.tobytes(), again.riccati_iterations) == (syn.P.tobytes(), 4)
+
+
+def test_riccati_polish_stops_at_its_rounding_floor(monkeypatch):
+    # the value map's changes on this plant sink to a rounding floor near
+    # 4e-10 relative, and the 1e-12 rule alone polished the doubling's limit
+    # for 42,015 steps, until one change happened to round small
+    n = 14
+    plant = random_reachable_plant(np.random.default_rng(3454), n)
+    limit, doublings = synthesis._doubling(plant.A, plant.B[:, 0], np.eye(n))
+    polished, image = [], synthesis._riccati_image
+    monkeypatch.setattr(synthesis, "_riccati_image",
+                        lambda A, B, Q, P: polished.append(P) or image(A, B, Q, P))
+    P, iterations = sppc.solve_riccati(plant, np.eye(n))
+    monkeypatch.undo()
+    assert polished[0].tobytes() == limit.tobytes()      # no value warm-up
+    assert len(polished) <= 2 * (n + 1) + 10 and iterations == doublings + len(polished)
+    syn = sppc.synthesize(plant, None, 10)
+    assert syn.P.tobytes() == P.tobytes()
+    assert [c.passed for c in sppc.check_invariants(plant, syn) if c.name == "riccati_residual"] == [True]
 
 
 def test_riccati_homogeneous_in_q():
