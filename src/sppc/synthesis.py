@@ -66,6 +66,11 @@ def riccati_residual(plant: PlantModel, Q: np.ndarray, P: np.ndarray) -> float:
     return float(np.abs(image - P).max())
 
 
+def _residual_limit(P: np.ndarray) -> float:
+    """The largest riccati_residual a solved P may have: 1e-9 (1 + max|P|)."""
+    return 1e-9 * (1.0 + float(np.abs(P).max()))
+
+
 @np.errstate(all="ignore")     # overflow ends in a non-finite beta or step
 def _doubling(A, b, Q):
     """Doubling from H = Q, G = t b b^T at t -> inf; H after k steps is value
@@ -95,10 +100,11 @@ def solve_riccati(plant: PlantModel, Q):
 
     _doubling runs first. Stopped within ceil(log2(n + 2)) + 1 steps, value
     iteration from P = Q (a deadbeat loop settles by step n + 1) runs and
-    takes the limit at step n + 2; else the limit is polished at once. Each
-    iterate is symmetrized; the loop stops when the relative max-norm change
-    drops below RICCATI_REL_TOL or, past n + 1 polish steps, stops shrinking.
-    Returns (P, iterations): value steps, plus doublings and polish steps if used.
+    polishes the limit from step n + 2; else the polish starts at step 1.
+    Each iterate is symmetrized; the loop stops when the relative max-norm
+    change drops below RICCATI_REL_TOL or, past n + 1 polish steps, stops
+    shrinking; that P raises NoConvergence if it fails riccati_residual's limit.
+    Returns (P, iterations): value and polish steps, plus doublings if used.
     """
     return _riccati(plant, as_symmetric(Q, "Q", as_instance(plant, PlantModel, "plant").n))
 
@@ -113,12 +119,13 @@ def _riccati(plant: PlantModel, Q: np.ndarray):
     except NoConvergence as exc:
         limit, doublings = exc, 0
     warm = doublings <= math.ceil(math.log2(n + 2)) + 1
-    P, counted, last = (Q, 0, math.inf) if warm else (limit, doublings - n - 1, math.inf)
-    for iterations in range(1 if warm else n + 2, RICCATI_MAX_ITERATIONS + 1):
-        if warm and iterations == n + 2:
+    polish_start, P = (n + 2, Q) if warm else (1, limit)    # the step that starts at the limit
+    last = math.inf
+    for iterations in range(1, RICCATI_MAX_ITERATIONS + 1):
+        if warm and iterations == polish_start:
             if isinstance(limit, NoConvergence):
                 raise limit
-            P, counted = limit, doublings
+            P = limit
         image = _riccati_image(A, B, Q, P)
         p_next = symmetrize(image)
         # image holds |p_next - P|, then |p_next|; inf or nan in p_next reach delta
@@ -126,16 +133,17 @@ def _riccati(plant: PlantModel, Q: np.ndarray):
         if not math.isfinite(delta):
             raise NoConvergence("Riccati iteration diverged")
         P = p_next
-        if (delta <= RICCATI_REL_TOL * (1.0 + float(np.abs(P, out=image).max()))
-                or (iterations - n - 1 > n + 1 and delta >= last)):
+        if delta <= RICCATI_REL_TOL * (1.0 + float(np.abs(P, out=image).max())):
+            break
+        if iterations - polish_start > n and delta >= last:    # n + 1 polish steps ran
+            if (residual := riccati_residual(plant, Q, P)) > _residual_limit(P):
+                raise NoConvergence(f"Riccati polish stalled at a residual of {residual:.1e}")
             break
         last = delta
     else:
-        raise NoConvergence(
-            f"Riccati iteration missed tolerance {RICCATI_REL_TOL:.1e} "
-            f"after {RICCATI_MAX_ITERATIONS} iterations"
-        )
-    return P, iterations + counted
+        raise NoConvergence(f"Riccati iteration missed tolerance {RICCATI_REL_TOL:.1e} "
+                            f"after {RICCATI_MAX_ITERATIONS} iterations")
+    return P, iterations + (doublings if iterations >= polish_start else 0)
 
 
 def compute_rho(Q, P) -> float:
@@ -214,16 +222,13 @@ def check_invariants(plant: PlantModel, result: SynthesisResult) -> list[Invaria
     P, Q, eps = result.P, result.Q, result.Eps
     checks = []
 
-    limit = 1e-9 * (1.0 + float(np.abs(P).max()))
-    residual = riccati_residual(plant, Q, P)
-    checks.append(InvariantCheck("riccati_residual", residual <= limit,
-                                 residual, limit))
+    residual, limit = riccati_residual(plant, Q, P), _residual_limit(P)
+    checks.append(InvariantCheck("riccati_residual", residual <= limit, residual, limit))
 
     gap_min = float(np.linalg.eigvalsh(P - Q)[0])
     checks.append(InvariantCheck("p_minus_q_psd", gap_min >= -1e-9, gap_min, -1e-9))
 
-    checks.append(InvariantCheck("rho_in_range", 0.0 <= result.rho < 1.0,
-                                 result.rho, 1.0))
+    checks.append(InvariantCheck("rho_in_range", 0.0 <= result.rho < 1.0, result.rho, 1.0))
 
     eps_min = float(np.linalg.eigvalsh(eps)[0])
     checks.append(InvariantCheck("eps_positive", eps_min > 0.0, eps_min, 0.0))

@@ -137,7 +137,8 @@ def value_first_riccati(plant, Q):
     """The Riccati solve in value-first order: n + 1 value steps from P = Q,
     then the doubling's limit, then the polish, under solve_riccati's stop
     rules (the relative tolerance, or after n + 1 polish steps a change no
-    smaller than the one before). Returns (P, iterations), the iterations
+    smaller than the one before, raising NoConvergence if that P fails
+    riccati_residual's limit). Returns (P, iterations), the iterations
     counting every value step, doubling and polish step. solve_riccati,
     which runs the doubling first, must match P's bits."""
     A, B, n = plant.A, plant.B, plant.n
@@ -150,8 +151,11 @@ def value_first_riccati(plant, Q):
         if not math.isfinite(delta):
             raise NoConvergence("value-first Riccati iteration diverged")
         P = p_next
-        if (delta <= synthesis.RICCATI_REL_TOL * (1.0 + float(np.abs(P).max()))
-                or (iterations - n - 1 > n + 1 and delta >= last)):
+        if delta <= synthesis.RICCATI_REL_TOL * (1.0 + float(np.abs(P).max())):
+            return P, iterations + doublings
+        if iterations - n - 1 > n + 1 and delta >= last:
+            if synthesis.riccati_residual(plant, Q, P) > synthesis._residual_limit(P):
+                raise NoConvergence("value-first Riccati polish stalled")
             return P, iterations + doublings
         last = delta
     raise NoConvergence("value-first Riccati iteration hit its cap")

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import pickle
 import sys
 
@@ -139,8 +140,8 @@ def test_riccati_doubling_breakdown_is_typed():
 
 def test_riccati_matches_the_value_first_order(riccati_references, example_plant):
     # the doubling runs first only to choose a path: P is the value-first
-    # order's to the last bit, and so is the count of a loop that value
-    # iteration settles by step n + 1
+    # order's to the last bit; the count is the oracle's on the value path
+    # and lacks its n + 1 value steps where the limit is polished at once
     rng = np.random.default_rng(29)
     cases = [(plant, Q) for plant, Q, _, _ in riccati_references]
     cases += [(random_reachable_plant(rng, n), np.eye(n)) for n in range(2, 21, 2)]
@@ -148,7 +149,12 @@ def test_riccati_matches_the_value_first_order(riccati_references, example_plant
         P_ref, iterations_ref = value_first_riccati(plant, Q)
         P, iterations = sppc.solve_riccati(plant, Q)
         assert P.tobytes() == P_ref.tobytes()
-        assert iterations == iterations_ref or iterations_ref > plant.n + 1
+        try:
+            doublings = synthesis._doubling(plant.A, plant.B[:, 0], Q)[1]
+        except errors.NoConvergence:
+            doublings = 0
+        warm = doublings <= math.ceil(math.log2(plant.n + 2)) + 1
+        assert iterations == iterations_ref - (0 if warm else plant.n + 1)
     P_ref, _ = value_first_riccati(example_plant, np.eye(4))
     for N in (10, 20):
         assert sppc.synthesize(example_plant, None, N).P.tobytes() == P_ref.tobytes()
@@ -178,11 +184,25 @@ def test_riccati_polish_stops_at_its_rounding_floor(monkeypatch):
                         lambda A, B, Q, P: polished.append(P) or image(A, B, Q, P))
     P, iterations = sppc.solve_riccati(plant, np.eye(n))
     monkeypatch.undo()
-    assert polished[0].tobytes() == limit.tobytes()      # no value warm-up
-    assert len(polished) <= 2 * (n + 1) + 10 and iterations == doublings + len(polished)
+    # the last image is the residual of the P the polish stopped at
+    steps = len(polished) - 1
+    assert polished[0].tobytes() == limit.tobytes() and polished[-1] is P  # no value warm-up
+    assert steps <= 2 * (n + 1) + 10 and iterations == doublings + steps
     syn = sppc.synthesize(plant, None, 10)
     assert syn.P.tobytes() == P.tobytes()
     assert [c.passed for c in sppc.check_invariants(plant, syn) if c.name == "riccati_residual"] == [True]
+
+
+def test_riccati_polish_above_the_residual_limit_is_typed():
+    # on this plant the value map's changes stay near 2e-8 relative, above
+    # riccati_residual's 1e-9 (1 + max|P|), and the 1e-12 rule alone ran them
+    # to the 100,000-step cap: the polish stops at its rounding floor with a
+    # typed failure, not with a P that fails the check
+    plant = random_reachable_plant(np.random.default_rng(2435), 6)
+    with pytest.raises(errors.NoConvergence, match="polish stalled"):
+        sppc.solve_riccati(plant, np.eye(6))
+    with pytest.raises(errors.NoConvergence, match="polish stalled"):
+        sppc.synthesize(plant, None, 10)
 
 
 def test_riccati_homogeneous_in_q():
