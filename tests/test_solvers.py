@@ -191,6 +191,22 @@ def test_omp_bits_match_refit_kernel_on_example_trajectories(example_plant, N, p
     assert underflowed >= 5
 
 
+@pytest.mark.parametrize("N, p_drop", [(10, 0.5), (20, 0.9)])
+def test_omp_miss_path_bits_match_refit_kernel(example_plant, N, p_drop, monkeypatch):
+    # with no room in the prefix cache every pick computes its Gram-Schmidt
+    # step in place, and still gives the bits of the kernel that uses @
+    monkeypatch.setattr(solvers, "OMP_PREFIX_BUDGET_BYTES", 0)
+    syn = sppc.synthesize(example_plant, None, N, 0.5)
+    picks = 0
+    for seed in range(3):
+        trace = sppc.run_trial(example_plant, syn.horizon, syn, "omp", EXAMPLE_X0,
+                               100, seed, p_drop=p_drop)
+        for x in trace.states[:-1]:
+            picks += assert_same_bits_as_refit_kernel(syn.horizon, syn.W, x)
+    assert not syn.horizon.omp_prefixes
+    assert picks >= 300
+
+
 def test_omp_bits_match_refit_kernel_on_envelope():
     # random plants of the envelope (n <= 20, N <= 64) whose margin ratio
     # (smallest eigenvalue of Eps against W) is above rounding, at states
@@ -342,7 +358,9 @@ def test_pickled_setup_leaves_prefix_cache_behind(example_plant):
 
 def test_omp_prefix_cache_stays_within_budget(monkeypatch):
     # envelope-sized states fill the cache past its byte budget; later
-    # designs compute the steps it has no room for, with the same bits
+    # designs compute the steps it has no room for, with the same bits (the
+    # budget is pinned at 512 KiB, which these states overflow)
+    monkeypatch.setattr(solvers, "OMP_PREFIX_BUDGET_BYTES", 1 << 19)
     rng = np.random.default_rng(7)
     plant = random_reachable_plant(rng, 19)
     syn = sppc.synthesize(plant, None, 46, 0.5)
@@ -357,11 +375,24 @@ def test_omp_prefix_cache_stays_within_budget(monkeypatch):
     for x in states:
         sppc.omp_design(unbounded, syn.W, x)
     assert sum(step.nbytes for step in unbounded.omp_prefixes.values()) > 2 * stored
-    monkeypatch.undo()
+    monkeypatch.setattr(solvers, "OMP_PREFIX_BUDGET_BYTES", 1 << 19)
     for x in rng.standard_normal((20, plant.n)):
         assert (packet_bits(sppc.omp_design(h, syn.W, x))
                 == packet_bits(sppc.omp_design(fresh_horizon(h), syn.W, x)))
     assert sum(step.nbytes for step in h.omp_prefixes.values()) == stored
+
+
+def test_omp_long_horizon_working_set_fits_the_budget(example_plant, monkeypatch):
+    # at the long horizon (N = 20, p_drop 0.9) the default budget stores
+    # every prefix that 24 trials reach, as an unbounded one does
+    sizes = []
+    for budget in (solvers.OMP_PREFIX_BUDGET_BYTES, 1 << 40):
+        monkeypatch.setattr(solvers, "OMP_PREFIX_BUDGET_BYTES", budget)
+        setup = sppc.ExperimentSetup(synthesis=sppc.synthesize(example_plant, None, 20, 0.5),
+                                     solver="omp", x0=EXAMPLE_X0, steps=100, p_drop=0.9)
+        sppc.run_montecarlo(setup, 24, 0)
+        sizes.append(len(setup.horizon.omp_prefixes))
+    assert sizes[0] == sizes[1] > 0
 
 
 def l1_states(plant, syn, p_drop, seeds):
@@ -409,7 +440,9 @@ def test_pickled_l1_setup_leaves_segment_cache_behind(example_plant):
 
 def test_l1_segment_cache_stays_within_budget(monkeypatch):
     # envelope-sized designs fill the cache up to its byte budget, each entry
-    # counted at its full size; a budget of one entry changes no packet
+    # counted at its full size; a budget of one entry changes no packet (the
+    # budget is pinned at 512 KiB, which these designs fill)
+    monkeypatch.setattr(solvers, "OMP_PREFIX_BUDGET_BYTES", 1 << 19)
     rng = np.random.default_rng(7)
     plant = random_reachable_plant(rng, 19)
     syn = sppc.synthesize(plant, None, 46, 0.5)
