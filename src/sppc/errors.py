@@ -43,7 +43,7 @@ class DegenerateInput(SppcError):
 
 
 class NoConvergence(SppcError):
-    """Iteration hit its cap before meeting the convergence criterion."""
+    """An iteration hit its cap, broke down, or stalled above its residual limit."""
 
 
 class Infeasible(SppcError):

@@ -98,34 +98,23 @@ def _doubling(A, b, Q):
 def solve_riccati(plant: PlantModel, Q):
     """Fixed-point iteration for P = A^T P A - A^T P B (B^T P B)^-1 B^T P A + Q.
 
-    _doubling runs first. Stopped within ceil(log2(n + 2)) + 1 steps, value
-    iteration from P = Q (a deadbeat loop settles by step n + 1) runs and
-    polishes the limit from step n + 2; else the polish starts at step 1.
-    Each iterate is symmetrized; the loop stops when the relative max-norm
-    change drops below RICCATI_REL_TOL or, past n + 1 polish steps, stops
-    shrinking; that P raises NoConvergence if it fails riccati_residual's limit.
-    Returns (P, iterations): value and polish steps, plus doublings if used.
+    _doubling runs first; the value map then polishes its limit, each iterate
+    symmetrized, until the relative max-norm change drops below
+    RICCATI_REL_TOL or, past n + 1 steps, stops shrinking; that P raises
+    NoConvergence if it fails riccati_residual's limit.
+    Returns (P, iterations): the doublings plus the polish steps.
     """
     return _riccati(plant, as_symmetric(Q, "Q", as_instance(plant, PlantModel, "plant").n))
 
 
 def _riccati(plant: PlantModel, Q: np.ndarray):
-    """solve_riccati for a checked Q; a doubling error is raised at step n + 2."""
+    """solve_riccati for a checked Q."""
     if not is_reachable(plant):
         raise NotReachable("plant not reachable")
     A, B, n = plant.A, plant.B, plant.n
-    try:
-        limit, doublings = _doubling(A, B[:, 0], Q)
-    except NoConvergence as exc:
-        limit, doublings = exc, 0
-    warm = doublings <= math.ceil(math.log2(n + 2)) + 1
-    polish_start, P = (n + 2, Q) if warm else (1, limit)    # the step that starts at the limit
+    P, doublings = _doubling(A, B[:, 0], Q)
     last = math.inf
     for iterations in range(1, RICCATI_MAX_ITERATIONS + 1):
-        if warm and iterations == polish_start:
-            if isinstance(limit, NoConvergence):
-                raise limit
-            P = limit
         image = _riccati_image(A, B, Q, P)
         p_next = symmetrize(image)
         # image holds |p_next - P|, then |p_next|; inf or nan in p_next reach delta
@@ -135,7 +124,7 @@ def _riccati(plant: PlantModel, Q: np.ndarray):
         P = p_next
         if delta <= RICCATI_REL_TOL * (1.0 + float(np.abs(P, out=image).max())):
             break
-        if iterations - polish_start > n and delta >= last:    # n + 1 polish steps ran
+        if iterations > n + 1 and delta >= last:
             if (residual := riccati_residual(plant, Q, P)) > _residual_limit(P):
                 raise NoConvergence(f"Riccati polish stalled at a residual of {residual:.1e}")
             break
@@ -143,7 +132,7 @@ def _riccati(plant: PlantModel, Q: np.ndarray):
     else:
         raise NoConvergence(f"Riccati iteration missed tolerance {RICCATI_REL_TOL:.1e} "
                             f"after {RICCATI_MAX_ITERATIONS} iterations")
-    return P, iterations + (doublings if iterations >= polish_start else 0)
+    return P, iterations + doublings
 
 
 def compute_rho(Q, P) -> float:

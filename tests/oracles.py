@@ -139,8 +139,9 @@ def value_first_riccati(plant, Q):
     rules (the relative tolerance, or after n + 1 polish steps a change no
     smaller than the one before, raising NoConvergence if that P fails
     riccati_residual's limit). Returns (P, iterations), the iterations
-    counting every value step, doubling and polish step. solve_riccati,
-    which runs the doubling first, must match P's bits."""
+    counting every value step, doubling and polish step. Where it reaches
+    the doubling, solve_riccati, which polishes the limit at once, must
+    match P's bits; where value iteration settles first, it need not."""
     A, B, n = plant.A, plant.B, plant.n
     P, doublings, last = Q, 0, math.inf
     for iterations in range(1, synthesis.RICCATI_MAX_ITERATIONS + 1):

@@ -1,5 +1,4 @@
 import dataclasses
-import math
 import pickle
 import sys
 
@@ -93,26 +92,22 @@ def riccati_references():
 
 
 def test_riccati_bits_match_reference(riccati_references, example_plant):
-    # within n + 1 steps the lean loop does the reference's floating-point
-    # operations in its order: every P, iteration count and residual is equal
-    # to the last bit
-    example = (example_plant, np.eye(4), *reference_riccati(example_plant, np.eye(4)))
-    cases = [case for case in [example] + riccati_references if case[3] <= case[0].n + 1]
-    assert len(cases) == 20 and cases[0] is example and example[3] == 4
-    assert cases[1] is riccati_references[0]        # the deadbeat chain, Q = I
-    for plant, Q, P_ref, iterations_ref in cases:
-        P, iterations = sppc.solve_riccati(plant, Q)
-        assert (P.tobytes(), iterations) == (P_ref.tobytes(), iterations_ref)
+    # riccati_residual does the reference's floating-point operations in its
+    # order: on every solved P the two residuals are equal to the last bit
+    cases = [(example_plant, np.eye(4))] + [(plant, Q) for plant, Q, _, _ in riccati_references]
+    for plant, Q in cases:
+        P, _ = sppc.solve_riccati(plant, Q)
         assert (synthesis.riccati_residual(plant, Q, P)
                 == reference_residual(plant, Q, P))
 
 
-def test_riccati_doubling_matches_reference(riccati_references):
-    # past n + 1 steps the loop polishes the doubling's limit: P agrees with
-    # the value iteration's to 1e-9 relative and passes the invariant check's
-    # residual bound
-    cases = [case for case in riccati_references if case[3] > case[0].n + 1]
-    assert len(cases) == 404 - 19
+def test_riccati_doubling_matches_reference(riccati_references, example_plant):
+    # the loop polishes the doubling's limit: P agrees with the value
+    # iteration's to 1e-9 relative and passes the invariant check's residual
+    # bound, on every case
+    example = (example_plant, np.eye(4), *reference_riccati(example_plant, np.eye(4)))
+    cases = [example] + riccati_references
+    assert len(cases) == 405 and example[3] == 4
     for plant, Q, P_ref, _ in cases:
         P, _ = sppc.solve_riccati(plant, Q)
         assert float(np.abs(P - P_ref).max()) <= 1e-9 * float(np.abs(P_ref).max())
@@ -138,38 +133,49 @@ def test_riccati_doubling_breakdown_is_typed():
             synthesis._doubling(A, b, Q)
 
 
-def test_riccati_matches_the_value_first_order(riccati_references, example_plant):
-    # the doubling runs first only to choose a path: P is the value-first
-    # order's to the last bit; the count is the oracle's on the value path
-    # and lacks its n + 1 value steps where the limit is polished at once
+def test_riccati_matches_the_value_first_order(monkeypatch, riccati_references, example_plant):
+    # where the value-first order reaches its doubling, P is its to the last
+    # bit and the count lacks its n + 1 value steps; where value iteration
+    # settles within n + 1 steps, the polished limit agrees to 1e-15 relative
     rng = np.random.default_rng(29)
     cases = [(plant, Q) for plant, Q, _, _ in riccati_references]
     cases += [(random_reachable_plant(rng, n), np.eye(n)) for n in range(2, 21, 2)]
-    for plant, Q in cases:
+    settled = 0
+    for plant, Q in cases + [(example_plant, np.eye(4))]:
         P_ref, iterations_ref = value_first_riccati(plant, Q)
         P, iterations = sppc.solve_riccati(plant, Q)
-        assert P.tobytes() == P_ref.tobytes()
-        try:
-            doublings = synthesis._doubling(plant.A, plant.B[:, 0], Q)[1]
-        except errors.NoConvergence:
-            doublings = 0
-        warm = doublings <= math.ceil(math.log2(plant.n + 2)) + 1
-        assert iterations == iterations_ref - (0 if warm else plant.n + 1)
-    P_ref, _ = value_first_riccati(example_plant, np.eye(4))
+        if iterations_ref > plant.n + 1:
+            assert P.tobytes() == P_ref.tobytes()
+            assert iterations == iterations_ref - (plant.n + 1)
+        else:
+            settled += 1
+            assert float(np.abs(P - P_ref).max()) <= 1e-15 * float(np.abs(P_ref).max())
+    assert settled == 20        # the example and 19 reference cases
+    # the example: 3 doublings, then 1 polish step from their limit
+    limit, doublings = synthesis._doubling(example_plant.A, example_plant.B[:, 0], np.eye(4))
+    polished, image = [], synthesis._riccati_image
+    monkeypatch.setattr(synthesis, "_riccati_image",
+                        lambda A, B, Q, P: polished.append(P) or image(A, B, Q, P))
+    P, iterations = sppc.solve_riccati(example_plant, np.eye(4))
+    monkeypatch.undo()
+    assert (doublings, len(polished), iterations) == (3, 1, 4)
+    assert polished[0].tobytes() == limit.tobytes()
     for N in (10, 20):
-        assert sppc.synthesize(example_plant, None, N).P.tobytes() == P_ref.tobytes()
+        syn = sppc.synthesize(example_plant, None, N)
+        assert (syn.P.tobytes(), syn.riccati_iterations) == (P.tobytes(), 4)
 
 
-def test_riccati_value_path_survives_a_doubling_error(monkeypatch, example_case):
-    # a loop that value iteration settles by step n + 1 never needs the limit
+def test_riccati_doubling_error_raises_from_synthesize(monkeypatch, example_case):
+    # a doubling failure is raised at once, even on a deadbeat loop that
+    # value iteration from Q would settle by step n + 1
     plant, syn, _ = example_case
 
     def breakdown(A, b, Q):
         raise errors.NoConvergence("Riccati doubling failed: beta = -1.0e+00, step 1.0e+00")
 
     monkeypatch.setattr(synthesis, "_doubling", breakdown)
-    again = sppc.synthesize(plant, None, syn.horizon.N)
-    assert (again.P.tobytes(), again.riccati_iterations) == (syn.P.tobytes(), 4)
+    with pytest.raises(errors.NoConvergence, match="doubling failed: beta = "):
+        sppc.synthesize(plant, None, syn.horizon.N)
 
 
 def test_riccati_polish_stops_at_its_rounding_floor(monkeypatch):
