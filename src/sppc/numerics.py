@@ -130,16 +130,16 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
 
 def as_symmetric(a, name: str, n: int | None = None) -> np.ndarray:
     """A finite square float64 matrix (n x n when n is given) within
-    SYMMETRY_TOL of symmetric, as (M + M^T) / 2: exactly symmetric, and
-    bit for bit M when M already is.
+    SYMMETRY_TOL max|M| of symmetric, as (M + M^T) / 2: exactly symmetric,
+    and bit for bit M when M already is.
     """
     m = as_array(a, name, (n, n))
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"{name} must be square, got shape {m.shape}")
     gap = float(np.abs(m - m.T).max(initial=0.0))
-    if gap > SYMMETRY_TOL:
-        raise NonSymmetric(f"{name} asymmetry {gap:.3e} exceeds tolerance "
-                           f"{SYMMETRY_TOL:.1e}")
+    limit = SYMMETRY_TOL * float(np.abs(m).max(initial=0.0))
+    if gap > limit:
+        raise NonSymmetric(f"{name} asymmetry {gap:.3e} exceeds tolerance {limit:.1e}")
     return symmetrize(m)
 
 

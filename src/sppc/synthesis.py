@@ -67,8 +67,8 @@ def riccati_residual(plant: PlantModel, Q: np.ndarray, P: np.ndarray) -> float:
 
 
 def _residual_limit(P: np.ndarray) -> float:
-    """The largest riccati_residual a solved P may have: 1e-9 (1 + max|P|)."""
-    return 1e-9 * (1.0 + float(np.abs(P).max()))
+    """The largest riccati_residual a solved P may have: 1e-9 max|P| (P >= Q > 0)."""
+    return 1e-9 * float(np.abs(P).max())
 
 
 @np.errstate(all="ignore")     # overflow ends in a non-finite beta or step
@@ -90,7 +90,7 @@ def _doubling(A, b, Q):
         H, delta = H + step, float(np.abs(step).max())
         if not (0.0 < beta < math.inf and math.isfinite(delta)):
             raise NoConvergence(f"Riccati doubling failed: beta = {beta:.1e}, step {delta:.1e}")
-        if delta <= RICCATI_REL_TOL * (1.0 + float(np.abs(H).max())):
+        if delta <= RICCATI_REL_TOL * float(np.abs(H).max()):
             break
     return H, steps
 
@@ -101,7 +101,8 @@ def solve_riccati(plant: PlantModel, Q):
     _doubling runs first; the value map then polishes its limit, each iterate
     symmetrized, until the relative max-norm change drops below
     RICCATI_REL_TOL or, past n + 1 steps, stops shrinking; that P raises
-    NoConvergence if it fails riccati_residual's limit.
+    NoConvergence if it fails riccati_residual's limit. Every stop is
+    relative, so P(2^k Q) is exactly 2^k P(Q).
     Returns (P, iterations): the doublings plus the polish steps.
     """
     return _riccati(plant, as_symmetric(Q, "Q", as_instance(plant, PlantModel, "plant").n))
@@ -122,7 +123,7 @@ def _riccati(plant: PlantModel, Q: np.ndarray):
         if not math.isfinite(delta):
             raise NoConvergence("Riccati iteration diverged")
         P = p_next
-        if delta <= RICCATI_REL_TOL * (1.0 + float(np.abs(P, out=image).max())):
+        if delta <= RICCATI_REL_TOL * float(np.abs(P, out=image).max()):
             break
         if iterations > n + 1 and delta >= last:
             if (residual := riccati_residual(plant, Q, P)) > _residual_limit(P):
@@ -204,27 +205,22 @@ class InvariantCheck:
 
 
 def check_invariants(plant: PlantModel, result: SynthesisResult) -> list[InvariantCheck]:
-    """Evaluate result's invariants; plant must be result.plant, by identity."""
+    """Evaluate result's invariants; plant must be result.plant, by identity.
+
+    P - Q >= 0 follows from them: eps_positive and eps_inside_cone give P > 0,
+    so F(P) - Q = A^T (P - P b b^T P / b^T P b) A >= 0 for the Riccati map F,
+    and lambda_min(P - Q) >= -||F(P) - P||_2 >= -n riccati_residual.
+    """
     as_instance(plant, PlantModel, "plant")
     if plant is not as_instance(result, SynthesisResult, "result").plant:
         raise ConfigError("plant is not result.plant, the plant result was synthesized for")
-    P, Q, eps = result.P, result.Q, result.Eps
-    checks = []
-
-    residual, limit = riccati_residual(plant, Q, P), _residual_limit(P)
-    checks.append(InvariantCheck("riccati_residual", residual <= limit, residual, limit))
-
-    gap_min = float(np.linalg.eigvalsh(P - Q)[0])
-    checks.append(InvariantCheck("p_minus_q_psd", gap_min >= -1e-9, gap_min, -1e-9))
-
-    checks.append(InvariantCheck("rho_in_range", 0.0 <= result.rho < 1.0, result.rho, 1.0))
-
+    P, eps, rho = result.P, result.Eps, result.rho
+    residual, limit = riccati_residual(plant, result.Q, P), _residual_limit(P)
     eps_min = float(np.linalg.eigvalsh(eps)[0])
-    checks.append(InvariantCheck("eps_positive", eps_min > 0.0, eps_min, 0.0))
-
-    cone_min = float(np.linalg.eigvalsh((1.0 - result.rho) / result.c * P - eps)[0])
-    checks.append(InvariantCheck("eps_inside_cone", cone_min > 0.0, cone_min, 0.0))
-
+    cone_min = float(np.linalg.eigvalsh((1.0 - rho) / result.c * P - eps)[0])
     w_min = float(np.linalg.eigvalsh(result.W)[0])
-    checks.append(InvariantCheck("w_positive_definite", w_min > 0.0, w_min, 0.0))
-    return checks
+    return [InvariantCheck("riccati_residual", residual <= limit, residual, limit),
+            InvariantCheck("rho_in_range", 0.0 <= rho < 1.0, rho, 1.0),
+            InvariantCheck("eps_positive", eps_min > 0.0, eps_min, 0.0),
+            InvariantCheck("eps_inside_cone", cone_min > 0.0, cone_min, 0.0),
+            InvariantCheck("w_positive_definite", w_min > 0.0, w_min, 0.0)]

@@ -152,7 +152,7 @@ def value_first_riccati(plant, Q):
         if not math.isfinite(delta):
             raise NoConvergence("value-first Riccati iteration diverged")
         P = p_next
-        if delta <= synthesis.RICCATI_REL_TOL * (1.0 + float(np.abs(P).max())):
+        if delta <= synthesis.RICCATI_REL_TOL * float(np.abs(P).max()):
             return P, iterations + doublings
         if iterations - n - 1 > n + 1 and delta >= last:
             if synthesis.riccati_residual(plant, Q, P) > synthesis._residual_limit(P):

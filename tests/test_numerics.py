@@ -23,14 +23,17 @@ def test_as_symmetric_keeps_symmetric_input():
 
 
 def test_as_symmetric_averages_within_tolerance():
-    gap = 0.5 * numerics.SYMMETRY_TOL
-    out = numerics.as_symmetric([[1.0, gap], [0.0, 1.0]], "s")
-    assert out.tobytes() == out.T.tobytes()
-    assert out[0, 1] == 0.5 * gap
+    # the tolerance is relative to max|M|: 1e-3 off 1e12 I is 1e-15 relative
+    for scale, gap in ((1.0, 0.5 * numerics.SYMMETRY_TOL), (1e12, 1e-3)):
+        out = numerics.as_symmetric([[scale, gap], [0.0, scale]], "s")
+        assert out.tobytes() == out.T.tobytes()
+        assert out[0, 1] == 0.5 * gap
 
 
 def test_as_symmetric_rejects_asymmetric():
-    for m in ([[1.0, 0.5], [0.0, 1.0]], [[1.0, 2 * numerics.SYMMETRY_TOL], [0.0, 1.0]]):
+    # [[1e-12, 5e-13], [0, 1e-12]] is 50% asymmetric however small its entries
+    for m in ([[1.0, 0.5], [0.0, 1.0]], [[1.0, 2 * numerics.SYMMETRY_TOL], [0.0, 1.0]],
+              [[1e-12, 5e-13], [0.0, 1e-12]]):
         with pytest.raises(errors.NonSymmetric, match="^Q asymmetry"):
             numerics.as_symmetric(m, "Q")
 

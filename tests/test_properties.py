@@ -28,7 +28,25 @@ def test_riccati_passes_its_residual_check_or_raises_typed(n, seed):
         P, _ = sppc.solve_riccati(plant, Q)
     except sppc.SppcError:
         return
-    assert synthesis.riccati_residual(plant, Q, P) <= 1e-9 * (1.0 + float(np.abs(P).max()))
+    assert synthesis.riccati_residual(plant, Q, P) <= synthesis._residual_limit(P)
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 20), st.integers(0, 2 ** 32 - 1))
+def test_residual_check_bounds_p_minus_q(n, seed):
+    # F(P) - Q >= 0 for P > 0, so a P that passes riccati_residual has
+    # lambda_min(P - Q) >= -n residual: the check P - Q >= 0 would add nothing
+    rng = np.random.default_rng(seed)
+    plant = random_reachable_plant(rng, n)
+    Q = random_spd(rng, n)
+    try:
+        P, _ = sppc.solve_riccati(plant, Q)
+    except sppc.SppcError:
+        reject()
+    residual = synthesis.riccati_residual(plant, Q, P)
+    if residual > synthesis._residual_limit(P):
+        reject()
+    assert float(np.linalg.eigvalsh(P - Q)[0]) >= -n * residual
 
 
 @st.composite
