@@ -10,6 +10,7 @@ files; plotting is left to whatever consumes the CSV.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -149,10 +150,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built on the first call: parsing leaves it as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         cfg = config_mod.load_config(args.config, seed=args.seed,
                                      trials=args.trials, solver=args.solver)
         os.makedirs(args.out, exist_ok=True)

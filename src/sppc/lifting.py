@@ -21,6 +21,12 @@ from .numerics import (as_array, as_instance, as_int, as_symmetric, cholesky, fr
 from .plant import PlantModel
 
 
+class _ByteCountedDict(dict):
+    """A dict and the bytes its filler has stored in it."""
+
+    nbytes = 0
+
+
 @record
 class HorizonData:
     """G and H for one (plant, Q, P, N); derived data cached on first use.
@@ -54,10 +60,11 @@ class HorizonData:
 
     @cached_property
     def omp_prefixes(self) -> dict:
-        """OMP's cache: ordered pick prefix -> Gram-Schmidt row of the last
-        pick, then the new R^-1 column (filled by solvers._greedy_picks).
+        """OMP's cache: ordered pick prefix -> (Gram-Schmidt row of the last
+        pick, the new R^-1 column), filled by solvers._greedy_picks, which
+        counts the bytes stored in its nbytes.
         """
-        return {}
+        return _ByteCountedDict()
 
     @cached_property
     def l1_segments(self) -> dict:

@@ -8,8 +8,9 @@ before the first delivery). The plant plays the packet's element at that
 count, so the loop survives any admissible dropout pattern without
 exhausting the buffer. channel_step and buffer_apply are pure functions
 of that state (a wrong-typed argument raises ConfigError, at no cost to a
-right one); run_trial owns it. It checks W, x0 and lam once, and its
-designs skip those checks: plant.step keeps every later state finite.
+right one), and drop_schedule runs the channel for a whole trial;
+run_trial owns the state. It checks W, x0 and lam once, and its designs
+skip those checks: the plant kernel keeps every later state finite.
 
 Randomness comes exclusively from the channel: trial t of a Monte Carlo
 batch (run_trial mapped over seeds) owns one PCG64 generator seeded with
@@ -25,13 +26,14 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import BufferExhausted, ConfigError
 from .lifting import HorizonData
 from .numerics import as_array, as_instance, as_int, as_real, record
-from .plant import PlantModel, step
+from .plant import PlantModel, _advance
 from .solvers import _design_inputs, _l1, _l1_weight, _omp
 from .synthesis import SynthesisResult
 
@@ -49,6 +51,26 @@ def channel_step(drops: int, p_drop: float, max_consecutive: int,
         return drops >= max_consecutive or not rng.random() < p_drop
     except (AttributeError, TypeError, ValueError) as exc:
         raise ConfigError(f"channel_step needs numbers and a Generator: {exc}") from exc
+
+
+def drop_schedule(rng: np.random.Generator, steps: int, p_drop: float,
+                  max_consecutive: int) -> np.ndarray:
+    """The consecutive losses ending at each of `steps` transmissions; 0 is a delivery.
+
+    channel_step decides every transmission, reading the uniforms of one
+    rng.random(steps) in turn: n scalar draws are the bits of one
+    rng.random(n), so the schedule is the one channel_step stepped on rng
+    gives. rng is left `steps` draws on, however many were read.
+    """
+    try:
+        draws = SimpleNamespace(random=iter(rng.random(steps).tolist()).__next__)
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"drop_schedule needs a Generator and a step count: {exc}") from exc
+    ages, drops = [], 0
+    for _ in range(steps):
+        drops = 0 if channel_step(drops, p_drop, max_consecutive, draws) else drops + 1
+        ages.append(drops)
+    return np.array(ages, dtype=np.int64)
 
 
 def buffer_apply(held: np.ndarray, age: int) -> float:
@@ -118,33 +140,29 @@ def run_trial(plant: PlantModel, h: HorizonData, syn: SynthesisResult,
     if not omp:
         lam = _l1_weight(lam)
 
-    rng = np.random.Generator(np.random.PCG64(seed))
+    ages = drop_schedule(np.random.Generator(np.random.PCG64(seed)), steps, p_drop, h.N - 1)
     clock = time.perf_counter
-    H = h.H
-    drops = 0
+    A, b, H = plant.A, plant.B[:, 0], h.H
     held = np.zeros(h.N)
-    max_drops = h.N - 1
 
     states = np.zeros((steps + 1, h.n))
     inputs = np.zeros(steps + 1)
     dropped = np.zeros(steps + 1, dtype=np.uint8)
+    dropped[:steps] = ages != 0
     l0 = np.zeros(steps + 1, dtype=np.int64)
     design_time_us = np.zeros(steps + 1)
 
-    for k in range(steps):
+    for k, age in enumerate(ages.tolist()):
         states[k] = x
         t0 = clock()
         coeffs = _omp(h, W, x)[0] if omp else _l1(h, H.dot(x), lam)[0]
         design_time_us[k] = (clock() - t0) * 1e6
-        if channel_step(drops, p_drop, max_drops, rng):
-            held, drops = coeffs, 0
-        else:
-            drops += 1
-            dropped[k] = 1
-        u = buffer_apply(held, drops)
+        if not age:
+            held = coeffs
+        u = buffer_apply(held, age)
         l0[k] = np.count_nonzero(coeffs)
         inputs[k] = u
-        x = step(plant, x, u)
+        x = _advance(A, b, x, u)
     states[steps] = x
     # one ddot per row, the arithmetic of np.linalg.norm on each state
     norm_x = np.sqrt((states[:, None, :] @ states[:, :, None]).ravel())

@@ -67,8 +67,9 @@ def _greedy_picks(h: HorizonData, y: np.ndarray, eps: float):
 
     G[:, picks] = B R gains one Gram-Schmidt step with re-orthogonalization
     per pick (B stored by rows). A step depends only on G and the pick
-    prefix: it is read from h.omp_prefixes on a hit and stored there on a
-    miss, within OMP_PREFIX_BUDGET_BYTES. Above the bound a feasible packet
+    prefix: a miss stores its basis row and R^-1 column there, as two views
+    of one buffer while the bytes stored stay within OMP_PREFIX_BUDGET_BYTES,
+    and a hit copies that pair in. Above the bound a feasible packet
     may reach, a pick projects the residual off the new row q of B,
     r <- r - (q^T r) q; a pick predicted or found to reach that bound, or
     to fill the support, refits exactly: coefficients R^-1 (B^T y),
@@ -85,7 +86,6 @@ def _greedy_picks(h: HorizonData, y: np.ndarray, eps: float):
         return picks, coeffs, rr
     G, norms, prefixes = h.G, h.col_norms, h.omp_prefixes
     m = G.shape[0]
-    room = OMP_PREFIX_BUDGET_BYTES // (8 * (m + h.N))   # entries that fit at full length
     basis = np.empty((h.N, m))
     r_inv = np.zeros((h.N, h.N))
     mask = np.zeros(h.N)                                  # -inf on picked columns
@@ -112,10 +112,12 @@ def _greedy_picks(h: HorizonData, y: np.ndarray, eps: float):
             s += s2
             np.divide(r_inv[:k, :k].dot(s), -pivot, out=r_inv[:k, k])
             r_inv[k, k] = 1.0 / pivot
-            if len(prefixes) < room:
-                prefixes[prefix] = np.concatenate((basis[k], r_inv[:k + 1, k]))
+            if prefixes.nbytes + 8 * (m + k + 1) <= OMP_PREFIX_BUDGET_BYTES:
+                step = np.concatenate((basis[k], r_inv[:k + 1, k]))
+                prefixes[prefix] = step[:m], step[m:]
+                prefixes.nbytes += step.nbytes
         else:
-            basis[k], r_inv[:k + 1, k] = step[:m], step[m:]
+            basis[k], r_inv[:k + 1, k] = step
         picks.append(j)
         mask[j] = -np.inf
         q = basis[k]

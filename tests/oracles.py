@@ -3,7 +3,8 @@
 None of these is on a library or CLI path: the small-horizon exhaustive
 oracle, the lifted stage cost, the OMP kernel that refits every pick, the
 lifting as first written and the horizon constant by its per-index
-definition, and the Riccati solve in its value-first order.
+definition, the Riccati solve in its value-first order, and the closed
+loop as first written.
 """
 
 import itertools
@@ -12,11 +13,13 @@ import math
 import numpy as np
 
 from sppc import synthesis
+from sppc.netsim import buffer_apply, channel_step
+from sppc.plant import step
 from sppc.errors import ConfigError, Infeasible, NoConvergence, RankDeficient
 from sppc.lifting import HorizonData
 from sppc.numerics import RANK_REL_TOL, as_array, cholesky, solve_least_squares, symmetrize
 from sppc.solvers import (FEASIBILITY_ABS_FLOOR, FEASIBILITY_REL_SLACK, ControlPacket,
-                          _design_inputs)
+                          _design_inputs, l1_design, omp_design)
 
 EXHAUSTIVE_MAX_N = 12
 
@@ -160,3 +163,34 @@ def value_first_riccati(plant, Q):
             return P, iterations + doublings
         last = delta
     raise NoConvergence("value-first Riccati iteration hit its cap")
+
+
+def reference_trial(syn, solver: str, x0, steps: int, seed: int, p_drop: float,
+                    lam: float | None = None) -> dict:
+    """run_trial's loop as first written: (states, inputs, dropped, l0) by name.
+
+    Each step designs with the public solver, draws its transmission with
+    channel_step on PCG64(seed), plays the held packet with buffer_apply
+    and advances with plant.step. run_trial must match these bits.
+    """
+    h = syn.horizon
+    rng = np.random.Generator(np.random.PCG64(seed))
+    x, held, drops = np.array(x0, dtype=float), np.zeros(h.N), 0
+    states = np.zeros((steps + 1, h.n))
+    inputs = np.zeros(steps + 1)
+    dropped = np.zeros(steps + 1, dtype=np.uint8)
+    l0 = np.zeros(steps + 1, dtype=np.int64)
+    for k in range(steps):
+        states[k] = x
+        packet = (omp_design(h, syn.W, x) if solver == "omp"
+                  else l1_design(h, x, lam, 0.0))
+        if channel_step(drops, p_drop, h.N - 1, rng):
+            held, drops = packet.coeffs, 0
+        else:
+            drops += 1
+            dropped[k] = 1
+        inputs[k] = buffer_apply(held, drops)
+        l0[k] = packet.l0
+        x = step(syn.plant, x, inputs[k])
+    states[steps] = x
+    return {"states": states, "inputs": inputs, "dropped": dropped, "l0": l0}

@@ -4,14 +4,17 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sppc
 from sppc import errors
-from sppc.netsim import SOLVER_NAMES, buffer_apply, channel_step
+from sppc.netsim import SOLVER_NAMES, buffer_apply, channel_step, drop_schedule
 from sppc.numerics import cholesky, congruent_spectrum
 from sppc.solvers import FEASIBILITY_REL_SLACK
 
 from conftest import EXAMPLE_POLES, EXAMPLE_X0, random_reachable_plant
+from oracles import reference_trial
 
 
 def run_channel(p_drop, max_consecutive, rng, n):
@@ -64,6 +67,28 @@ def test_channel_bound_and_empirical_rate():
     # stationary drop rate of the truncated geometric chain
     expected = p * (1.0 - p ** bound) / (1.0 - p ** (bound + 1))
     assert drops / n == pytest.approx(expected, abs=0.01)
+
+
+@settings(derandomize=True, deadline=None, max_examples=50, database=None)
+@given(st.integers(0, 2 ** 64 - 1), st.integers(0, 60), st.floats(0.0, 1.0),
+       st.integers(0, 12))
+def test_drop_schedule_is_channel_step_stepped(seed, steps, p_drop, max_consecutive):
+    # one rng.random(steps) read in turn gives the drops of one draw per
+    # undecided step: the schedule's ages are the stepped drop counts
+    stepped = run_channel(p_drop, max_consecutive, np.random.default_rng(seed), steps)
+    ages = drop_schedule(np.random.default_rng(seed), steps, p_drop, max_consecutive)
+    assert ages.dtype == np.int64 and ages.shape == (steps,)
+    drops = []
+    for delivered in stepped:
+        drops.append(0 if delivered else (drops[-1] if drops else 0) + 1)
+    assert ages.tolist() == drops
+
+
+def test_drop_schedule_rejects_a_non_generator():
+    with pytest.raises(errors.ConfigError, match="drop_schedule"):
+        drop_schedule(np.random.RandomState(0).random_sample, 5, 0.5, 2)
+    with pytest.raises(errors.ConfigError, match="drop_schedule"):
+        drop_schedule(np.random.default_rng(0), 2.5, 0.5, 2)
 
 
 def test_channel_validation(example_case):
@@ -140,6 +165,32 @@ def test_trial_norm_and_l0_match_each_state(example_case, solver, p_drop):
         packet = (sppc.omp_design(h, syn.W, x) if solver == "omp"
                   else sppc.l1_design(h, x, 1.0, 1.0))
         assert tr.l0[k] == np.count_nonzero(packet.coeffs)
+
+
+@pytest.mark.parametrize("solver", SOLVER_NAMES)
+@pytest.mark.parametrize("N, p_drop", [(10, 0.5), (20, 0.9), (10, 0.0), (10, 1.0)])
+def test_trial_matches_the_reference_loop(example_plant, example_case, solver, N, p_drop):
+    # the drawn schedule, the kernel step and the cached designs give the
+    # bits of the loop that draws, buffers and steps through the public calls
+    syn = example_case[1] if N == 10 else sppc.synthesize(example_plant, None, N, 0.5)
+    for seed in range(4):
+        for steps in (0, 60):
+            tr = sppc.run_trial(syn.plant, syn.horizon, syn, solver, EXAMPLE_X0, steps,
+                                seed, p_drop=p_drop, lam=1.0)
+            for name, expected in reference_trial(syn, solver, EXAMPLE_X0, steps, seed,
+                                                  p_drop, lam=1.0).items():
+                actual = getattr(tr, name)
+                assert actual.dtype == expected.dtype, name
+                assert actual.tobytes() == expected.tobytes(), (name, seed, steps)
+
+
+@pytest.mark.parametrize("p_drop", [0.0, 0.5, 1.0])
+def test_scalar_trial_matches_the_reference_loop(scalar_case, p_drop):
+    plant, syn, h = scalar_case
+    for seed in range(3):
+        tr = sppc.run_trial(plant, h, syn, "omp", np.array([1.0]), 10, seed, p_drop=p_drop)
+        for name, expected in reference_trial(syn, "omp", [1.0], 10, seed, p_drop).items():
+            assert getattr(tr, name).tobytes() == expected.tobytes(), (name, seed)
 
 
 def test_trial_zero_initial_state(example_case):

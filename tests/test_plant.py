@@ -53,6 +53,9 @@ def test_step_linearity():
         plant = random_reachable_plant(rng, n)
         x1, x2 = rng.standard_normal((2, n))
         u1, u2 = rng.standard_normal(2)
+        # the kernel's A.dot(x) + b u is the bits of A @ x + B[:, 0] u
+        assert (sppc.step(plant, x1, u1).tobytes()
+                == (plant.A @ x1 + plant.B[:, 0] * u1).tobytes())
         lhs = sppc.step(plant, x1 + x2, u1 + u2)
         rhs = (sppc.step(plant, x1, u1) + sppc.step(plant, x2, u2)
                - sppc.step(plant, np.zeros(n), 0.0))

@@ -356,11 +356,18 @@ def test_pickled_setup_leaves_prefix_cache_behind(example_plant):
     assert copy.horizon.omp_prefixes
 
 
+def stored_bytes(prefixes) -> int:
+    """The bytes a prefix cache holds, each entry being its (row, column) pair."""
+    return sum(row.nbytes + col.nbytes for row, col in prefixes.values())
+
+
 def test_omp_prefix_cache_stays_within_budget(monkeypatch):
     # envelope-sized states fill the cache past its byte budget; later
     # designs compute the steps it has no room for, with the same bits (the
-    # budget is pinned at 512 KiB, which these states overflow)
-    monkeypatch.setattr(solvers, "OMP_PREFIX_BUDGET_BYTES", 1 << 19)
+    # budget is pinned at 512 KiB, which these states overflow). The bytes
+    # are counted as stored, so a full cache lacks room for one entry at most
+    budget = 1 << 19
+    monkeypatch.setattr(solvers, "OMP_PREFIX_BUDGET_BYTES", budget)
     rng = np.random.default_rng(7)
     plant = random_reachable_plant(rng, 19)
     syn = sppc.synthesize(plant, None, 46, 0.5)
@@ -368,18 +375,22 @@ def test_omp_prefix_cache_stays_within_budget(monkeypatch):
     h = fresh_horizon(syn.horizon)
     for x in states:
         sppc.omp_design(h, syn.W, x)
-    stored = sum(step.nbytes for step in h.omp_prefixes.values())
-    assert stored <= solvers.OMP_PREFIX_BUDGET_BYTES
+    stored = stored_bytes(h.omp_prefixes)
+    assert stored == h.omp_prefixes.nbytes
+    full_entry = 8 * (len(h.G) + h.N)
+    assert budget - full_entry < stored <= budget
+    for row, col in h.omp_prefixes.values():
+        assert row.base is col.base is not None
     unbounded = fresh_horizon(syn.horizon)
     monkeypatch.setattr(solvers, "OMP_PREFIX_BUDGET_BYTES", 1 << 40)
     for x in states:
         sppc.omp_design(unbounded, syn.W, x)
-    assert sum(step.nbytes for step in unbounded.omp_prefixes.values()) > 2 * stored
-    monkeypatch.setattr(solvers, "OMP_PREFIX_BUDGET_BYTES", 1 << 19)
+    assert stored_bytes(unbounded.omp_prefixes) > 2 * stored
+    monkeypatch.setattr(solvers, "OMP_PREFIX_BUDGET_BYTES", budget)
     for x in rng.standard_normal((20, plant.n)):
         assert (packet_bits(sppc.omp_design(h, syn.W, x))
                 == packet_bits(sppc.omp_design(fresh_horizon(h), syn.W, x)))
-    assert sum(step.nbytes for step in h.omp_prefixes.values()) == stored
+    assert stored_bytes(h.omp_prefixes) <= budget
 
 
 def test_omp_long_horizon_working_set_fits_the_budget(example_plant, monkeypatch):
