@@ -164,8 +164,12 @@ def run_trial(plant: PlantModel, h: HorizonData, syn: SynthesisResult,
         inputs[k] = u
         x = _advance(A, b, x, u)
     states[steps] = x
-    # one ddot per row, the arithmetic of np.linalg.norm on each state
-    norm_x = np.sqrt((states[:, None, :] @ states[:, :, None]).ravel())
+    # one ddot per row, the arithmetic of np.linalg.norm on each state, on the
+    # row scaled by 2^-e (max |x_i| = m 2^e, 0.5 <= m < 1) so that x.x cannot
+    # underflow: in x.x's normal range both scalings are exact
+    _, e = np.frexp(np.abs(states).max(axis=1))
+    scaled = np.ldexp(states, -e[:, None])
+    norm_x = np.ldexp(np.sqrt((scaled[:, None, :] @ scaled[:, :, None]).ravel()), e)
     return SimTrace(states=states, norm_x=norm_x, inputs=inputs, dropped=dropped,
                     l0=l0, design_time_us=design_time_us)
 
