@@ -125,6 +125,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache     # one parser per process, built on first use: parsing leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--config", required=True, help="experiment JSON path")
@@ -150,15 +151,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """build_parser's parser, built on the first call: parsing leaves it as it was."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
         cfg = config_mod.load_config(args.config, seed=args.seed,
                                      trials=args.trials, solver=args.solver)
         os.makedirs(args.out, exist_ok=True)

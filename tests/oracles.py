@@ -13,11 +13,11 @@ import math
 import numpy as np
 
 from sppc import synthesis
-from sppc.netsim import buffer_apply, channel_step
-from sppc.plant import step
 from sppc.errors import ConfigError, Infeasible, NoConvergence, RankDeficient
 from sppc.lifting import HorizonData
+from sppc.netsim import buffer_apply, channel_step
 from sppc.numerics import RANK_REL_TOL, as_array, cholesky, solve_least_squares, symmetrize
+from sppc.plant import step
 from sppc.solvers import (FEASIBILITY_ABS_FLOOR, FEASIBILITY_REL_SLACK, ControlPacket,
                           _design_inputs, l1_design, omp_design)
 

@@ -78,10 +78,11 @@ def test_drop_schedule_is_channel_step_stepped(seed, steps, p_drop, max_consecut
     stepped = run_channel(p_drop, max_consecutive, np.random.default_rng(seed), steps)
     ages = drop_schedule(np.random.default_rng(seed), steps, p_drop, max_consecutive)
     assert ages.dtype == np.int64 and ages.shape == (steps,)
-    drops = []
+    drops, expected = 0, []
     for delivered in stepped:
-        drops.append(0 if delivered else (drops[-1] if drops else 0) + 1)
-    assert ages.tolist() == drops
+        drops = 0 if delivered else drops + 1
+        expected.append(drops)
+    assert ages.tolist() == expected
 
 
 def test_drop_schedule_rejects_a_non_generator():
