@@ -69,8 +69,9 @@ class HorizonData:
     @cached_property
     def l1_segments(self) -> dict:
         """l1's cache: (active set, signs) -> K[A], v = K_AA^-1 sign_A, v K[A]
-        and the free indices (filled by solvers._l1)."""
-        return {}
+        and the free indices, filled by solvers._l1, which counts the bytes
+        stored in its nbytes (8 per list entry)."""
+        return _ByteCountedDict()
 
 
 def build_horizon(plant: PlantModel, Q, P, N: int) -> HorizonData:

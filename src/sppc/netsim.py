@@ -7,8 +7,9 @@ the count of consecutive drops and the last delivered packet (zeros
 before the first delivery). The plant plays the packet's element at that
 count, so the loop survives any admissible dropout pattern without
 exhausting the buffer. channel_step and buffer_apply are pure functions
-of that state (a wrong-typed argument raises ConfigError, at no cost to a
-right one), and drop_schedule runs the channel for a whole trial;
+of that state, run every step (a wrong-typed argument raises ConfigError,
+at no cost to a right one); drop_schedule runs the channel for a whole
+trial and checks its arguments, the p_drop rule among them, once.
 run_trial owns the state. It checks W, x0 and lam once, and its designs
 skip those checks: the plant kernel keeps every later state finite.
 
@@ -60,12 +61,17 @@ def drop_schedule(rng: np.random.Generator, steps: int, p_drop: float,
     channel_step decides every transmission, reading the uniforms of one
     rng.random(steps) in turn: n scalar draws are the bits of one
     rng.random(n), so the schedule is the one channel_step stepped on rng
-    gives. rng is left `steps` draws on, however many were read.
+    gives. rng is left `steps` draws on, however many were read. steps and
+    max_consecutive must be non-negative ints, p_drop must lie in [0, 1]
+    and rng must be a Generator, else ConfigError.
     """
-    try:
-        draws = SimpleNamespace(random=iter(rng.random(steps).tolist()).__next__)
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ConfigError(f"drop_schedule needs a Generator and a step count: {exc}") from exc
+    steps = as_int(steps, "steps", 0)
+    max_consecutive = as_int(max_consecutive, "max_consecutive", 0)
+    p_drop = as_real(p_drop, "p_drop")
+    if not 0.0 <= p_drop <= 1.0:
+        raise ConfigError(f"p_drop must lie in [0, 1], got {p_drop!r}")
+    uniforms = as_instance(rng, np.random.Generator, "rng").random(steps)
+    draws = SimpleNamespace(random=iter(uniforms.tolist()).__next__)
     ages, drops = [], 0
     for _ in range(steps):
         drops = 0 if channel_step(drops, p_drop, max_consecutive, draws) else drops + 1
@@ -119,17 +125,13 @@ def run_trial(plant: PlantModel, h: HorizonData, syn: SynthesisResult,
     solver is "omp" or "l1"; the l1 path needs lam, and both a finite
     x0^T W x0. The PRNG is PCG64(seed) and only the channel draws from it.
     """
-    if as_instance(h, HorizonData, "h") is not as_instance(syn, SynthesisResult, "syn").horizon:
-        raise ConfigError(f"h (N = {h.N}) is not syn.horizon, the lifting syn certified")
-    if as_instance(plant, PlantModel, "plant") is not syn.plant:
+    if h is not as_instance(syn, SynthesisResult, "syn").horizon:
+        raise ConfigError("h is not syn.horizon, the lifting syn certified")
+    if plant is not syn.plant:
         raise ConfigError("plant is not syn.plant, the plant syn was synthesized for")
     if solver not in SOLVER_NAMES:
         raise ConfigError(f"solver must be one of {SOLVER_NAMES}, got {solver!r}")
-    steps = as_int(steps, "steps", 0)
     seed = as_int(seed, "seed", 0, 2 ** 64)
-    p_drop = as_real(p_drop, "p_drop")
-    if not 0.0 <= p_drop <= 1.0:
-        raise ConfigError(f"p_drop must lie in [0, 1], got {p_drop!r}")
     W, x = _design_inputs(h, syn.W, x0)
     with np.errstate(over="ignore"):
         energy = float(x @ (W @ x))
@@ -141,6 +143,7 @@ def run_trial(plant: PlantModel, h: HorizonData, syn: SynthesisResult,
         lam = _l1_weight(lam)
 
     ages = drop_schedule(np.random.Generator(np.random.PCG64(seed)), steps, p_drop, h.N - 1)
+    steps = ages.size
     clock = time.perf_counter
     A, b, H = plant.A, plant.B[:, 0], h.H
     held = np.zeros(h.N)
@@ -187,6 +190,7 @@ class ExperimentSetup:
     lam: float | None = None
 
     def __post_init__(self):    # x0's length is run_trial's to check, against the plant
+        as_instance(self.synthesis, SynthesisResult, "synthesis")
         object.__setattr__(self, "x0", as_array(self.x0, "x0", (None,)))
 
     @property
@@ -236,7 +240,7 @@ def run_montecarlo(setup: ExperimentSetup, trials: int, base_seed: int,
     order, which keeps the result identical for any worker count.
     """
     trials = as_int(trials, "trials", 1)
-    base_seed = as_int(base_seed, "base_seed", 0, 2 ** 64)
+    base_seed = as_int(base_seed, "base_seed", 0, 2 ** 64 - trials + 1)   # base_seed + t < 2^64
     workers = as_int(workers, "workers", 1)
     steps = as_int(as_instance(setup, ExperimentSetup, "setup").steps, "steps", 1)
     solvers = SOLVER_NAMES if setup.solver == "both" else (setup.solver,)

@@ -6,7 +6,8 @@ incremental factorizations (shared across designs in HorizonData's caches).
 as_int and as_real check a scalar argument, for the library and the config
 alike, and as_instance a library object (all raise ConfigError); as_array
 a matrix or vector: a finite float64 array of a given shape, built from
-ints or floats only (a bool in a list fails too), else DimensionMismatch.
+ints or floats only (a bool in a list fails too), else DimensionMismatch
+(plant.from_poles applies the same rule with complex values admitted).
 as_symmetric adds symmetry for Q and P where they enter; the matrices the
 library builds are trusted after. record is the one rule of a record that
 holds arrays: frozen, compared by identity, never freezing a caller's
@@ -62,31 +63,32 @@ def as_array(a, name: str, shape: tuple) -> np.ndarray:
     objects and ragged rows raise DimensionMismatch, as do a wrong shape
     and non-finite entries.
     """
-    m = _real_array(a, name, shape)
-    if not np.isfinite(m).all():
-        raise DimensionMismatch(f"{name} has non-finite entries")
-    return m
+    return _numeric_array(a, name, shape, float)
 
 
-def _real_array(a, name: str, shape: tuple | None) -> np.ndarray:
-    """as_array without the finiteness pass; shape None accepts any shape."""
+def _numeric_array(a, name: str, shape: tuple | None, dtype: type) -> np.ndarray:
+    """as_array for dtype float or complex (which admits complex entries);
+    shape None accepts any shape."""
     try:
         m = np.asarray(a)
     except (TypeError, ValueError) as exc:     # ragged rows
         raise DimensionMismatch(f"{name} is not a numeric array: {exc}") from exc
-    if m.dtype != float:
-        if m.dtype.kind not in "iuf":
-            raise DimensionMismatch(f"{name} must hold ints or floats, got dtype {m.dtype}")
-        m = m.astype(float)
-    # numpy reads a bool among ints or floats as 0 or 1; no ndarray holds that mix
+    if m.dtype != dtype:
+        if m.dtype.kind not in ("iufc" if dtype is complex else "iuf"):
+            allowed = "ints, floats or complex values" if dtype is complex else "ints or floats"
+            raise DimensionMismatch(f"{name} must hold {allowed}, got dtype {m.dtype}")
+        m = m.astype(dtype)
+    # numpy reads a bool among numbers as 0 or 1; no ndarray holds that mix
     if not isinstance(a, np.ndarray) and any(
             isinstance(v, (bool, np.bool_)) for v in np.asarray(a, dtype=object).flat):
-        raise DimensionMismatch(f"{name} must hold ints or floats, got a bool entry")
+        raise DimensionMismatch(f"{name} must hold numbers, not a bool entry")
     # the exact test first: it is the common case and costs one comparison
     if shape is not None and m.shape != shape and (
             m.ndim != len(shape) or any(s not in (None, d) for s, d in zip(shape, m.shape))):
         shape = str(shape).replace("None", "any")
         raise DimensionMismatch(f"{name} must have shape {shape}, got {m.shape}")
+    if not np.isfinite(m).all():
+        raise DimensionMismatch(f"{name} has non-finite entries")
     return m
 
 

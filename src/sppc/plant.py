@@ -6,8 +6,8 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch, NonConjugatePoles
-from .numerics import _real_array, as_array, as_instance, record
+from .errors import DimensionMismatch, NonConjugatePoles
+from .numerics import _numeric_array, as_array, as_instance, as_real, record
 
 # Largest imaginary part, relative to the largest coefficient, that the
 # characteristic polynomial of conjugate-closed poles may carry.
@@ -25,7 +25,7 @@ class PlantModel:
         a = as_array(self.A, "A", (None, None))
         if a.shape[0] != a.shape[1]:
             raise DimensionMismatch(f"A must be square, got shape {a.shape}")
-        b = _real_array(self.B, "B", None)
+        b = _numeric_array(self.B, "B", None, float)
         b = as_array(b.reshape(-1, 1) if b.ndim == 1 else b, "B", (len(a), 1))
         object.__setattr__(self, "A", a)
         object.__setattr__(self, "B", b)
@@ -36,21 +36,10 @@ class PlantModel:
 
 
 def step(plant: PlantModel, x, u: float) -> np.ndarray:
-    """One plant update: A x + B u, rejected unless finite.
-
-    x passes as_array's dtype and shape rule; a non-finite x or u makes the
-    result non-finite, so this one check covers them and an overflow.
-    """
-    try:        # no isinstance on the per-step path: a wrong plant has no A
-        A, B = plant.A, plant.B
-    except AttributeError as exc:
-        raise ConfigError(f"plant must be of type PlantModel, got {plant!r}") from exc
-    x = _real_array(x, "state", (len(A),))
-    try:
-        u = u.__float__()       # str has none: a numeric string is no input
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise DimensionMismatch(f"input must be a real number, got {u!r}") from exc
-    return _advance(A, B[:, 0], x, u)
+    """One plant update: A x + B u. plant, the state x and the input u pass the
+    library's argument checks, and an overflow raises DimensionMismatch."""
+    A = as_instance(plant, PlantModel, "plant").A
+    return _advance(A, plant.B[:, 0], as_array(x, "state", (len(A),)), as_real(u, "input"))
 
 
 def _advance(A: np.ndarray, b: np.ndarray, x: np.ndarray, u: float) -> np.ndarray:
@@ -70,11 +59,12 @@ def from_poles(poles) -> PlantModel:
 
     A is the companion matrix (last row carries the negated characteristic
     coefficients) of the real monic polynomial with the given roots, and
-    B = [0, ..., 0, 1]^T, which is reachable by construction. Complex poles
-    must appear in conjugate pairs.
+    B = [0, ..., 0, 1]^T, which is reachable by construction. The poles pass
+    as_array's rule with complex values admitted, and complex poles must
+    appear in conjugate pairs.
     """
-    roots = np.atleast_1d(np.asarray(poles, dtype=complex))
-    if roots.ndim != 1 or roots.size == 0:
+    roots = _numeric_array(poles, "poles", (None,), complex)
+    if roots.size == 0:
         raise DimensionMismatch("poles must be a non-empty 1-D sequence")
     coeffs = np.poly(roots)  # [1, c1, ..., cn], descending powers
     # exactly real when the roots are closed under conjugation

@@ -200,7 +200,6 @@ def _l1_weight(lam) -> float:
 def _l1(h: HorizonData, y: np.ndarray, lam: float):
     """l1_design's homotopy on y = H x and a checked lam: (coeffs, segments)."""
     K, cache = h.gram, h.l1_segments
-    room = OMP_PREFIX_BUDGET_BYTES // (8 * h.N * (h.N + 3))   # entries that fit at full size
     b = h.G.T @ y
     first = int(np.abs(b).argmax())
     t = abs(float(b[first]))
@@ -222,8 +221,10 @@ def _l1(h: HorizonData, y: np.ndarray, lam: float):
                 raise RankDeficient(f"active columns {active} are linearly dependent")
             free = [j for j in range(h.N) if j not in active]
             segment = rows, v.tolist(), (v @ rows).tolist(), free
-            if len(cache) < room:
+            size = rows.nbytes + 16 * h.N   # v and free hold N entries, v K[A] another N
+            if cache.nbytes + size <= OMP_PREFIX_BUDGET_BYTES:
                 cache[key] = segment
+                cache.nbytes += size
         rows, v, a, free = segment
         # u = 0 on the first segment, where b - u K[A] is b exactly
         c = (b - np.dot(u, rows)).tolist() if segments > 1 else b.tolist()

@@ -211,7 +211,6 @@ def check_invariants(plant: PlantModel, result: SynthesisResult) -> list[Invaria
     so F(P) - Q = A^T (P - P b b^T P / b^T P b) A >= 0 for the Riccati map F,
     and lambda_min(P - Q) >= -||F(P) - P||_2 >= -n riccati_residual.
     """
-    as_instance(plant, PlantModel, "plant")
     if plant is not as_instance(result, SynthesisResult, "result").plant:
         raise ConfigError("plant is not result.plant, the plant result was synthesized for")
     P, eps, rho = result.P, result.Eps, result.rho

@@ -163,7 +163,8 @@ def test_montecarlo_single_solver_columns(tmp_path):
 def test_montecarlo_zero_steps_exits_one(tmp_path, capsys):
     # a rejected run leaves no output, so no manifest reads like a success
     runs = {"steps0": (write_config(tmp_path, "steps0.json", steps=0), []),
-            "workers0": (write_config(tmp_path), ["--workers", "0"])}
+            "workers0": (write_config(tmp_path), ["--workers", "0"]),
+            "seed-range": (write_config(tmp_path), ["--seed", str(2 ** 64 - 1), "--trials", "3"])}
     for name, (cfg, extra) in runs.items():
         out = tmp_path / name
         code = cli.main(["montecarlo", "--config", cfg, "--out", str(out)] + extra)

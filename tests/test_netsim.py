@@ -86,10 +86,24 @@ def test_drop_schedule_is_channel_step_stepped(seed, steps, p_drop, max_consecut
 
 
 def test_drop_schedule_rejects_a_non_generator():
-    with pytest.raises(errors.ConfigError, match="drop_schedule"):
+    with pytest.raises(errors.ConfigError, match="^rng must be of type Generator"):
         drop_schedule(np.random.RandomState(0).random_sample, 5, 0.5, 2)
-    with pytest.raises(errors.ConfigError, match="drop_schedule"):
+    with pytest.raises(errors.ConfigError, match="^steps must be an integer"):
         drop_schedule(np.random.default_rng(0), 2.5, 0.5, 2)
+
+
+@pytest.mark.parametrize("p_drop, max_consecutive, message", [
+    (2.0, 2, "p_drop must lie in"), (-0.1, 2, "p_drop must lie in"),
+    (float("nan"), 2, "p_drop must be a finite real"), (True, 2, "p_drop must be a finite real"),
+    (0.5, -1, "max_consecutive must be an integer"), (0.5, 2.0, "max_consecutive must be"),
+])
+def test_drop_schedule_checks_its_channel(p_drop, max_consecutive, message):
+    # the channel's own rules, checked once per schedule: a drop probability
+    # in [0, 1] and a non-negative integer bound on consecutive drops
+    rng = np.random.default_rng(0)
+    with pytest.raises(errors.ConfigError, match=f"^{message}"):
+        drop_schedule(rng, 3, p_drop, max_consecutive)
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
 def test_channel_validation(example_case):
@@ -456,6 +470,24 @@ def test_montecarlo_rejects_bad_arguments(example_case):
         sppc.run_montecarlo(no_steps, trials=1, base_seed=0)
 
 
+def test_montecarlo_seed_range_covers_every_trial(example_case, monkeypatch):
+    # trial t draws with seed base_seed + t, so the last trial's seed bounds
+    # base_seed: a run past 2^64 - 1 fails before any trial
+    _, syn, _ = example_case
+    setup = sppc.ExperimentSetup(synthesis=syn, solver="omp", x0=EXAMPLE_X0, steps=5,
+                                 p_drop=0.5)
+    seeds = []
+    run_trial = sppc.netsim.run_trial
+    monkeypatch.setattr(sppc.netsim, "run_trial",
+                        lambda *args, **kw: seeds.append(args[-1]) or run_trial(*args, **kw))
+    for base_seed in (2 ** 64 - 1, 2 ** 64 - 2):
+        with pytest.raises(errors.ConfigError, match=r"^base_seed must be an integer"):
+            sppc.run_montecarlo(setup, 3, base_seed)
+    assert seeds == []
+    sppc.run_montecarlo(setup, 3, 2 ** 64 - 3)
+    assert seeds == [2 ** 64 - 3, 2 ** 64 - 2, 2 ** 64 - 1]
+
+
 def test_log_decay_slope_recovers_geometric_rate():
     ks = np.arange(101)
     slope = sppc.log_decay_slope(0.9 ** ks)
@@ -596,7 +628,7 @@ def _skewed(m):
     (lambda p, s, x: channel_step(0, "0.5", 9, np.random.default_rng(0)), errors.ConfigError),
     (lambda p, s, x: channel_step(0, 0.5, 9, None), errors.ConfigError),
     (lambda p, s, x: buffer_apply(np.zeros(4), "a"), errors.ConfigError),
-    (lambda p, s, x: sppc.step(p, x, "1.5"), errors.DimensionMismatch),
+    (lambda p, s, x: sppc.step(p, x, "1.5"), errors.ConfigError),
     (lambda p, s, x: sppc.synthesize(None, None, 10), errors.ConfigError),
     (lambda p, s, x: sppc.check_invariants(p, None), errors.ConfigError),
     (lambda p, s, x: sppc.run_trial(p, s.horizon, None, "omp", x, 5, 0, p_drop=0.5),
@@ -631,6 +663,20 @@ def _skewed(m):
      errors.ConfigError),
     (lambda p, s, x: sppc.ExperimentSetup(s, "omp", [[0.5], [0.5, 0.5]], 5, 0.5),
      errors.DimensionMismatch),
+    (lambda p, s, x: sppc.step(p, x, True), errors.ConfigError),
+    (lambda p, s, x: sppc.step(p, x, np.inf), errors.ConfigError),
+    (lambda p, s, x: sppc.ExperimentSetup(None, "omp", x, 5, 0.5), errors.ConfigError),
+    (lambda p, s, x: sppc.run_trial(None, s.horizon, s, "omp", x, 5, 0, p_drop=0.5),
+     errors.ConfigError),
+    (lambda p, s, x: sppc.run_trial(p, None, s, "omp", x, 5, 0, p_drop=0.5),
+     errors.ConfigError),
+    (lambda p, s, x: sppc.check_invariants(None, s), errors.ConfigError),
+    (lambda p, s, x: sppc.from_poles(["a"]), errors.DimensionMismatch),
+    (lambda p, s, x: sppc.from_poles([[1, 2], [3]]), errors.DimensionMismatch),
+    (lambda p, s, x: sppc.from_poles("0.5"), errors.DimensionMismatch),
+    (lambda p, s, x: sppc.from_poles([0.5, "0.2"]), errors.DimensionMismatch),
+    (lambda p, s, x: sppc.from_poles([True, 0.5]), errors.DimensionMismatch),
+    (lambda p, s, x: sppc.from_poles([np.nan]), errors.DimensionMismatch),
 ], ids=["lam-None", "lam-str", "bound-None", "bound-str", "trial-lam-str",
         "trials-float", "trials-bool", "workers-float", "alpha-None", "q-size",
         "q-rect", "riccati-q-size", "horizon-N-bool", "synthesize-N-bool",
@@ -646,7 +692,10 @@ def _skewed(m):
         "trial-h-copy", "omp-h-None", "l1-h-None", "c-h-None", "horizon-plant-None",
         "riccati-plant-None", "reachable-plant-None", "reachability-plant-None",
         "step-plant-None", "montecarlo-setup-None", "montecarlo-steps-str", "slope-str",
-        "horizon-data-N-bool", "setup-x0-ragged"])
+        "horizon-data-N-bool", "setup-x0-ragged", "step-u-bool", "step-u-inf",
+        "setup-synthesis-None", "trial-plant-None", "trial-h-None", "invariants-plant-None",
+        "poles-str", "poles-ragged", "poles-scalar-str", "poles-str-entry", "poles-bool-entry",
+        "poles-nan"])
 def test_bad_library_arguments_are_typed(example_case, call, error):
     plant, syn, _ = example_case
     with pytest.raises(error):

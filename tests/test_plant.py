@@ -35,14 +35,13 @@ def test_step_rejects_bad_state():
     plant = sppc.PlantModel(A=[[2.0]], B=[[1.0]])
     with pytest.raises(errors.DimensionMismatch):
         sppc.step(plant, [1.0, 2.0], 0.0)
-    with pytest.raises(errors.DimensionMismatch):
+    with pytest.raises(errors.DimensionMismatch, match="^state has non-finite entries"):
         sppc.step(plant, [np.nan], 0.0)
-    with pytest.raises(errors.DimensionMismatch):
-        sppc.step(plant, [1.0], np.nan)
     with np.errstate(over="ignore"), pytest.raises(errors.DimensionMismatch):
         sppc.step(plant, [1e308], 0.0)
-    for u in ("a", None, [1.0, 2.0]):
-        with pytest.raises(errors.DimensionMismatch, match="input must be a real number"):
+    # the input is a scalar argument like any other: a finite real, not a bool
+    for u in ("a", "1.5", None, [1.0, 2.0], np.nan, True, np.bool_(True)):
+        with pytest.raises(errors.ConfigError, match="^input must be a finite real"):
             sppc.step(plant, [1.0], u)
 
 
@@ -103,6 +102,14 @@ def test_from_poles_example_plant():
     got = np.sort_complex(np.linalg.eigvals(plant.A))
     expected = np.sort_complex(np.asarray(EXAMPLE_POLES, dtype=complex))
     np.testing.assert_allclose(got, expected, atol=1e-6)
+
+
+@pytest.mark.parametrize("poles", [["a"], [[1, 2], [3]], "0.5", [0.5, "0.2"], [True, 0.5],
+                                   [np.nan], [0.5, complex(0.2, np.inf)], [], [[0.5]]])
+def test_from_poles_checks_the_poles(poles):
+    # as_array's rule with complex values admitted, naming the poles
+    with pytest.raises(errors.DimensionMismatch, match="^poles "):
+        sppc.from_poles(poles)
 
 
 def test_from_poles_rejects_unpaired_complex():

@@ -449,28 +449,45 @@ def test_pickled_l1_setup_leaves_segment_cache_behind(example_plant):
     assert "l1_segments" not in vars(pickle.loads(warm).horizon)
 
 
+def l1_stored_bytes(segments) -> int:
+    """The bytes a segment cache holds, 8 per entry of its lists."""
+    return sum(rows.nbytes + 8 * (len(v) + len(a) + len(free))
+               for rows, v, a, free in segments.values())
+
+
 def test_l1_segment_cache_stays_within_budget(monkeypatch):
-    # envelope-sized designs fill the cache up to its byte budget, each entry
-    # counted at its full size; a budget of one entry changes no packet (the
-    # budget is pinned at 512 KiB, which these designs fill)
-    monkeypatch.setattr(solvers, "OMP_PREFIX_BUDGET_BYTES", 1 << 19)
+    # envelope-sized designs fill the cache past its byte budget; later
+    # designs solve the segments it has no room for, with the same bits (the
+    # budget is pinned at 128 KiB, which these designs overflow). The bytes
+    # are counted as stored, so a full cache lacks room for one entry at most
+    budget = 1 << 17
+    monkeypatch.setattr(solvers, "OMP_PREFIX_BUDGET_BYTES", budget)
     rng = np.random.default_rng(7)
     plant = random_reachable_plant(rng, 19)
     syn = sppc.synthesize(plant, None, 46, 0.5)
     h = fresh_horizon(syn.horizon)
-    full_size = 8 * h.N * (h.N + 3)
     states = rng.standard_normal((20, plant.n))
     lams = [0.1 * float(np.abs(h.G.T @ (h.H @ x)).max()) for x in states]
-    packets = [packet_bits(sppc.l1_design(h, x, lam, 1.0)) for x, lam in zip(states, lams)]
-    stored = sum(rows.nbytes + 8 * (len(v) + len(a) + len(free))
-                 for rows, v, a, free in h.l1_segments.values())
-    assert len(h.l1_segments) == solvers.OMP_PREFIX_BUDGET_BYTES // full_size
-    assert stored <= len(h.l1_segments) * full_size <= solvers.OMP_PREFIX_BUDGET_BYTES
+
+    def designs(horizon):
+        return [packet_bits(sppc.l1_design(horizon, x, lam, 1.0))
+                for x, lam in zip(states, lams)]
+
+    packets = designs(h)
+    stored = l1_stored_bytes(h.l1_segments)
+    assert stored == h.l1_segments.nbytes
+    full_entry = 8 * h.N * (h.N + 2)
+    assert budget - full_entry < stored <= budget
+    assert designs(h) == packets and l1_stored_bytes(h.l1_segments) <= budget
+    unbounded = fresh_horizon(h)
+    monkeypatch.setattr(solvers, "OMP_PREFIX_BUDGET_BYTES", 1 << 40)
+    assert designs(unbounded) == packets
+    assert l1_stored_bytes(unbounded.l1_segments) > stored
+    # a budget of one full-size entry changes no packet either
     tiny = fresh_horizon(h)
-    monkeypatch.setattr(solvers, "OMP_PREFIX_BUDGET_BYTES", full_size)
-    assert packets == [packet_bits(sppc.l1_design(tiny, x, lam, 1.0))
-                       for x, lam in zip(states, lams)]
-    assert len(tiny.l1_segments) == 1
+    monkeypatch.setattr(solvers, "OMP_PREFIX_BUDGET_BYTES", full_entry)
+    assert designs(tiny) == packets
+    assert 0 < l1_stored_bytes(tiny.l1_segments) <= full_entry
 
 
 def test_omp_state_scaling_covariance():
