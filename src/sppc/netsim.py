@@ -1,17 +1,20 @@
 """Closed-loop simulation over a lossy link.
 
-The controller designs a packet from the current state every step and
-sends it through an erasure channel with a bounded number of consecutive
-drops. The whole channel and buffer state is one integer and one array:
-the count of consecutive drops and the last delivered packet (zeros
-before the first delivery). The plant plays the packet's element at that
-count, so the loop survives any admissible dropout pattern without
-exhausting the buffer. channel_step and buffer_apply are pure functions
-of that state, run every step (a wrong-typed argument raises ConfigError,
-at no cost to a right one); drop_schedule runs the channel for a whole
-trial and checks its arguments, the p_drop rule among them, once.
-run_trial owns the state. It checks W, x0 and lam once, and its designs
-skip those checks: the plant kernel keeps every later state finite.
+Every step the controller sends a packet designed from the current state
+through an erasure channel with a bounded number of consecutive drops.
+The whole channel and buffer state is one integer and one array: the
+count of consecutive drops and the last delivered packet (zeros before
+the first delivery). The plant plays the packet's element at that count,
+so the loop survives any admissible dropout pattern without exhausting
+the buffer. channel_step and buffer_apply are pure functions of that
+state, run every step (a wrong-typed argument raises ConfigError, at no
+cost to a right one); drop_schedule runs the channel for a whole trial
+and checks its arguments, the p_drop rule among them, once. run_trial
+owns the state. It checks W, x0 and lam once, and its designs skip those
+checks: the plant kernel keeps every later state finite. A lost packet
+leaves every state as it was, so the loop designs only the packets the
+buffer keeps, and the lost ones are designed after it (OMP's in stacked
+passes, solvers._omp_rows).
 
 Randomness comes exclusively from the channel: trial t of a Monte Carlo
 batch (run_trial mapped over seeds) owns one PCG64 generator seeded with
@@ -35,7 +38,7 @@ from .errors import BufferExhausted, ConfigError
 from .lifting import HorizonData
 from .numerics import as_array, as_instance, as_int, as_real, record
 from .plant import PlantModel, _advance
-from .solvers import _design_inputs, _l1, _l1_weight, _omp
+from .solvers import _design_inputs, _l1, _l1_weight, _omp, _omp_rows
 from .synthesis import SynthesisResult
 
 SOLVER_NAMES = ("omp", "l1")
@@ -100,8 +103,10 @@ class SimTrace:
 
     All arrays have length steps + 1; the row at k = steps carries the
     final state only, with the action fields zero-filled. dropped[k] is 1
-    when the packet sent at k was lost. design_time_us is wall clock and
-    is the one field outside the determinism guarantee.
+    when the packet sent at k was lost, and l0[k] counts that packet's
+    nonzeros all the same. design_time_us is wall clock, the one field
+    outside the determinism guarantee; a lost packet's is an equal share
+    of the pass that designed the lost packets after the loop.
     """
 
     states: np.ndarray
@@ -157,16 +162,21 @@ def run_trial(plant: PlantModel, h: HorizonData, syn: SynthesisResult,
 
     for k, age in enumerate(ages.tolist()):
         states[k] = x
-        t0 = clock()
-        coeffs = _omp(h, W, x)[0] if omp else _l1(h, H.dot(x), lam)[0]
-        design_time_us[k] = (clock() - t0) * 1e6
         if not age:
-            held = coeffs
-        u = buffer_apply(held, age)
-        l0[k] = np.count_nonzero(coeffs)
-        inputs[k] = u
+            t0 = clock()
+            held = _omp(h, W, x)[0] if omp else _l1(h, H.dot(x), lam)[0]
+            design_time_us[k] = (clock() - t0) * 1e6
+            l0[k] = np.count_nonzero(held)
+        inputs[k] = u = buffer_apply(held, age)
         x = _advance(A, b, x, u)
     states[steps] = x
+    lost = np.flatnonzero(ages)     # packets that left every state as it was
+    if lost.size:
+        t0 = clock()
+        coeffs = (_omp_rows(h, W, states[lost]) if omp
+                  else np.array([_l1(h, H.dot(x), lam)[0] for x in states[lost]]))
+        design_time_us[lost] = (clock() - t0) * 1e6 / lost.size
+        l0[lost] = np.count_nonzero(coeffs, axis=1)
     # one ddot per row, the arithmetic of np.linalg.norm on each state, on the
     # row scaled by 2^-e (max |x_i| = m 2^e, 0.5 <= m < 1) so that x.x cannot
     # underflow: in x.x's normal range both scalings are exact

@@ -28,6 +28,10 @@ L1_MAX_ITERATIONS = 5000
 # float bytes each solver may keep per horizon in its HorizonData cache; 4 MiB is the
 # knee of OMP's miss curve at N = 20, p_drop 0.9 (4.9% of lookups miss, 25% at 512 KiB)
 OMP_PREFIX_BUDGET_BYTES = 1 << 22
+# bytes of Gram-Schmidt rows and R^-1 a stacked OMP pass holds (the budget as imported, so
+# setting it later moves the cache alone); below 16 rows a pass is slower than _omp on each
+_STACKED_BYTES = OMP_PREFIX_BUDGET_BYTES
+_STACKED_MIN_ROWS = 16
 
 
 @record
@@ -77,48 +81,31 @@ def _greedy_picks(h: HorizonData, y: np.ndarray, eps: float):
     and raises Infeasible when the full support misses the bound.
     ndarray.dot makes the BLAS call of @ at a fraction of its dispatch cost,
     and a miss writes its basis row and R^-1 column in place: @'s bits, cheaper.
+    _omp_rows is its stacked twin, on many states at once.
     """
-    picks: list[int] = []
     coeffs = np.zeros(h.N)
     r = y
     rr = float(r.dot(r))
     if rr <= eps:
-        return picks, coeffs, rr
+        return [], coeffs, rr
     G, norms, prefixes = h.G, h.col_norms, h.omp_prefixes
-    m = G.shape[0]
-    basis = np.empty((h.N, m))
+    basis = np.empty((h.N, G.shape[0]))
     r_inv = np.zeros((h.N, h.N))
     mask = np.zeros(h.N)                                  # -inf on picked columns
     bound = eps * (1.0 + FEASIBILITY_REL_SLACK) + FEASIBILITY_ABS_FLOOR
     prefix = ()
-    while rr > eps and len(picks) < h.N:
+    while rr > eps and len(prefix) < h.N:
         score = np.abs(r.dot(G))
         score /= norms
         score += mask
         j = int(score.argmax())
-        k = len(picks)
+        k = len(prefix)
         prefix += (j,)
         step = prefixes.get(prefix)
         if step is None:
-            s = basis[:k].dot(G[:, j])
-            v = G[:, j] - s.dot(basis[:k])
-            s2 = basis[:k].dot(v)
-            v -= s2.dot(basis[:k])
-            pivot = math.sqrt(v.dot(v))
-            if pivot <= RANK_REL_TOL * norms[j]:
-                raise RankDeficient(f"column {j} is numerically in the span of "
-                                    f"columns {sorted(picks)}")
-            np.divide(v, pivot, out=basis[k])
-            s += s2
-            np.divide(r_inv[:k, :k].dot(s), -pivot, out=r_inv[:k, k])
-            r_inv[k, k] = 1.0 / pivot
-            if prefixes.nbytes + 8 * (m + k + 1) <= OMP_PREFIX_BUDGET_BYTES:
-                step = np.concatenate((basis[k], r_inv[:k + 1, k]))
-                prefixes[prefix] = step[:m], step[m:]
-                prefixes.nbytes += step.nbytes
+            _gram_schmidt(h, prefix, basis, r_inv)
         else:
             basis[k], r_inv[:k + 1, k] = step
-        picks.append(j)
         mask[j] = -np.inf
         q = basis[k]
         z = float(q.dot(r))
@@ -127,13 +114,36 @@ def _greedy_picks(h: HorizonData, y: np.ndarray, eps: float):
             rr = float(r.dot(r))
             if rr > bound:
                 continue
-        coeffs[picks] = r_inv[:k + 1, :k + 1].dot(basis[:k + 1].dot(y))
+        coeffs[list(prefix)] = r_inv[:k + 1, :k + 1].dot(basis[:k + 1].dot(y))
         r = y - G.dot(coeffs)
         rr = float(r.dot(r))
     if rr > bound:
         raise Infeasible(f"full-support residual {rr:.6e} exceeds threshold {eps:.6e}; "
                          "the synthesis that produced W is inconsistent")
-    return picks, coeffs, rr
+    return list(prefix), coeffs, rr
+
+
+def _gram_schmidt(h: HorizonData, prefix: tuple, basis: np.ndarray, r_inv: np.ndarray):
+    """A prefix-cache miss: prefix's last Gram-Schmidt step into basis[k] and r_inv[:k + 1, k],
+    stored under prefix while the bytes stored stay within OMP_PREFIX_BUDGET_BYTES."""
+    G, norms, prefixes = h.G, h.col_norms, h.omp_prefixes
+    m, k, j = G.shape[0], len(prefix) - 1, prefix[-1]
+    s = basis[:k].dot(G[:, j])
+    v = G[:, j] - s.dot(basis[:k])
+    s2 = basis[:k].dot(v)
+    v -= s2.dot(basis[:k])
+    pivot = math.sqrt(v.dot(v))
+    if pivot <= RANK_REL_TOL * norms[j]:
+        raise RankDeficient(f"column {j} is numerically in the span of "
+                            f"columns {sorted(prefix[:-1])}")
+    np.divide(v, pivot, out=basis[k])
+    s += s2
+    np.divide(r_inv[:k, :k].dot(s), -pivot, out=r_inv[:k, k])
+    r_inv[k, k] = 1.0 / pivot
+    if prefixes.nbytes + 8 * (m + k + 1) <= OMP_PREFIX_BUDGET_BYTES:
+        step = np.concatenate((basis[k], r_inv[:k + 1, k]))
+        prefixes[prefix] = step[:m], step[m:]
+        prefixes.nbytes += step.nbytes
 
 
 def _omp(h: HorizonData, W: np.ndarray, x: np.ndarray):
@@ -143,6 +153,66 @@ def _omp(h: HorizonData, W: np.ndarray, x: np.ndarray):
         raise DegenerateInput(f"x^T W x is {eps!r}; no packet can be designed against it")
     picks, coeffs, rr = _greedy_picks(h, h.H.dot(x), eps)
     return coeffs, rr, eps, len(picks)
+
+
+def _omp_rows(h: HorizonData, W: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """_omp's coefficients at each row of a checked X, bit for bit: _greedy_picks
+    on all rows at once, in chunks of _STACKED_BYTES, or on each row when fewer
+    than _STACKED_MIN_ROWS rows, or a chunk's, would share the pass.
+
+    x^T W x, H x, the correlations and the projections are matmuls stacked over
+    the rows with a singleton core dimension, which make ndarray.dot's BLAS call
+    on each row (a 2-D product does not); the prefix-cache lookup, the miss step
+    and the exact refit run per row. A row leaves once its exact residual meets
+    its threshold, and the pass raises what _omp raises on a row.
+    """
+    G, norms, prefixes, N = h.G, h.col_norms, h.omp_prefixes, h.N
+    chunk = _STACKED_BYTES // (8 * N * (len(G) + N))
+    if min(len(X), chunk) < _STACKED_MIN_ROWS:
+        return np.array([_omp(h, W, x)[0] for x in X]).reshape(len(X), N)
+    if len(X) > chunk:
+        return np.vstack([_omp_rows(h, W, X[i:i + chunk]) for i in range(0, len(X), chunk)])
+    eps = (X[:, None, :] @ (W @ X[:, :, None]))[:, 0, 0]
+    if not np.isfinite(eps).all():
+        raise DegenerateInput(f"x^T W x is {float(eps[~np.isfinite(eps)][0])!r}; "
+                              "no packet can be designed against it")
+    bound = eps * (1.0 + FEASIBILITY_REL_SLACK) + FEASIBILITY_ABS_FLOOR
+    Y = (h.H @ X[:, :, None])[:, :, 0]
+    rr = (Y[:, None, :] @ Y[:, :, None])[:, 0, 0]
+    rows = np.flatnonzero(rr > eps)                 # the rows still picking
+    R, rr, eps, bound = Y[rows], rr[rows], eps[rows], bound[rows]
+    coeffs = np.zeros((len(X), N))
+    basis, r_inv = np.empty((len(X), N, len(G))), np.zeros((len(X), N, N))
+    mask = np.zeros((rows.size, N))                 # -inf on picked columns
+    prefix = [()] * len(X)
+    for k in range(N):
+        if not rows.size:
+            break
+        picks = (np.abs((R[:, None, :] @ G)[:, 0, :]) / norms + mask).argmax(axis=1)
+        mask[np.arange(rows.size), picks] = -np.inf
+        for i, j in zip(rows.tolist(), picks.tolist()):
+            prefix[i] += (j,)
+            step = prefixes.get(prefix[i])
+            if step is None:
+                _gram_schmidt(h, prefix[i], basis[i], r_inv[i])
+            else:
+                basis[i, k], r_inv[i, :k + 1, k] = step
+        q = basis[rows, k]
+        z = (q[:, None, :] @ R[:, :, None])[:, 0, 0]
+        projected = (rr - z * z > bound) & (k + 1 < N)
+        R = R - z[:, None] * q                      # kept where projected, else refit
+        rr = (R[:, None, :] @ R[:, :, None])[:, 0, 0]
+        refit = np.flatnonzero(~(projected & (rr > bound)))
+        for i in rows[refit].tolist():
+            coeffs[i, list(prefix[i])] = r_inv[i, :k + 1, :k + 1].dot(basis[i, :k + 1].dot(Y[i]))
+        R[refit] = r = Y[rows[refit]] - (G @ coeffs[rows[refit], :, None])[:, :, 0]
+        rr[refit] = (r[:, None, :] @ r[:, :, None])[:, 0, 0]
+        stay = (rr > eps) & (k + 1 < N)
+        for a in np.flatnonzero(~stay & (rr > bound))[:1]:     # the first row to fail
+            raise Infeasible(f"full-support residual {rr[a]:.6e} exceeds threshold "
+                             f"{eps[a]:.6e}; the synthesis that produced W is inconsistent")
+        rows, R, rr, eps, bound, mask = (a[stay] for a in (rows, R, rr, eps, bound, mask))
+    return coeffs
 
 
 def omp_design(h: HorizonData, W, x) -> ControlPacket:

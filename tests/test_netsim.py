@@ -1,5 +1,6 @@
 import dataclasses
 import pickle
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sppc
-from sppc import errors
+from sppc import errors, solvers
 from sppc.netsim import SOLVER_NAMES, buffer_apply, channel_step, drop_schedule
 from sppc.numerics import cholesky, congruent_spectrum
 from sppc.solvers import FEASIBILITY_REL_SLACK
@@ -165,16 +166,42 @@ def test_trial_playout_uses_packet_element_at_drop_age(example_case):
             assert tr.inputs[k] == expected
 
 
+@pytest.fixture(scope="module")
+def generic_case():
+    """A generic 12-state plant at N = 40 (Q = I, alpha 0.5), and an x0 for it."""
+    rng = np.random.default_rng(0)
+    syn = sppc.synthesize(random_reachable_plant(rng, 12), None, 40, 0.5)
+    return syn, rng.standard_normal(12)
+
+
+def loop_case(request, N):
+    """(syn, x0) of a trial case: the example at N = 10 or 20 with its x0, or
+    the generic 12-state plant at N = 40."""
+    if N == 40:
+        return request.getfixturevalue("generic_case")
+    plant, syn, _ = request.getfixturevalue("example_case")
+    return (syn if N == 10 else sppc.synthesize(plant, None, N, 0.5)), EXAMPLE_X0
+
+
+# p_drop 0.1 leaves few lost steps to a trial, which _omp_rows designs one by
+# one; p_drop 0.5 and 0.9 leave enough for stacked passes, and the generic
+# plant's passes take more than one chunk
+GENERIC = pytest.param(40, 0.9, id="generic12-40-0.9")
+
+
 @pytest.mark.parametrize("solver", SOLVER_NAMES)
-@pytest.mark.parametrize("p_drop", [0.5, 0.9])
-def test_trial_norm_and_l0_match_each_state(example_case, solver, p_drop):
+@pytest.mark.parametrize("N, p_drop", [pytest.param(10, 0.5, id="0.5"),
+                                       pytest.param(10, 0.9, id="0.9"), (10, 0.1), GENERIC])
+def test_trial_norm_and_l0_match_each_state(request, solver, N, p_drop):
     # norm_x is reduced over all states after the loop: a batch-shaped BLAS
     # reduction would not round like np.linalg.norm on each state. Where x.x
     # leaves the normal range np.linalg.norm underflows, and norm_x does not
-    # (seed 7's OMP states fall below 1e-162 from step 55 on)
-    plant, syn, h = example_case
+    # (seed 7's OMP states fall below 1e-162 from step 55 on). l0 counts
+    # every packet sent, the lost ones designed after the loop included
+    syn, x0 = loop_case(request, N)
+    h = syn.horizon
     for seed in (4, 7):
-        tr = sppc.run_trial(plant, h, syn, solver, EXAMPLE_X0, 100, seed,
+        tr = sppc.run_trial(syn.plant, h, syn, solver, x0, 100, seed,
                             p_drop=p_drop, lam=1.0)
         assert np.array_equal(tr.norm_x == 0.0, ~tr.states.any(axis=1))
         for k in range(tr.steps + 1):
@@ -193,16 +220,18 @@ def test_trial_norm_and_l0_match_each_state(example_case, solver, p_drop):
 
 
 @pytest.mark.parametrize("solver", SOLVER_NAMES)
-@pytest.mark.parametrize("N, p_drop", [(10, 0.5), (20, 0.9), (10, 0.0), (10, 1.0)])
-def test_trial_matches_the_reference_loop(example_plant, example_case, solver, N, p_drop):
-    # the drawn schedule, the kernel step and the cached designs give the
-    # bits of the loop that draws, buffers and steps through the public calls
-    syn = example_case[1] if N == 10 else sppc.synthesize(example_plant, None, N, 0.5)
+@pytest.mark.parametrize("N, p_drop", [(10, 0.5), (20, 0.9), (10, 0.0), (10, 1.0), (10, 0.1),
+                                       GENERIC])
+def test_trial_matches_the_reference_loop(request, solver, N, p_drop):
+    # the drawn schedule, the kernel step and the cached designs, with the
+    # lost packets designed after the loop, give the bits of the loop that
+    # draws, designs, buffers and steps through the public calls
+    syn, x0 = loop_case(request, N)
     for seed in range(4):
         for steps in (0, 60):
-            tr = sppc.run_trial(syn.plant, syn.horizon, syn, solver, EXAMPLE_X0, steps,
+            tr = sppc.run_trial(syn.plant, syn.horizon, syn, solver, x0, steps,
                                 seed, p_drop=p_drop, lam=1.0)
-            for name, expected in reference_trial(syn, solver, EXAMPLE_X0, steps, seed,
+            for name, expected in reference_trial(syn, solver, x0, steps, seed,
                                                   p_drop, lam=1.0).items():
                 actual = getattr(tr, name)
                 assert actual.dtype == expected.dtype, name
@@ -216,6 +245,28 @@ def test_scalar_trial_matches_the_reference_loop(scalar_case, p_drop):
         tr = sppc.run_trial(plant, h, syn, "omp", np.array([1.0]), 10, seed, p_drop=p_drop)
         for name, expected in reference_trial(syn, "omp", [1.0], 10, seed, p_drop).items():
             assert getattr(tr, name).tobytes() == expected.tobytes(), (name, seed)
+
+
+@pytest.mark.parametrize("n, N", [(12, 40), (20, 64)])
+def test_trial_lost_designs_stay_within_the_stacked_cap(n, N):
+    # a trial's lost steps hold at most _STACKED_BYTES of Gram-Schmidt rows
+    # and R^-1 at once: in chunks of 25 rows at (12, 40), and one by one at
+    # (20, 64), where a chunk holds 6. The trials peak at 4.8 and 0.8 MiB;
+    # in one pass their 92 lost steps peak at 17 and 67 MiB. The first run
+    # fills the prefix cache, so the measured one adds no entries to it
+    rng = np.random.default_rng(0)
+    syn = sppc.synthesize(random_reachable_plant(rng, n), None, N, 0.5)
+    x0 = rng.standard_normal(n)
+    sppc.run_trial(syn.plant, syn.horizon, syn, "omp", x0, 100, 1, p_drop=0.9)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        trace = sppc.run_trial(syn.plant, syn.horizon, syn, "omp", x0, 100, 1, p_drop=0.9)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert trace.dropped.sum() >= 80
+    assert peak <= solvers._STACKED_BYTES + (2 << 20)
 
 
 def test_trial_zero_initial_state(example_case):

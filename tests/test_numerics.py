@@ -234,6 +234,26 @@ class _Pair:
 _checked: list = []
 
 
+@pytest.mark.parametrize("B", [1, 2, 7, 64])
+def test_stacked_matmul_matches_ndarray_dot(B):
+    # solvers._omp_rows and run_trial's norm_x rest on this: a matmul
+    # stacked over B rows with a singleton core dimension makes, on each
+    # row, the BLAS call ndarray.dot makes on the 1-D row, so every row keeps
+    # its bits (a 2-D product of the rows need not). Shapes span the
+    # envelope: n <= 20, N <= 64, G and H with n N rows
+    rng = np.random.default_rng(B)
+    for n, N in ((1, 1), (1, 4), (4, 10), (4, 20), (12, 40), (20, 64)):
+        G, H = rng.standard_normal((n * N, N)), rng.standard_normal((n * N, n))
+        W = rng.standard_normal((n, n))
+        R, X, C = (rng.standard_normal((B, size)) for size in (n * N, n, N))
+        for stacked, rows in (((R[:, None, :] @ G)[:, 0, :], [r.dot(G) for r in R]),
+                              ((H @ X[:, :, None])[:, :, 0], [H.dot(x) for x in X]),
+                              ((W @ X[:, :, None])[:, :, 0], [W.dot(x) for x in X]),
+                              ((G @ C[:, :, None])[:, :, 0], [G.dot(c) for c in C]),
+                              ((R[:, None, :] @ R[:, :, None])[:, 0, 0], [r.dot(r) for r in R])):
+            assert stacked.tobytes() == np.array(rows).tobytes(), (n, N)
+
+
 def test_record_freezes_a_copy_of_a_writable_array():
     mine = np.asfortranarray(np.arange(6.0).reshape(2, 3))
     r = _Pair(mine, 1)

@@ -6,11 +6,14 @@ import threading
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 import sppc
 from sppc import errors, solvers
 from sppc.lifting import HorizonData
-from sppc.solvers import FEASIBILITY_ABS_FLOOR, FEASIBILITY_REL_SLACK, _greedy_picks
+from sppc.solvers import (FEASIBILITY_ABS_FLOOR, FEASIBILITY_REL_SLACK, _greedy_picks, _omp,
+                          _omp_rows)
 
 import oracles
 from conftest import EXAMPLE_X0, random_reachable_plant, random_spd
@@ -269,6 +272,36 @@ def test_omp_repeated_column_is_rank_deficient():
         assert set(h.omp_prefixes) == {(0,), (0, 1)}
 
 
+def stacked_omp_rows(h, W, X):
+    """_omp_rows with its row threshold at 1: any rows, one alone too, share a pass."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solvers, "_STACKED_MIN_ROWS", 1)
+        return _omp_rows(h, W, X)
+
+
+def test_stacked_omp_raises_what_omp_raises_on_a_row(example_case):
+    # each failing state sits among states that design: the stacked pass
+    # raises _omp's error type on it, by itself and through _omp_rows
+    _, syn, h = example_case
+    overflowing = np.array([[0.5] * 4, [1e300] * 4, [0.0] * 4])
+    unreachable = HorizonData(N=2, G=np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]),
+                              H=np.array([[1.0], [0.0], [1.0]]))
+    repeated = HorizonData(N=3, G=np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]]),
+                           H=np.ones((3, 1)))
+    rows = np.array([[0.0], [1.0], [2.0]])
+    for kernel in (stacked_omp_rows, _omp_rows):
+        with np.errstate(over="ignore"), pytest.raises(errors.DegenerateInput,
+                                                       match=r"x\^T W x is inf"):
+            kernel(h, syn.W, overflowing)
+        with pytest.raises(errors.Infeasible):
+            kernel(unreachable, np.array([[0.5]]), rows)
+        # from a cold prefix cache, then a warm one; the failing prefix is never stored
+        for _ in range(2):
+            with pytest.raises(errors.RankDeficient):
+                kernel(repeated, np.array([[0.5]]), rows)
+            assert set(repeated.omp_prefixes) == {(0,), (0, 1)}
+
+
 def packet_bits(p):
     return (p.coeffs.tobytes(), np.array([p.residual_sq, p.threshold]).tobytes(),
             p.iterations)
@@ -404,6 +437,87 @@ def test_omp_long_horizon_working_set_fits_the_budget(example_plant, monkeypatch
         sppc.run_montecarlo(setup, 24, 0)
         sizes.append(len(setup.horizon.omp_prefixes))
     assert sizes[0] == sizes[1] > 0
+
+
+def assert_stacked_matches_omp(h, W, X):
+    """The stacked pass on a cold, a warm and an uncached copy of h, and
+    _omp_rows on h, give _omp's coefficients at every row of X, bit for bit."""
+    cold = fresh_horizon(h)
+    expected = np.array([_omp(cold, W, x)[0] for x in X]).reshape(len(X), h.N).tobytes()
+    stacked = fresh_horizon(h)
+    assert stacked_omp_rows(stacked, W, X).tobytes() == expected
+    assert stacked_omp_rows(stacked, W, X).tobytes() == expected
+    assert stacked.omp_prefixes.keys() == cold.omp_prefixes.keys()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solvers, "OMP_PREFIX_BUDGET_BYTES", 0)
+        uncached = fresh_horizon(h)
+        assert stacked_omp_rows(uncached, W, X).tobytes() == expected
+        assert not uncached.omp_prefixes
+    assert _omp_rows(h, W, X).tobytes() == expected
+
+
+@settings(derandomize=True, deadline=None, max_examples=15, database=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_stacked_omp_matches_omp_on_envelope(seed):
+    # random plants of the envelope (n <= 20, N <= 64) whose margin ratio is
+    # above rounding, at 1 to 40 states scaled by 2^k from the underflow
+    # range to large norms, a fifth of them exactly zero
+    rng = np.random.default_rng(seed)
+    n, N, rows = int(rng.integers(2, 21)), int(rng.integers(4, 65)), int(rng.integers(1, 41))
+    plant = random_reachable_plant(rng, n)
+    try:
+        syn = sppc.synthesize(plant, None, N, 0.5)
+    except sppc.SppcError:
+        reject()
+    if scipy.linalg.eigh(syn.Eps, syn.W, eigvals_only=True, subset_by_index=[0, 0])[0] < 1e-14:
+        reject()
+    X = np.ldexp(rng.standard_normal((rows, n)), rng.choice([-540, -60, 0, 40], (rows, 1)))
+    X[rng.random(rows) < 0.2] = 0.0
+    assert_stacked_matches_omp(syn.horizon, syn.W, X)
+
+
+@pytest.mark.parametrize("N, p_drop", [(10, 0.5), (20, 0.9)])
+def test_stacked_omp_matches_omp_on_example_trajectories(example_plant, N, p_drop):
+    # every state of three trajectories, those states at 2^-540, where
+    # x^T W x underflows to 0 on some and H x does not, and single rows
+    syn = sppc.synthesize(example_plant, None, N, 0.5)
+    h, W = syn.horizon, syn.W
+    X = np.vstack([sppc.run_trial(example_plant, h, syn, "omp", EXAMPLE_X0, 100, seed,
+                                  p_drop=p_drop).states[:-1] for seed in range(3)])
+    tiny = np.ldexp(X[:40], -540)
+    underflowed = [float(x @ (W @ x)) == 0.0 < float((h.H @ x) @ (h.H @ x)) for x in tiny]
+    assert sum(underflowed) >= 3
+    for rows in (X, tiny, X[:1], X[-1:], np.zeros((1, 4)), X[:0]):
+        assert_stacked_matches_omp(h, W, rows)
+
+
+def test_stacked_omp_fills_the_whole_support():
+    # G = I and H x = x [1, 1, 1]: only the third pick meets 0.5 x^2, after
+    # two projected picks, so every nonzero row runs the pass to full support
+    h = HorizonData(N=3, G=np.eye(3), H=np.ones((3, 1)))
+    X = np.array([[1.0], [0.0], [-2.0], [3.0]])
+    assert np.array_equal(stacked_omp_rows(h, np.array([[0.5]]), X), X * np.ones(3))
+    assert_stacked_matches_omp(h, np.array([[0.5]]), X)
+
+
+def test_stacked_omp_stores_the_entries_omp_stores(example_plant):
+    # the prefix-cache entries a stacked pass stores are the (row, column)
+    # pairs _greedy_picks stores for the same prefixes, bit for bit, as two
+    # views of one buffer and with the same byte count
+    syn = sppc.synthesize(example_plant, None, 20, 0.5)
+    X = np.vstack([sppc.run_trial(example_plant, syn.horizon, syn, "omp", EXAMPLE_X0, 100,
+                                  seed, p_drop=0.9).states[:-1] for seed in range(2)])
+    stacked, single = fresh_horizon(syn.horizon), fresh_horizon(syn.horizon)
+    _omp_rows(stacked, syn.W, X)
+    for x in X:
+        _omp(single, syn.W, x)
+    assert len(single.omp_prefixes) > 100
+    assert stacked.omp_prefixes.keys() == single.omp_prefixes.keys()
+    assert stacked.omp_prefixes.nbytes == single.omp_prefixes.nbytes
+    for prefix, (row, col) in single.omp_prefixes.items():
+        got_row, got_col = stacked.omp_prefixes[prefix]
+        assert (got_row.tobytes(), got_col.tobytes()) == (row.tobytes(), col.tobytes())
+        assert got_row.base is got_col.base is not None
 
 
 def l1_states(plant, syn, p_drop, seeds):
