@@ -331,17 +331,17 @@ def test_omp_shared_horizon_matches_fresh_horizons(example_plant, N, p_drop):
         assert 0 < len(shared.omp_prefixes) < picks / 2
 
 
-def assert_threads_match_cold_horizons(h, design, states):
+def assert_threads_match_cold_horizons(h, design, states, bits=packet_bits):
     """Four threads design at every state on one shared copy of h, two of
     them in reverse order and switching often; each thread's packets equal
     the cold-horizon packets bit for bit."""
-    expected = [packet_bits(design(fresh_horizon(h), x)) for x in states]
+    expected = [bits(design(fresh_horizon(h), x)) for x in states]
     shared = fresh_horizon(h)
     results = {}
 
     def work(t):
         order = range(len(states)) if t % 2 else range(len(states) - 1, -1, -1)
-        results[t] = {i: packet_bits(design(shared, states[i])) for i in order}
+        results[t] = {i: bits(design(shared, states[i])) for i in order}
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -366,6 +366,16 @@ def test_omp_prefix_cache_shared_across_threads(example_plant):
                             100, 0, p_drop=0.9).states[:-1]
     assert_threads_match_cold_horizons(
         syn.horizon, lambda h, x: sppc.omp_design(h, syn.W, x), states)
+
+
+def test_stacked_omp_prefix_cache_shared_across_threads(example_plant):
+    # here a "state" is a set of rows that one stacked pass designs
+    syn = sppc.synthesize(example_plant, None, 20, 0.5)
+    X = sppc.run_trial(example_plant, syn.horizon, syn, "omp", EXAMPLE_X0,
+                       100, 0, p_drop=0.9).states[:-1]
+    assert_threads_match_cold_horizons(
+        syn.horizon, lambda h, rows: _omp_rows(h, syn.W, rows),
+        [X, X[::-1], X[::3], X[1::2]], bits=np.ndarray.tobytes)
 
 
 def test_pickled_setup_leaves_prefix_cache_behind(example_plant):
