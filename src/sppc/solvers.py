@@ -29,9 +29,8 @@ L1_MAX_ITERATIONS = 5000
 # knee of OMP's miss curve at N = 20, p_drop 0.9 (4.9% of lookups miss, 25% at 512 KiB)
 OMP_PREFIX_BUDGET_BYTES = 1 << 22
 # bytes of Gram-Schmidt rows and R^-1 a stacked OMP pass holds (the budget as imported, so
-# setting it later moves the cache alone); below 16 rows a pass is slower than _omp on each
+# setting it later moves the cache alone)
 _STACKED_BYTES = OMP_PREFIX_BUDGET_BYTES
-_STACKED_MIN_ROWS = 16
 
 
 @record
@@ -157,19 +156,19 @@ def _omp(h: HorizonData, W: np.ndarray, x: np.ndarray):
 
 def _omp_rows(h: HorizonData, W: np.ndarray, X: np.ndarray) -> np.ndarray:
     """_omp's coefficients at each row of a checked X, bit for bit: _greedy_picks
-    on all rows at once, in chunks of _STACKED_BYTES, or on each row when fewer
-    than _STACKED_MIN_ROWS rows, or a chunk's, would share the pass.
+    on all rows at once, in chunks of at most _STACKED_BYTES.
 
     x^T W x, H x, the correlations and the projections are matmuls stacked over
     the rows with a singleton core dimension, which make ndarray.dot's BLAS call
     on each row (a 2-D product does not); the prefix-cache lookup, the miss step
     and the exact refit run per row. A row leaves once its exact residual meets
-    its threshold, and the pass raises what _omp raises on a row.
+    its threshold. A failing row raises the type _omp raises on it, but when
+    several rows fail, the first check to fail wins, not the first row:
+    DegenerateInput on any row of a chunk, then RankDeficient or Infeasible by
+    pick step, rows in order within a step.
     """
     G, norms, prefixes, N = h.G, h.col_norms, h.omp_prefixes, h.N
-    chunk = _STACKED_BYTES // (8 * N * (len(G) + N))
-    if min(len(X), chunk) < _STACKED_MIN_ROWS:
-        return np.array([_omp(h, W, x)[0] for x in X]).reshape(len(X), N)
+    chunk = max(1, _STACKED_BYTES // (8 * N * (len(G) + N)))
     if len(X) > chunk:
         return np.vstack([_omp_rows(h, W, X[i:i + chunk]) for i in range(0, len(X), chunk)])
     eps = (X[:, None, :] @ (W @ X[:, :, None]))[:, 0, 0]

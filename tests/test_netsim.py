@@ -183,9 +183,8 @@ def loop_case(request, N):
     return (syn if N == 10 else sppc.synthesize(plant, None, N, 0.5)), EXAMPLE_X0
 
 
-# p_drop 0.1 leaves few lost steps to a trial, which _omp_rows designs one by
-# one; p_drop 0.5 and 0.9 leave enough for stacked passes, and the generic
-# plant's passes take more than one chunk
+# p_drop 0.1 leaves a trial few lost steps, a small stacked pass; p_drop 0.5
+# and 0.9 leave more, and the generic plant's passes take more than one chunk
 GENERIC = pytest.param(40, 0.9, id="generic12-40-0.9")
 
 
@@ -250,8 +249,8 @@ def test_scalar_trial_matches_the_reference_loop(scalar_case, p_drop):
 @pytest.mark.parametrize("n, N", [(12, 40), (20, 64)])
 def test_trial_lost_designs_stay_within_the_stacked_cap(n, N):
     # a trial's lost steps hold at most _STACKED_BYTES of Gram-Schmidt rows
-    # and R^-1 at once: in chunks of 25 rows at (12, 40), and one by one at
-    # (20, 64), where a chunk holds 6. The trials peak at 4.8 and 0.8 MiB;
+    # and R^-1 at once: in chunks of 25 rows at (12, 40) and of 6 at
+    # (20, 64). The trials peak at 4.8 and 0.8 MiB;
     # in one pass their 92 lost steps peak at 17 and 67 MiB. The first run
     # fills the prefix cache, so the measured one adds no entries to it
     rng = np.random.default_rng(0)

@@ -272,16 +272,9 @@ def test_omp_repeated_column_is_rank_deficient():
         assert set(h.omp_prefixes) == {(0,), (0, 1)}
 
 
-def stacked_omp_rows(h, W, X):
-    """_omp_rows with its row threshold at 1: any rows, one alone too, share a pass."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(solvers, "_STACKED_MIN_ROWS", 1)
-        return _omp_rows(h, W, X)
-
-
 def test_stacked_omp_raises_what_omp_raises_on_a_row(example_case):
     # each failing state sits among states that design: the stacked pass
-    # raises _omp's error type on it, by itself and through _omp_rows
+    # raises _omp's error type on it
     _, syn, h = example_case
     overflowing = np.array([[0.5] * 4, [1e300] * 4, [0.0] * 4])
     unreachable = HorizonData(N=2, G=np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]),
@@ -289,17 +282,22 @@ def test_stacked_omp_raises_what_omp_raises_on_a_row(example_case):
     repeated = HorizonData(N=3, G=np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]]),
                            H=np.ones((3, 1)))
     rows = np.array([[0.0], [1.0], [2.0]])
-    for kernel in (stacked_omp_rows, _omp_rows):
-        with np.errstate(over="ignore"), pytest.raises(errors.DegenerateInput,
-                                                       match=r"x\^T W x is inf"):
-            kernel(h, syn.W, overflowing)
-        with pytest.raises(errors.Infeasible):
-            kernel(unreachable, np.array([[0.5]]), rows)
-        # from a cold prefix cache, then a warm one; the failing prefix is never stored
-        for _ in range(2):
-            with pytest.raises(errors.RankDeficient):
-                kernel(repeated, np.array([[0.5]]), rows)
-            assert set(repeated.omp_prefixes) == {(0,), (0, 1)}
+    with np.errstate(over="ignore"), pytest.raises(errors.DegenerateInput,
+                                                   match=r"x\^T W x is inf"):
+        _omp_rows(h, syn.W, overflowing)
+    with pytest.raises(errors.Infeasible):
+        _omp_rows(unreachable, np.array([[0.5]]), rows)
+    # from a cold prefix cache, then a warm one; the failing prefix is never stored
+    for _ in range(2):
+        with pytest.raises(errors.RankDeficient):
+            _omp_rows(repeated, np.array([[0.5]]), rows)
+        assert set(repeated.omp_prefixes) == {(0,), (0, 1)}
+    # of several failing rows the first check to fail wins, not the first
+    # row: _omp raises RankDeficient on row 0, the pass DegenerateInput on row 1
+    with pytest.raises(errors.RankDeficient):
+        _omp(repeated, np.array([[0.5]]), rows[1])
+    with np.errstate(over="ignore"), pytest.raises(errors.DegenerateInput):
+        _omp_rows(repeated, np.array([[0.5]]), np.array([[1.0], [1e300]]))
 
 
 def packet_bits(p):
@@ -450,18 +448,18 @@ def test_omp_long_horizon_working_set_fits_the_budget(example_plant, monkeypatch
 
 
 def assert_stacked_matches_omp(h, W, X):
-    """The stacked pass on a cold, a warm and an uncached copy of h, and
-    _omp_rows on h, give _omp's coefficients at every row of X, bit for bit."""
+    """The stacked pass on a cold, a warm and an uncached copy of h, and on h
+    itself, gives _omp's coefficients at every row of X, bit for bit."""
     cold = fresh_horizon(h)
     expected = np.array([_omp(cold, W, x)[0] for x in X]).reshape(len(X), h.N).tobytes()
     stacked = fresh_horizon(h)
-    assert stacked_omp_rows(stacked, W, X).tobytes() == expected
-    assert stacked_omp_rows(stacked, W, X).tobytes() == expected
+    assert _omp_rows(stacked, W, X).tobytes() == expected
+    assert _omp_rows(stacked, W, X).tobytes() == expected
     assert stacked.omp_prefixes.keys() == cold.omp_prefixes.keys()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solvers, "OMP_PREFIX_BUDGET_BYTES", 0)
         uncached = fresh_horizon(h)
-        assert stacked_omp_rows(uncached, W, X).tobytes() == expected
+        assert _omp_rows(uncached, W, X).tobytes() == expected
         assert not uncached.omp_prefixes
     assert _omp_rows(h, W, X).tobytes() == expected
 
@@ -506,7 +504,7 @@ def test_stacked_omp_fills_the_whole_support():
     # two projected picks, so every nonzero row runs the pass to full support
     h = HorizonData(N=3, G=np.eye(3), H=np.ones((3, 1)))
     X = np.array([[1.0], [0.0], [-2.0], [3.0]])
-    assert np.array_equal(stacked_omp_rows(h, np.array([[0.5]]), X), X * np.ones(3))
+    assert np.array_equal(_omp_rows(h, np.array([[0.5]]), X), X * np.ones(3))
     assert_stacked_matches_omp(h, np.array([[0.5]]), X)
 
 
