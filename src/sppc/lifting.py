@@ -61,16 +61,16 @@ class HorizonData:
     @cached_property
     def omp_prefixes(self) -> dict:
         """OMP's cache: ordered pick prefix -> (Gram-Schmidt row of the last
-        pick, the new R^-1 column), filled by solvers._greedy_picks, which
-        counts the bytes stored in its nbytes.
-        """
+        pick, the new R^-1 column) as two views of one buffer, filled by
+        solvers._gram_schmidt through solvers._store, which counts their
+        float bytes in its nbytes."""
         return _ByteCountedDict()
 
     @cached_property
     def l1_segments(self) -> dict:
         """l1's cache: (active set, signs) -> K[A], v = K_AA^-1 sign_A, v K[A]
-        and the free indices, filled by solvers._l1, which counts the bytes
-        stored in its nbytes (8 per list entry)."""
+        and the free indices, filled by solvers._l1 through solvers._store,
+        which counts the bytes stored in its nbytes (8 per list entry)."""
         return _ByteCountedDict()
 
 

@@ -65,28 +65,27 @@ def _design_inputs(h: HorizonData, W, x):
     return as_array(W, "W", (n, n)), as_array(x, "x", (n,))
 
 
-def _greedy_picks(h: HorizonData, y: np.ndarray, eps: float):
-    """The OMP loop: returns (picks in pick order, coefficients, ||r||^2).
+def _omp(h: HorizonData, W: np.ndarray, x: np.ndarray):
+    """omp_design on a checked W and x: (coeffs, ||r||^2, threshold, picks in pick order).
 
-    G[:, picks] = B R gains one Gram-Schmidt step with re-orthogonalization
-    per pick (B stored by rows). A step depends only on G and the pick
-    prefix: a miss stores its basis row and R^-1 column there, as two views
-    of one buffer while the bytes stored stay within OMP_PREFIX_BUDGET_BYTES,
-    and a hit copies that pair in. Above the bound a feasible packet
-    may reach, a pick projects the residual off the new row q of B,
-    r <- r - (q^T r) q; a pick predicted or found to reach that bound, or
-    to fill the support, refits exactly: coefficients R^-1 (B^T y),
-    r = y - G coeffs. So the loop stops only on an exact ||r||^2 <= eps,
-    and raises Infeasible when the full support misses the bound.
-    ndarray.dot makes the BLAS call of @ at a fraction of its dispatch cost,
-    and a miss writes its basis row and R^-1 column in place: @'s bits, cheaper.
-    _omp_rows is its stacked twin, on many states at once.
+    G[:, picks] = B R gains one Gram-Schmidt step with re-orthogonalization per pick
+    (B stored by rows). A step depends only on G and the pick prefix: h.omp_prefixes
+    holds it, or _gram_schmidt computes it. Above the bound a feasible packet may
+    reach, a pick projects the residual off the new row q of B, r <- r - (q^T r) q;
+    a pick predicted or found to reach that bound, or to fill the support, refits
+    exactly: coefficients R^-1 (B^T y), r = y - G coeffs, y = H x. So the loop stops
+    only on an exact ||r||^2 <= eps, and raises Infeasible when the full support
+    misses the bound. ndarray.dot makes the BLAS call of @ at a fraction of its
+    dispatch cost. _omp_rows is its stacked twin, on many states at once.
     """
+    eps = float(x.dot(W.dot(x)))
+    if not math.isfinite(eps):
+        raise DegenerateInput(f"x^T W x is {eps!r}; no packet can be designed against it")
     coeffs = np.zeros(h.N)
-    r = y
+    r = y = h.H.dot(x)
     rr = float(r.dot(r))
     if rr <= eps:
-        return [], coeffs, rr
+        return coeffs, rr, eps, []
     G, norms, prefixes = h.G, h.col_norms, h.omp_prefixes
     basis = np.empty((h.N, G.shape[0]))
     r_inv = np.zeros((h.N, h.N))
@@ -100,11 +99,7 @@ def _greedy_picks(h: HorizonData, y: np.ndarray, eps: float):
         j = int(score.argmax())
         k = len(prefix)
         prefix += (j,)
-        step = prefixes.get(prefix)
-        if step is None:
-            _gram_schmidt(h, prefix, basis, r_inv)
-        else:
-            basis[k], r_inv[:k + 1, k] = step
+        basis[k], r_inv[:k + 1, k] = prefixes.get(prefix) or _gram_schmidt(h, prefix, basis, r_inv)
         mask[j] = -np.inf
         q = basis[k]
         z = float(q.dot(r))
@@ -119,13 +114,14 @@ def _greedy_picks(h: HorizonData, y: np.ndarray, eps: float):
     if rr > bound:
         raise Infeasible(f"full-support residual {rr:.6e} exceeds threshold {eps:.6e}; "
                          "the synthesis that produced W is inconsistent")
-    return list(prefix), coeffs, rr
+    return coeffs, rr, eps, list(prefix)
 
 
 def _gram_schmidt(h: HorizonData, prefix: tuple, basis: np.ndarray, r_inv: np.ndarray):
-    """A prefix-cache miss: prefix's last Gram-Schmidt step into basis[k] and r_inv[:k + 1, k],
-    stored under prefix while the bytes stored stay within OMP_PREFIX_BUDGET_BYTES."""
-    G, norms, prefixes = h.G, h.col_norms, h.omp_prefixes
+    """prefix's last Gram-Schmidt step from the earlier rows of basis and columns of
+    r_inv: (basis row, R^-1 column), two views of one new buffer, which is stored
+    under prefix in h.omp_prefixes by _store's rule."""
+    G, norms = h.G, h.col_norms
     m, k, j = G.shape[0], len(prefix) - 1, prefix[-1]
     s = basis[:k].dot(G[:, j])
     v = G[:, j] - s.dot(basis[:k])
@@ -135,27 +131,26 @@ def _gram_schmidt(h: HorizonData, prefix: tuple, basis: np.ndarray, r_inv: np.nd
     if pivot <= RANK_REL_TOL * norms[j]:
         raise RankDeficient(f"column {j} is numerically in the span of "
                             f"columns {sorted(prefix[:-1])}")
-    np.divide(v, pivot, out=basis[k])
+    step = np.empty(m + k + 1)
+    np.divide(v, pivot, out=step[:m])
     s += s2
-    np.divide(r_inv[:k, :k].dot(s), -pivot, out=r_inv[:k, k])
-    r_inv[k, k] = 1.0 / pivot
-    if prefixes.nbytes + 8 * (m + k + 1) <= OMP_PREFIX_BUDGET_BYTES:
-        step = np.concatenate((basis[k], r_inv[:k + 1, k]))
-        prefixes[prefix] = step[:m], step[m:]
-        prefixes.nbytes += step.nbytes
+    np.divide(r_inv[:k, :k].dot(s), -pivot, out=step[m:-1])
+    step[-1] = 1.0 / pivot
+    entry = step[:m], step[m:]
+    _store(h.omp_prefixes, prefix, entry, step.nbytes)
+    return entry
 
 
-def _omp(h: HorizonData, W: np.ndarray, x: np.ndarray):
-    """omp_design on a checked W and x: (coeffs, ||r||^2, threshold, picks)."""
-    eps = float(x.dot(W.dot(x)))
-    if not math.isfinite(eps):
-        raise DegenerateInput(f"x^T W x is {eps!r}; no packet can be designed against it")
-    picks, coeffs, rr = _greedy_picks(h, h.H.dot(x), eps)
-    return coeffs, rr, eps, len(picks)
+def _store(cache: dict, key, entry, nbytes: int) -> None:
+    """Stores entry under key, counting nbytes, while the bytes counted in the
+    cache stay within OMP_PREFIX_BUDGET_BYTES: the first entries stored stay."""
+    if cache.nbytes + nbytes <= OMP_PREFIX_BUDGET_BYTES:
+        cache[key] = entry
+        cache.nbytes += nbytes
 
 
 def _omp_rows(h: HorizonData, W: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """_omp's coefficients at each row of a checked X, bit for bit: _greedy_picks
+    """_omp's coefficients at each row of a checked X, bit for bit: _omp's loop
     on all rows at once, in chunks of at most _STACKED_BYTES.
 
     x^T W x, H x, the correlations and the projections are matmuls stacked over
@@ -191,11 +186,8 @@ def _omp_rows(h: HorizonData, W: np.ndarray, X: np.ndarray) -> np.ndarray:
         mask[np.arange(rows.size), picks] = -np.inf
         for i, j in zip(rows.tolist(), picks.tolist()):
             prefix[i] += (j,)
-            step = prefixes.get(prefix[i])
-            if step is None:
-                _gram_schmidt(h, prefix[i], basis[i], r_inv[i])
-            else:
-                basis[i, k], r_inv[i, :k + 1, k] = step
+            basis[i, k], r_inv[i, :k + 1, k] = (prefixes.get(prefix[i])
+                                                or _gram_schmidt(h, prefix[i], basis[i], r_inv[i]))
         q = basis[rows, k]
         z = (q[:, None, :] @ R[:, :, None])[:, 0, 0]
         projected = (rr - z * z > bound) & (k + 1 < N)
@@ -227,7 +219,8 @@ def omp_design(h: HorizonData, W, x) -> ControlPacket:
     between refits the residual is updated by projection, and the
     coefficients and residual returned are always an exact refit's.
     """
-    return ControlPacket(*_omp(h, *_design_inputs(h, W, x)))
+    coeffs, rr, eps, picks = _omp(h, *_design_inputs(h, W, x))
+    return ControlPacket(coeffs, rr, eps, len(picks))
 
 
 def l1_design(h: HorizonData, x, lam: float, fixed_bound: float) -> ControlPacket:
@@ -290,10 +283,8 @@ def _l1(h: HorizonData, y: np.ndarray, lam: float):
                 raise RankDeficient(f"active columns {active} are linearly dependent")
             free = [j for j in range(h.N) if j not in active]
             segment = rows, v.tolist(), (v @ rows).tolist(), free
-            size = rows.nbytes + 16 * h.N   # v and free hold N entries, v K[A] another N
-            if cache.nbytes + size <= OMP_PREFIX_BUDGET_BYTES:
-                cache[key] = segment
-                cache.nbytes += size
+            # v and free hold N entries, v K[A] another N
+            _store(cache, key, segment, rows.nbytes + 16 * h.N)
         rows, v, a, free = segment
         # u = 0 on the first segment, where b - u K[A] is b exactly
         c = (b - np.dot(u, rows)).tolist() if segments > 1 else b.tolist()

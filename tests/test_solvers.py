@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 import sppc
 from sppc import errors, solvers
 from sppc.lifting import HorizonData
-from sppc.solvers import (FEASIBILITY_ABS_FLOOR, FEASIBILITY_REL_SLACK, _greedy_picks, _omp,
-                          _omp_rows)
+from sppc.solvers import FEASIBILITY_ABS_FLOOR, FEASIBILITY_REL_SLACK, _omp, _omp_rows
 
 import oracles
 from conftest import EXAMPLE_X0, random_reachable_plant, random_spd
@@ -122,7 +121,7 @@ def assert_same_greedy(h, W, x):
     y = h.H @ x
     eps = float(x @ W @ x)
     picks, coeffs, _ = reference_greedy(h.G, y, eps)
-    assert _greedy_picks(h, y, eps)[0] == picks
+    assert _omp(h, W, x)[3] == picks
     p = sppc.omp_design(h, W, x)
     assert p.iterations == len(picks)
     assert np.abs(p.coeffs - coeffs).max() <= 1e-9 * np.abs(coeffs).max()
@@ -169,7 +168,7 @@ def assert_same_bits_as_refit_kernel(h, W, x):
     y = h.H @ x
     eps = float(x @ (W @ x))
     picks, coeffs, rr = refit_greedy_picks(h, y, eps)
-    got_picks, got_coeffs, got_rr = _greedy_picks(h, y, eps)
+    got_coeffs, got_rr, _, got_picks = _omp(h, W, x)
     assert got_picks == picks
     assert got_coeffs.tobytes() == coeffs.tobytes()
     assert np.float64(got_rr).tobytes() == np.float64(rr).tobytes()
@@ -448,8 +447,9 @@ def test_omp_long_horizon_working_set_fits_the_budget(example_plant, monkeypatch
 
 
 def assert_stacked_matches_omp(h, W, X):
-    """The stacked pass on a cold, a warm and an uncached copy of h, and on h
-    itself, gives _omp's coefficients at every row of X, bit for bit."""
+    """The stacked pass on a cold, a warm and an uncached copy of h, on one whose
+    budget fills partway through the pass, and on h itself, gives _omp's
+    coefficients at every row of X, bit for bit."""
     cold = fresh_horizon(h)
     expected = np.array([_omp(cold, W, x)[0] for x in X]).reshape(len(X), h.N).tobytes()
     stacked = fresh_horizon(h)
@@ -461,6 +461,15 @@ def assert_stacked_matches_omp(h, W, X):
         uncached = fresh_horizon(h)
         assert _omp_rows(uncached, W, X).tobytes() == expected
         assert not uncached.omp_prefixes
+        # half the bytes the cold designs stored: the first pass stores steps
+        # until the budget is full and computes the rest, the second hits the
+        # stored ones and again computes the rest without storing them
+        patch.setattr(solvers, "OMP_PREFIX_BUDGET_BYTES", cold.omp_prefixes.nbytes // 2)
+        partial = fresh_horizon(h)
+        assert _omp_rows(partial, W, X).tobytes() == expected
+        assert _omp_rows(partial, W, X).tobytes() == expected
+        assert len(cold.omp_prefixes) < 2 or (0 < len(partial.omp_prefixes)
+                                              < len(cold.omp_prefixes))
     assert _omp_rows(h, W, X).tobytes() == expected
 
 
@@ -510,7 +519,7 @@ def test_stacked_omp_fills_the_whole_support():
 
 def test_stacked_omp_stores_the_entries_omp_stores(example_plant):
     # the prefix-cache entries a stacked pass stores are the (row, column)
-    # pairs _greedy_picks stores for the same prefixes, bit for bit, as two
+    # pairs _omp stores for the same prefixes, bit for bit, as two
     # views of one buffer and with the same byte count
     syn = sppc.synthesize(example_plant, None, 20, 0.5)
     X = np.vstack([sppc.run_trial(example_plant, syn.horizon, syn, "omp", EXAMPLE_X0, 100,
