@@ -28,8 +28,8 @@ L1_MAX_ITERATIONS = 5000
 # float bytes each solver may keep per horizon in its HorizonData cache; 4 MiB is the
 # knee of OMP's miss curve at N = 20, p_drop 0.9 (4.9% of lookups miss, 25% at 512 KiB)
 OMP_PREFIX_BUDGET_BYTES = 1 << 22
-# bytes of Gram-Schmidt rows and R^-1 a stacked OMP pass holds (the budget as imported, so
-# setting it later moves the cache alone)
+# bytes of Gram-Schmidt rows and R^-1 a stacked OMP pass holds, the copies it gathers
+# from them included (the budget as imported, so setting it later moves the cache alone)
 _STACKED_BYTES = OMP_PREFIX_BUDGET_BYTES
 
 
@@ -141,6 +141,44 @@ def _gram_schmidt(h: HorizonData, prefix: tuple, basis: np.ndarray, r_inv: np.nd
     return entry
 
 
+def _gram_schmidt_rows(h: HorizonData, missed: dict, basis: np.ndarray, r_inv: np.ndarray):
+    """_gram_schmidt on prefixes of one length k + 1, stacked: missed maps each prefix
+    to a row i whose basis[i] and r_inv[i] hold its earlier steps. Returns prefix ->
+    (basis row, R^-1 column), two views of one new buffer per prefix, stored in
+    missed's order. At k = 1 each step is _gram_schmidt's, row by row: its 1-row
+    product with the strided column G[:, j] is a strided dot, which the stacked
+    product does not reproduce; at other k the stacked products make its BLAS calls
+    (test_stacked_matmul_matches_ndarray_dot pins both)."""
+    G, norms, k = h.G, h.col_norms, len(next(iter(missed))) - 1
+    if k == 1:
+        return {p: _gram_schmidt(h, p, basis[i], r_inv[i]) for p, i in missed.items()}
+    m, first, js = len(G), list(missed.values()), [p[-1] for p in missed]
+    B, g = basis[first, :k], G.T[js]
+    s = (B @ g[:, :, None])[:, :, 0]
+    v = g - (s[:, None, :] @ B)[:, 0, :]
+    s2 = (B @ v[:, :, None])[:, :, 0]
+    v -= (s2[:, None, :] @ B)[:, 0, :]
+    pivot = np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+    failed = np.flatnonzero(pivot <= RANK_REL_TOL * norms[js])
+    a = failed[0] if failed.size else len(js)       # the steps before the first failure
+    steps = np.empty((a, m + k + 1))
+    np.divide(v[:a], pivot[:a, None], out=steps[:, :m])
+    s += s2
+    np.divide((r_inv[first[:a], :k, :k] @ s[:a, :, None])[:, :, 0], -pivot[:a, None],
+              out=steps[:, m:-1])
+    np.divide(1.0, pivot[:a], out=steps[:, -1])
+    entries = {}
+    for prefix, step in zip(missed, steps):
+        step = step.copy()                          # an entry keeps no other step alive
+        entries[prefix] = step[:m], step[m:]
+        _store(h.omp_prefixes, prefix, entries[prefix], step.nbytes)
+    if failed.size:
+        prefix = list(missed)[a]
+        raise RankDeficient(f"column {prefix[-1]} is numerically in the span of "
+                            f"columns {sorted(prefix[:-1])}")
+    return entries
+
+
 def _store(cache: dict, key, entry, nbytes: int) -> None:
     """Stores entry under key, counting nbytes, while the bytes counted in the
     cache stay within OMP_PREFIX_BUDGET_BYTES: the first entries stored stay."""
@@ -151,19 +189,21 @@ def _store(cache: dict, key, entry, nbytes: int) -> None:
 
 def _omp_rows(h: HorizonData, W: np.ndarray, X: np.ndarray) -> np.ndarray:
     """_omp's coefficients at each row of a checked X, bit for bit: _omp's loop
-    on all rows at once, in chunks of at most _STACKED_BYTES.
+    on all rows at once, in chunks whose bases and R^-1, with the copies a pick
+    step gathers from them, hold at most _STACKED_BYTES.
 
-    x^T W x, H x, the correlations and the projections are matmuls stacked over
-    the rows with a singleton core dimension, which make ndarray.dot's BLAS call
-    on each row (a 2-D product does not); the prefix-cache lookup, the miss step
-    and the exact refit run per row. A row leaves once its exact residual meets
-    its threshold. A failing row raises the type _omp raises on it, but when
-    several rows fail, the first check to fail wins, not the first row:
-    DegenerateInput on any row of a chunk, then RankDeficient or Infeasible by
-    pick step, rows in order within a step.
+    x^T W x, H x, the correlations, the projections and the exact refits are
+    matmuls stacked over the rows with a singleton core dimension, which make
+    ndarray.dot's BLAS call on each row (a 2-D product does not). A pick step
+    looks up each row's prefix in the cache and takes the steps it misses in
+    one _gram_schmidt_rows call, once per distinct prefix. A row leaves once its
+    exact residual meets its threshold. A failing row raises the type _omp
+    raises on it, but when several rows fail, the first check to fail wins, not
+    the first row: DegenerateInput on any row of a chunk, then RankDeficient or
+    Infeasible by pick step, rows in order within a step.
     """
     G, norms, prefixes, N = h.G, h.col_norms, h.omp_prefixes, h.N
-    chunk = max(1, _STACKED_BYTES // (8 * N * (len(G) + N)))
+    chunk = max(1, _STACKED_BYTES // (16 * N * (len(G) + N)))
     if len(X) > chunk:
         return np.vstack([_omp_rows(h, W, X[i:i + chunk]) for i in range(0, len(X), chunk)])
     eps = (X[:, None, :] @ (W @ X[:, :, None]))[:, 0, 0]
@@ -178,25 +218,33 @@ def _omp_rows(h: HorizonData, W: np.ndarray, X: np.ndarray) -> np.ndarray:
     coeffs = np.zeros((len(X), N))
     basis, r_inv = np.empty((len(X), N, len(G))), np.zeros((len(X), N, N))
     mask = np.zeros((rows.size, N))                 # -inf on picked columns
-    prefix = [()] * len(X)
+    prefix, picked = [()] * len(X), np.empty((len(X), N), dtype=np.intp)
     for k in range(N):
         if not rows.size:
             break
         picks = (np.abs((R[:, None, :] @ G)[:, 0, :]) / norms + mask).argmax(axis=1)
         mask[np.arange(rows.size), picks] = -np.inf
+        picked[rows, k] = picks
+        steps, missed = [], {}                      # missed: prefix -> its first row
         for i, j in zip(rows.tolist(), picks.tolist()):
             prefix[i] += (j,)
-            basis[i, k], r_inv[i, :k + 1, k] = (prefixes.get(prefix[i])
-                                                or _gram_schmidt(h, prefix[i], basis[i], r_inv[i]))
+            steps.append(prefixes.get(prefix[i]))
+            if not steps[-1]:
+                missed.setdefault(prefix[i], i)
+        taken = missed and _gram_schmidt_rows(h, missed, basis, r_inv)
+        steps = [step or taken[prefix[i]] for i, step in zip(rows.tolist(), steps)]
+        basis[rows, k] = [row for row, _ in steps]
+        r_inv[rows, :k + 1, k] = [col for _, col in steps]
         q = basis[rows, k]
         z = (q[:, None, :] @ R[:, :, None])[:, 0, 0]
         projected = (rr - z * z > bound) & (k + 1 < N)
         R = R - z[:, None] * q                      # kept where projected, else refit
         rr = (R[:, None, :] @ R[:, :, None])[:, 0, 0]
         refit = np.flatnonzero(~(projected & (rr > bound)))
-        for i in rows[refit].tolist():
-            coeffs[i, list(prefix[i])] = r_inv[i, :k + 1, :k + 1].dot(basis[i, :k + 1].dot(Y[i]))
-        R[refit] = r = Y[rows[refit]] - (G @ coeffs[rows[refit], :, None])[:, :, 0]
+        fr = rows[refit]
+        coeffs[fr[:, None], picked[fr, :k + 1]] = (
+            r_inv[fr, :k + 1, :k + 1] @ (basis[fr, :k + 1] @ Y[fr, :, None]))[:, :, 0]
+        R[refit] = r = Y[fr] - (G @ coeffs[fr, :, None])[:, :, 0]
         rr[refit] = (r[:, None, :] @ r[:, :, None])[:, 0, 0]
         stay = (rr > eps) & (k + 1 < N)
         for a in np.flatnonzero(~stay & (rr > bound))[:1]:     # the first row to fail

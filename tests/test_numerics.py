@@ -252,6 +252,26 @@ def test_stacked_matmul_matches_ndarray_dot(B):
                               ((G @ C[:, :, None])[:, :, 0], [G.dot(c) for c in C]),
                               ((R[:, None, :] @ R[:, :, None])[:, 0, 0], [r.dot(r) for r in R])):
             assert stacked.tobytes() == np.array(rows).tobytes(), (n, N)
+        # a Gram-Schmidt step at pick k gathers each row's k earlier basis rows and
+        # R^-1 block and its column G[:, j]; a refit gathers k + 1 of each. Each row
+        # reads basis[i] and r_inv[i] in place, and G[:, j] strided: at k = 1 that
+        # 1-row product is a strided dot, which the stacked one matches only on a
+        # contiguous column, so the kernel takes the k = 1 steps row by row
+        basis, r_inv = rng.standard_normal((B, N, n * N)), rng.standard_normal((B, N, N))
+        for k in range(N):
+            js = rng.integers(0, N, B)
+            columns = [G[:, j].copy() if k == 1 else G[:, j] for j in js]
+            stacked = (basis[:, :k].copy() @ G.T[js][:, :, None])[:, :, 0]
+            rows = [b[:k].dot(g) for b, g in zip(basis, columns)]
+            assert stacked.tobytes() == np.array(rows).tobytes(), (n, N, k)
+            for a in (k, k + 1):
+                B_a, R_a, C_a = basis[:, :a].copy(), r_inv[:, :a, :a].copy(), C[:, :a].copy()
+                for stacked, rows in (
+                        ((C_a[:, None, :] @ B_a)[:, 0, :], [c.dot(b[:a]) for c, b in zip(C_a, basis)]),
+                        ((B_a @ R[:, :, None])[:, :, 0], [b[:a].dot(r) for b, r in zip(basis, R)]),
+                        ((R_a @ C_a[:, :, None])[:, :, 0],
+                         [t[:a, :a].dot(c) for t, c in zip(r_inv, C_a)])):
+                    assert stacked.tobytes() == np.array(rows).tobytes(), (n, N, k, a)
 
 
 def test_record_freezes_a_copy_of_a_writable_array():

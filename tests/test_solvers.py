@@ -1,7 +1,9 @@
+import collections
 import math
 import pickle
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -286,9 +288,11 @@ def test_stacked_omp_raises_what_omp_raises_on_a_row(example_case):
         _omp_rows(h, syn.W, overflowing)
     with pytest.raises(errors.Infeasible):
         _omp_rows(unreachable, np.array([[0.5]]), rows)
-    # from a cold prefix cache, then a warm one; the failing prefix is never stored
+    # from a cold prefix cache, then a warm one; the failing prefix is never
+    # stored, and the pass raises before it divides by the failing pivot
     for _ in range(2):
-        with pytest.raises(errors.RankDeficient):
+        with warnings.catch_warnings(), pytest.raises(errors.RankDeficient):
+            warnings.simplefilter("error")
             _omp_rows(repeated, np.array([[0.5]]), rows)
         assert set(repeated.omp_prefixes) == {(0,), (0, 1)}
     # of several failing rows the first check to fail wins, not the first
@@ -517,17 +521,20 @@ def test_stacked_omp_fills_the_whole_support():
     assert_stacked_matches_omp(h, np.array([[0.5]]), X)
 
 
-def test_stacked_omp_stores_the_entries_omp_stores(example_plant):
-    # the prefix-cache entries a stacked pass stores are the (row, column)
-    # pairs _omp stores for the same prefixes, bit for bit, as two
-    # views of one buffer and with the same byte count
+def test_stacked_omp_stores_the_entries_omp_stores(example_plant, monkeypatch):
+    # on a cold lifting many rows miss one prefix in the same pick step; the
+    # pass takes that step once for all of them and stores the (row, column)
+    # pair _omp stores for the prefix, bit for bit, as two views of a buffer
+    # of its own and with the same byte count
     syn = sppc.synthesize(example_plant, None, 20, 0.5)
     X = np.vstack([sppc.run_trial(example_plant, syn.horizon, syn, "omp", EXAMPLE_X0, 100,
                                   seed, p_drop=0.9).states[:-1] for seed in range(2)])
     stacked, single = fresh_horizon(syn.horizon), fresh_horizon(syn.horizon)
-    _omp_rows(stacked, syn.W, X)
-    for x in X:
-        _omp(single, syn.W, x)
+    coeffs = _omp_rows(stacked, syn.W, X).tobytes()
+    designs = [_omp(single, syn.W, x) for x in X]
+    assert coeffs == np.array([d[0] for d in designs]).tobytes()
+    shared = collections.Counter(tuple(d[3][:k]) for d in designs for k in range(3, len(d[3]) + 1))
+    assert sum(rows > 1 for rows in shared.values()) > 50
     assert len(single.omp_prefixes) > 100
     assert stacked.omp_prefixes.keys() == single.omp_prefixes.keys()
     assert stacked.omp_prefixes.nbytes == single.omp_prefixes.nbytes
@@ -535,6 +542,22 @@ def test_stacked_omp_stores_the_entries_omp_stores(example_plant):
         got_row, got_col = stacked.omp_prefixes[prefix]
         assert (got_row.tobytes(), got_col.tobytes()) == (row.tobytes(), col.tobytes())
         assert got_row.base is got_col.base is not None
+        assert got_row.base.nbytes == got_row.nbytes + got_col.nbytes
+    # a budget that fills partway through one pick step: a pass over seed 0's
+    # 100 states (one chunk) stores the steps it takes, pick step by pick step
+    # and in the order of their first rows, until the budget is full, and takes
+    # the rest again wherever they are missed
+    picks = [d[3] for d in designs[:100]]
+    order = list(dict.fromkeys(tuple(p[:k]) for k in range(1, 21) for p in picks if len(p) >= k))
+    sizes = [len(prefix) for prefix in order]
+    cut = sizes.index(max(set(sizes), key=sizes.count)) + 2
+    assert sizes[cut - 1] == sizes[cut]
+    monkeypatch.setattr(solvers, "OMP_PREFIX_BUDGET_BYTES",
+                        sum(single.omp_prefixes[p][0].base.nbytes for p in order[:cut]))
+    partial = fresh_horizon(syn.horizon)
+    for _ in range(2):
+        assert _omp_rows(partial, syn.W, X[:100]).tobytes() == coeffs[:100 * 20 * 8]
+        assert list(partial.omp_prefixes) == order[:cut]
 
 
 def l1_states(plant, syn, p_drop, seeds):
