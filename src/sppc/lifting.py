@@ -60,10 +60,10 @@ class HorizonData:
 
     @cached_property
     def omp_prefixes(self) -> dict:
-        """OMP's cache: ordered pick prefix -> (Gram-Schmidt row of the last
-        pick, the new R^-1 column) as two views of one buffer, filled by
-        solvers._gram_schmidt through solvers._store, which counts their
-        float bytes in its nbytes."""
+        """OMP's cache: ordered pick prefix -> one buffer holding the
+        Gram-Schmidt row of the last pick, then the new R^-1 column, filled by
+        solvers._gram_schmidt and solvers._gram_schmidt_rows through
+        solvers._store, which counts its float bytes in its nbytes."""
         return _ByteCountedDict()
 
     @cached_property

@@ -70,13 +70,14 @@ def _omp(h: HorizonData, W: np.ndarray, x: np.ndarray):
 
     G[:, picks] = B R gains one Gram-Schmidt step with re-orthogonalization per pick
     (B stored by rows). A step depends only on G and the pick prefix: h.omp_prefixes
-    holds it, or _gram_schmidt computes it. Above the bound a feasible packet may
-    reach, a pick projects the residual off the new row q of B, r <- r - (q^T r) q;
-    a pick predicted or found to reach that bound, or to fill the support, refits
-    exactly: coefficients R^-1 (B^T y), r = y - G coeffs, y = H x. So the loop stops
-    only on an exact ||r||^2 <= eps, and raises Infeasible when the full support
-    misses the bound. ndarray.dot makes the BLAS call of @ at a fraction of its
-    dispatch cost. _omp_rows is its stacked twin, on many states at once.
+    holds it, or _gram_schmidt computes it, as one buffer (B's new row, then R^-1's
+    new column). Above the bound a feasible packet may reach, a pick projects the
+    residual off the new row q of B, r <- r - (q^T r) q; a pick predicted or found
+    to reach that bound, or to fill the support, refits exactly: coefficients
+    R^-1 (B^T y), r = y - G coeffs, y = H x. So the loop stops only on an exact
+    ||r||^2 <= eps, and raises Infeasible when the full support misses the bound.
+    ndarray.dot makes the BLAS call of @ at a fraction of its dispatch cost.
+    _omp_rows is its stacked twin, on many states at once.
     """
     eps = float(x.dot(W.dot(x)))
     if not math.isfinite(eps):
@@ -86,8 +87,8 @@ def _omp(h: HorizonData, W: np.ndarray, x: np.ndarray):
     rr = float(r.dot(r))
     if rr <= eps:
         return coeffs, rr, eps, []
-    G, norms, prefixes = h.G, h.col_norms, h.omp_prefixes
-    basis = np.empty((h.N, G.shape[0]))
+    G, norms, prefixes, m = h.G, h.col_norms, h.omp_prefixes, len(h.G)
+    basis = np.empty((h.N, m))
     r_inv = np.zeros((h.N, h.N))
     mask = np.zeros(h.N)                                  # -inf on picked columns
     bound = eps * (1.0 + FEASIBILITY_REL_SLACK) + FEASIBILITY_ABS_FLOOR
@@ -99,7 +100,10 @@ def _omp(h: HorizonData, W: np.ndarray, x: np.ndarray):
         j = int(score.argmax())
         k = len(prefix)
         prefix += (j,)
-        basis[k], r_inv[:k + 1, k] = prefixes.get(prefix) or _gram_schmidt(h, prefix, basis, r_inv)
+        step = prefixes.get(prefix)
+        if step is None:
+            step = _gram_schmidt(h, prefix, basis, r_inv)
+        basis[k], r_inv[:k + 1, k] = step[:m], step[m:]
         mask[j] = -np.inf
         q = basis[k]
         z = float(q.dot(r))
@@ -119,7 +123,7 @@ def _omp(h: HorizonData, W: np.ndarray, x: np.ndarray):
 
 def _gram_schmidt(h: HorizonData, prefix: tuple, basis: np.ndarray, r_inv: np.ndarray):
     """prefix's last Gram-Schmidt step from the earlier rows of basis and columns of
-    r_inv: (basis row, R^-1 column), two views of one new buffer, which is stored
+    r_inv: one new buffer holding the basis row, then the R^-1 column, which is stored
     under prefix in h.omp_prefixes by _store's rule."""
     G, norms = h.G, h.col_norms
     m, k, j = G.shape[0], len(prefix) - 1, prefix[-1]
@@ -136,46 +140,40 @@ def _gram_schmidt(h: HorizonData, prefix: tuple, basis: np.ndarray, r_inv: np.nd
     s += s2
     np.divide(r_inv[:k, :k].dot(s), -pivot, out=step[m:-1])
     step[-1] = 1.0 / pivot
-    entry = step[:m], step[m:]
-    _store(h.omp_prefixes, prefix, entry, step.nbytes)
-    return entry
+    _store(h.omp_prefixes, prefix, step, step.nbytes)
+    return step
 
 
 def _gram_schmidt_rows(h: HorizonData, missed: dict, basis: np.ndarray, r_inv: np.ndarray):
     """_gram_schmidt on prefixes of one length k + 1, stacked: missed maps each prefix
     to a row i whose basis[i] and r_inv[i] hold its earlier steps. Returns prefix ->
-    (basis row, R^-1 column), two views of one new buffer per prefix, stored in
-    missed's order. At k = 1 each step is _gram_schmidt's, row by row: its 1-row
-    product with the strided column G[:, j] is a strided dot, which the stacked
-    product does not reproduce; at other k the stacked products make its BLAS calls
-    (test_stacked_matmul_matches_ndarray_dot pins both)."""
+    step, a buffer of its own per prefix, stored in missed's order; a failing pivot
+    raises before any step is stored. The columns of G are gathered strided, as
+    _gram_schmidt reads G[:, j], so the stacked products make its BLAS calls at every
+    k (test_stacked_matmul_matches_ndarray_dot pins them)."""
     G, norms, k = h.G, h.col_norms, len(next(iter(missed))) - 1
-    if k == 1:
-        return {p: _gram_schmidt(h, p, basis[i], r_inv[i]) for p, i in missed.items()}
     m, first, js = len(G), list(missed.values()), [p[-1] for p in missed]
-    B, g = basis[first, :k], G.T[js]
+    B, g = basis[first, :k], np.empty((m, len(js) + 1))[:, 1:].T  # strided at one row too
+    g[...] = G.T[js]
     s = (B @ g[:, :, None])[:, :, 0]
     v = g - (s[:, None, :] @ B)[:, 0, :]
     s2 = (B @ v[:, :, None])[:, :, 0]
     v -= (s2[:, None, :] @ B)[:, 0, :]
     pivot = np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
-    failed = np.flatnonzero(pivot <= RANK_REL_TOL * norms[js])
-    a = failed[0] if failed.size else len(js)       # the steps before the first failure
-    steps = np.empty((a, m + k + 1))
-    np.divide(v[:a], pivot[:a, None], out=steps[:, :m])
-    s += s2
-    np.divide((r_inv[first[:a], :k, :k] @ s[:a, :, None])[:, :, 0], -pivot[:a, None],
-              out=steps[:, m:-1])
-    np.divide(1.0, pivot[:a], out=steps[:, -1])
-    entries = {}
-    for prefix, step in zip(missed, steps):
-        step = step.copy()                          # an entry keeps no other step alive
-        entries[prefix] = step[:m], step[m:]
-        _store(h.omp_prefixes, prefix, entries[prefix], step.nbytes)
-    if failed.size:
+    for a in np.flatnonzero(pivot <= RANK_REL_TOL * norms[js])[:1]:
         prefix = list(missed)[a]
         raise RankDeficient(f"column {prefix[-1]} is numerically in the span of "
                             f"columns {sorted(prefix[:-1])}")
+    steps = np.empty((len(js), m + k + 1))
+    np.divide(v, pivot[:, None], out=steps[:, :m])
+    s += s2
+    np.divide((r_inv[first, :k, :k] @ s[:, :, None])[:, :, 0], -pivot[:, None],
+              out=steps[:, m:-1])
+    np.divide(1.0, pivot, out=steps[:, -1])
+    entries = {}
+    for prefix, step in zip(missed, steps):
+        entries[prefix] = step = step.copy()        # an entry keeps no other step alive
+        _store(h.omp_prefixes, prefix, step, step.nbytes)
     return entries
 
 
@@ -202,8 +200,8 @@ def _omp_rows(h: HorizonData, W: np.ndarray, X: np.ndarray) -> np.ndarray:
     the first row: DegenerateInput on any row of a chunk, then RankDeficient or
     Infeasible by pick step, rows in order within a step.
     """
-    G, norms, prefixes, N = h.G, h.col_norms, h.omp_prefixes, h.N
-    chunk = max(1, _STACKED_BYTES // (16 * N * (len(G) + N)))
+    G, norms, prefixes, N, m = h.G, h.col_norms, h.omp_prefixes, h.N, len(h.G)
+    chunk = max(1, _STACKED_BYTES // (16 * N * (m + N)))
     if len(X) > chunk:
         return np.vstack([_omp_rows(h, W, X[i:i + chunk]) for i in range(0, len(X), chunk)])
     eps = (X[:, None, :] @ (W @ X[:, :, None]))[:, 0, 0]
@@ -216,7 +214,7 @@ def _omp_rows(h: HorizonData, W: np.ndarray, X: np.ndarray) -> np.ndarray:
     rows = np.flatnonzero(rr > eps)                 # the rows still picking
     R, rr, eps, bound = Y[rows], rr[rows], eps[rows], bound[rows]
     coeffs = np.zeros((len(X), N))
-    basis, r_inv = np.empty((len(X), N, len(G))), np.zeros((len(X), N, N))
+    basis, r_inv = np.empty((len(X), N, m)), np.zeros((len(X), N, N))
     mask = np.zeros((rows.size, N))                 # -inf on picked columns
     prefix, picked = [()] * len(X), np.empty((len(X), N), dtype=np.intp)
     for k in range(N):
@@ -229,12 +227,12 @@ def _omp_rows(h: HorizonData, W: np.ndarray, X: np.ndarray) -> np.ndarray:
         for i, j in zip(rows.tolist(), picks.tolist()):
             prefix[i] += (j,)
             steps.append(prefixes.get(prefix[i]))
-            if not steps[-1]:
+            if steps[-1] is None:
                 missed.setdefault(prefix[i], i)
         taken = missed and _gram_schmidt_rows(h, missed, basis, r_inv)
-        steps = [step or taken[prefix[i]] for i, step in zip(rows.tolist(), steps)]
-        basis[rows, k] = [row for row, _ in steps]
-        r_inv[rows, :k + 1, k] = [col for _, col in steps]
+        steps = np.array([taken[prefix[i]] if step is None else step
+                          for i, step in zip(rows.tolist(), steps)])
+        basis[rows, k], r_inv[rows, :k + 1, k] = steps[:, :m], steps[:, m:]
         q = basis[rows, k]
         z = (q[:, None, :] @ R[:, :, None])[:, 0, 0]
         projected = (rr - z * z > bound) & (k + 1 < N)

@@ -254,15 +254,16 @@ def test_stacked_matmul_matches_ndarray_dot(B):
             assert stacked.tobytes() == np.array(rows).tobytes(), (n, N)
         # a Gram-Schmidt step at pick k gathers each row's k earlier basis rows and
         # R^-1 block and its column G[:, j]; a refit gathers k + 1 of each. Each row
-        # reads basis[i] and r_inv[i] in place, and G[:, j] strided: at k = 1 that
-        # 1-row product is a strided dot, which the stacked one matches only on a
-        # contiguous column, so the kernel takes the k = 1 steps row by row
+        # reads basis[i] and r_inv[i] in place, and G[:, j] strided. The stacked step
+        # gathers the columns strided too (one row included), so its product makes
+        # the 1-row call at every k: a strided dot at k = 1, a strided gemv after
         basis, r_inv = rng.standard_normal((B, N, n * N)), rng.standard_normal((B, N, N))
         for k in range(N):
             js = rng.integers(0, N, B)
-            columns = [G[:, j].copy() if k == 1 else G[:, j] for j in js]
-            stacked = (basis[:, :k].copy() @ G.T[js][:, :, None])[:, :, 0]
-            rows = [b[:k].dot(g) for b, g in zip(basis, columns)]
+            g = np.empty((n * N, B + 1))[:, 1:].T
+            g[...] = G.T[js]
+            stacked = (basis[:, :k].copy() @ g[:, :, None])[:, :, 0]
+            rows = [b[:k].dot(G[:, j]) for b, j in zip(basis, js)]
             assert stacked.tobytes() == np.array(rows).tobytes(), (n, N, k)
             for a in (k, k + 1):
                 B_a, R_a, C_a = basis[:, :a].copy(), r_inv[:, :a, :a].copy(), C[:, :a].copy()
@@ -272,6 +273,34 @@ def test_stacked_matmul_matches_ndarray_dot(B):
                         ((R_a @ C_a[:, :, None])[:, :, 0],
                          [t[:a, :a].dot(c) for t, c in zip(r_inv, C_a)])):
                     assert stacked.tobytes() == np.array(rows).tobytes(), (n, N, k, a)
+
+
+@pytest.mark.parametrize("B", [1, 2, 7, 64])
+def test_stacked_l1_steps_match_the_homotopy_arithmetic(B):
+    # l1 in lockstep would rest on these: solvers._l1 takes c = b - u K[A] as
+    # np.dot of a list u with K[A], and its step rules as Python float
+    # arithmetic. A matmul stacked over B rows with a singleton core dimension
+    # gives np.dot's bits at every active-set size up to 24, on one K[A] shared
+    # by the rows or on each row's own; numpy's elementwise float64 ops round
+    # each Python operation the same way
+    rng = np.random.default_rng(B)
+    for N in (4, 10, 20, 40, 64):
+        K = rng.standard_normal((N, N))
+        K = K.T @ K
+        for a in range(1, min(N, 24) + 1):
+            A = np.sort(rng.choice(N, a, replace=False))
+            rows, U = K.take(A, axis=0), rng.standard_normal((B, a))
+            dots = np.array([np.dot(u, rows) for u in U.tolist()])
+            assert (U[:, None, :] @ rows)[:, 0, :].tobytes() == dots.tobytes(), (N, a)
+            own = rng.standard_normal((B, a, N))
+            dots = np.array([np.dot(u, r) for u, r in zip(U.tolist(), own)])
+            assert (U[:, None, :] @ own)[:, 0, :].tobytes() == dots.tobytes(), (N, a)
+    t, s, c, d = (rng.standard_normal(250) * 2.0 ** rng.integers(-30, 30, 250)
+                  for _ in range(4))
+    for step in (lambda t, s, c, d: t - s * c, lambda t, s, c, d: t / s,
+                 lambda t, s, c, d: t + d * c, lambda t, s, c, d: -t / d):
+        floats = [step(*v) for v in zip(t.tolist(), s.tolist(), c.tolist(), d.tolist())]
+        assert step(t, s, c, d).tobytes() == np.array(floats).tobytes()
 
 
 def test_record_freezes_a_copy_of_a_writable_array():

@@ -3,6 +3,7 @@ import math
 import pickle
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -295,6 +296,16 @@ def test_stacked_omp_raises_what_omp_raises_on_a_row(example_case):
             warnings.simplefilter("error")
             _omp_rows(repeated, np.array([[0.5]]), rows)
         assert set(repeated.omp_prefixes) == {(0,), (0, 1)}
+    # at the third pick row 0 misses (0, 1, 3) and row 1 the failing (0, 1, 2):
+    # the pass raises before it stores any step of that pick
+    split = HorizonData(N=4, G=np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+                                         [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0]]),
+                        H=np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]))
+    with pytest.raises(errors.RankDeficient, match=r"column 2 .* columns \[0, 1\]"):
+        _omp_rows(split, 0.5 * np.eye(2), np.array([[1.0, 0.5], [1.0, 0.0]]))
+    assert set(split.omp_prefixes) == {(0,), (0, 1)}
+    with pytest.raises(errors.RankDeficient, match=r"columns \[0, 1, 3\]"):
+        _omp(split, 0.5 * np.eye(2), np.array([1.0, 0.5]))
     # of several failing rows the first check to fail wins, not the first
     # row: _omp raises RankDeficient on row 0, the pass DegenerateInput on row 1
     with pytest.raises(errors.RankDeficient):
@@ -401,8 +412,9 @@ def test_pickled_setup_leaves_prefix_cache_behind(example_plant):
 
 
 def stored_bytes(prefixes) -> int:
-    """The bytes a prefix cache holds, each entry being its (row, column) pair."""
-    return sum(row.nbytes + col.nbytes for row, col in prefixes.values())
+    """The bytes a prefix cache holds, each entry being one buffer: the basis row,
+    then the R^-1 column."""
+    return sum(step.nbytes for step in prefixes.values())
 
 
 def test_omp_prefix_cache_stays_within_budget(monkeypatch):
@@ -423,8 +435,8 @@ def test_omp_prefix_cache_stays_within_budget(monkeypatch):
     assert stored == h.omp_prefixes.nbytes
     full_entry = 8 * (len(h.G) + h.N)
     assert budget - full_entry < stored <= budget
-    for row, col in h.omp_prefixes.values():
-        assert row.base is col.base is not None
+    for prefix, step in h.omp_prefixes.items():
+        assert step.base is None and step.shape == (len(h.G) + len(prefix),)
     unbounded = fresh_horizon(syn.horizon)
     monkeypatch.setattr(solvers, "OMP_PREFIX_BUDGET_BYTES", 1 << 40)
     for x in states:
@@ -448,6 +460,28 @@ def test_omp_long_horizon_working_set_fits_the_budget(example_plant, monkeypatch
         sppc.run_montecarlo(setup, 24, 0)
         sizes.append(len(setup.horizon.omp_prefixes))
     assert sizes[0] == sizes[1] > 0
+
+
+def test_omp_prefix_cache_retains_little_beyond_its_count(example_plant):
+    # the budget counts float bytes only; what an entry holds beyond them (its
+    # key tuple, dict slot and array header) stays within a fixed overhead.
+    # Clearing the cache frees 163 bytes an entry beyond the count here, where
+    # a (row, column) pair of views freed 407 (key tuples kept on Python's
+    # free lists read as still held: a loop of run_trial calls frees 255 and 534)
+    setup = sppc.ExperimentSetup(synthesis=sppc.synthesize(example_plant, None, 20, 0.5),
+                                 solver="omp", x0=EXAMPLE_X0, steps=100, p_drop=0.9)
+    prefixes = setup.horizon.omp_prefixes
+    tracemalloc.start()
+    try:
+        sppc.run_montecarlo(setup, 24, 0)
+        held = tracemalloc.get_traced_memory()[0]
+        entries, counted = len(prefixes), prefixes.nbytes
+        prefixes.clear()
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert entries > 2000
+    assert counted < freed <= counted + 320 * entries
 
 
 def assert_stacked_matches_omp(h, W, X):
@@ -523,9 +557,9 @@ def test_stacked_omp_fills_the_whole_support():
 
 def test_stacked_omp_stores_the_entries_omp_stores(example_plant, monkeypatch):
     # on a cold lifting many rows miss one prefix in the same pick step; the
-    # pass takes that step once for all of them and stores the (row, column)
-    # pair _omp stores for the prefix, bit for bit, as two views of a buffer
-    # of its own and with the same byte count
+    # pass takes that step once for all of them and stores the buffer (basis
+    # row, then R^-1 column) _omp stores for the prefix, bit for bit, as an
+    # array of its own and with the same byte count
     syn = sppc.synthesize(example_plant, None, 20, 0.5)
     X = np.vstack([sppc.run_trial(example_plant, syn.horizon, syn, "omp", EXAMPLE_X0, 100,
                                   seed, p_drop=0.9).states[:-1] for seed in range(2)])
@@ -538,11 +572,10 @@ def test_stacked_omp_stores_the_entries_omp_stores(example_plant, monkeypatch):
     assert len(single.omp_prefixes) > 100
     assert stacked.omp_prefixes.keys() == single.omp_prefixes.keys()
     assert stacked.omp_prefixes.nbytes == single.omp_prefixes.nbytes
-    for prefix, (row, col) in single.omp_prefixes.items():
-        got_row, got_col = stacked.omp_prefixes[prefix]
-        assert (got_row.tobytes(), got_col.tobytes()) == (row.tobytes(), col.tobytes())
-        assert got_row.base is got_col.base is not None
-        assert got_row.base.nbytes == got_row.nbytes + got_col.nbytes
+    for prefix, step in single.omp_prefixes.items():
+        got = stacked.omp_prefixes[prefix]
+        assert got.tobytes() == step.tobytes()
+        assert got.base is None and got.nbytes == step.nbytes
     # a budget that fills partway through one pick step: a pass over seed 0's
     # 100 states (one chunk) stores the steps it takes, pick step by pick step
     # and in the order of their first rows, until the budget is full, and takes
@@ -553,7 +586,7 @@ def test_stacked_omp_stores_the_entries_omp_stores(example_plant, monkeypatch):
     cut = sizes.index(max(set(sizes), key=sizes.count)) + 2
     assert sizes[cut - 1] == sizes[cut]
     monkeypatch.setattr(solvers, "OMP_PREFIX_BUDGET_BYTES",
-                        sum(single.omp_prefixes[p][0].base.nbytes for p in order[:cut]))
+                        sum(single.omp_prefixes[p].nbytes for p in order[:cut]))
     partial = fresh_horizon(syn.horizon)
     for _ in range(2):
         assert _omp_rows(partial, syn.W, X[:100]).tobytes() == coeffs[:100 * 20 * 8]
