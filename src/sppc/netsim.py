@@ -245,9 +245,10 @@ def run_montecarlo(setup: ExperimentSetup, trials: int, base_seed: int,
 
     Returns one SolverAggregate per solver run, keyed and ordered as in
     SOLVER_NAMES. A solver's batch is run_trial mapped over the seeds
-    base_seed + t (in chunks of 8 on worker processes), so omp and l1
-    batches see identical drop patterns. Aggregation reduces in trial
-    order, which keeps the result identical for any worker count.
+    base_seed + t, so omp and l1 batches see identical drop patterns; a
+    worker process takes one chunk of a batch, so it unpickles the lifting
+    and warms its caches once. Aggregation reduces in trial order, which
+    keeps the result identical for any worker count.
     """
     trials = as_int(trials, "trials", 1)
     base_seed = as_int(base_seed, "base_seed", 0, 2 ** 64 - trials + 1)   # base_seed + t < 2^64
@@ -260,8 +261,8 @@ def run_montecarlo(setup: ExperimentSetup, trials: int, base_seed: int,
             for solver in solvers]
     with (ProcessPoolExecutor(workers) if workers > 1 else nullcontext()) as pool:
         # pool.map queues a solver's trials at once: no worker idles between solvers
-        batches = [map(run, seeds) if pool is None else pool.map(run, seeds, chunksize=8)
-                   for run in runs]
+        batches = [map(run, seeds) if pool is None
+                   else pool.map(run, seeds, chunksize=-(-trials // workers)) for run in runs]
         batches = [list(batch) for batch in batches]
 
     aggregates = {}

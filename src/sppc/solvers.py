@@ -147,8 +147,8 @@ def _gram_schmidt(h: HorizonData, prefix: tuple, basis: np.ndarray, r_inv: np.nd
 def _gram_schmidt_rows(h: HorizonData, missed: dict, basis: np.ndarray, r_inv: np.ndarray):
     """_gram_schmidt on prefixes of one length k + 1, stacked: missed maps each prefix
     to a row i whose basis[i] and r_inv[i] hold its earlier steps. Returns prefix ->
-    step, a buffer of its own per prefix, stored in missed's order; a failing pivot
-    raises before any step is stored. The columns of G are gathered strided, as
+    step, a buffer of its own per prefix, stored in missed's order, or None on a
+    failing pivot, before any step is stored. The columns of G are gathered strided, as
     _gram_schmidt reads G[:, j], so the stacked products make its BLAS calls at every
     k (test_stacked_matmul_matches_ndarray_dot pins them)."""
     G, norms, k = h.G, h.col_norms, len(next(iter(missed))) - 1
@@ -160,10 +160,8 @@ def _gram_schmidt_rows(h: HorizonData, missed: dict, basis: np.ndarray, r_inv: n
     s2 = (B @ v[:, :, None])[:, :, 0]
     v -= (s2[:, None, :] @ B)[:, 0, :]
     pivot = np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
-    for a in np.flatnonzero(pivot <= RANK_REL_TOL * norms[js])[:1]:
-        prefix = list(missed)[a]
-        raise RankDeficient(f"column {prefix[-1]} is numerically in the span of "
-                            f"columns {sorted(prefix[:-1])}")
+    if (pivot <= RANK_REL_TOL * norms[js]).any():
+        return None
     steps = np.empty((len(js), m + k + 1))
     np.divide(v, pivot[:, None], out=steps[:, :m])
     s += s2
@@ -195,10 +193,8 @@ def _omp_rows(h: HorizonData, W: np.ndarray, X: np.ndarray) -> np.ndarray:
     ndarray.dot's BLAS call on each row (a 2-D product does not). A pick step
     looks up each row's prefix in the cache and takes the steps it misses in
     one _gram_schmidt_rows call, once per distinct prefix. A row leaves once its
-    exact residual meets its threshold. A failing row raises the type _omp
-    raises on it, but when several rows fail, the first check to fail wins, not
-    the first row: DegenerateInput on any row of a chunk, then RankDeficient or
-    Infeasible by pick step, rows in order within a step.
+    exact residual meets its threshold. A chunk where a row fails is designed
+    again by _omp row by row, which raises on its first failing row.
     """
     G, norms, prefixes, N, m = h.G, h.col_norms, h.omp_prefixes, h.N, len(h.G)
     chunk = max(1, _STACKED_BYTES // (16 * N * (m + N)))
@@ -206,8 +202,7 @@ def _omp_rows(h: HorizonData, W: np.ndarray, X: np.ndarray) -> np.ndarray:
         return np.vstack([_omp_rows(h, W, X[i:i + chunk]) for i in range(0, len(X), chunk)])
     eps = (X[:, None, :] @ (W @ X[:, :, None]))[:, 0, 0]
     if not np.isfinite(eps).all():
-        raise DegenerateInput(f"x^T W x is {float(eps[~np.isfinite(eps)][0])!r}; "
-                              "no packet can be designed against it")
+        return np.array([_omp(h, W, x)[0] for x in X])
     bound = eps * (1.0 + FEASIBILITY_REL_SLACK) + FEASIBILITY_ABS_FLOOR
     Y = (h.H @ X[:, :, None])[:, :, 0]
     rr = (Y[:, None, :] @ Y[:, :, None])[:, 0, 0]
@@ -230,6 +225,8 @@ def _omp_rows(h: HorizonData, W: np.ndarray, X: np.ndarray) -> np.ndarray:
             if steps[-1] is None:
                 missed.setdefault(prefix[i], i)
         taken = missed and _gram_schmidt_rows(h, missed, basis, r_inv)
+        if taken is None:
+            return np.array([_omp(h, W, x)[0] for x in X])
         steps = np.array([taken[prefix[i]] if step is None else step
                           for i, step in zip(rows.tolist(), steps)])
         basis[rows, k], r_inv[rows, :k + 1, k] = steps[:, :m], steps[:, m:]
@@ -245,9 +242,8 @@ def _omp_rows(h: HorizonData, W: np.ndarray, X: np.ndarray) -> np.ndarray:
         R[refit] = r = Y[fr] - (G @ coeffs[fr, :, None])[:, :, 0]
         rr[refit] = (r[:, None, :] @ r[:, :, None])[:, 0, 0]
         stay = (rr > eps) & (k + 1 < N)
-        for a in np.flatnonzero(~stay & (rr > bound))[:1]:     # the first row to fail
-            raise Infeasible(f"full-support residual {rr[a]:.6e} exceeds threshold "
-                             f"{eps[a]:.6e}; the synthesis that produced W is inconsistent")
+        if (~stay & (rr > bound)).any():
+            return np.array([_omp(h, W, x)[0] for x in X])
         rows, R, rr, eps, bound, mask = (a[stay] for a in (rows, R, rr, eps, bound, mask))
     return coeffs
 
@@ -275,15 +271,16 @@ def l1_design(h: HorizonData, x, lam: float, fixed_bound: float) -> ControlPacke
     The lasso homotopy (LARS-lasso): the minimizer is piecewise linear in
     the weight t, so the path is followed from t = ||G^T H x||_inf, where
     u = 0, down to t = lam. On each segment the active coefficients move
-    along v = K_AA^-1 sign_A (K = G^T G, by Cholesky; a failed factorization
-    raises RankDeficient) until a free correlation reaches +-t, when that
-    index enters with the sign of the boundary it hit, or an active
-    coefficient reaches zero, when it leaves. Entries are ranked
-    side-major (+t first, then the smallest index), an entry wins a tie
-    with a leave, and a correlation on a boundary it does not move inward
-    from enters at step 0. Zeros are exact, and iterations counts
-    segments; more than L1_MAX_ITERATIONS raise NoConvergence. A segment's
-    K[A], v, v K[A] and free indices depend only on its active set
+    along v = K_AA^-1 sign_A (K = G^T G, by Cholesky: G must have full column
+    rank, as a reachable plant's lifting has; on dependent columns rounding
+    picks RankDeficient or one of several minimizers) until a free
+    correlation reaches +-t, when that index enters with the sign of the
+    boundary it hit, or an active coefficient reaches zero, when it leaves.
+    Entries are ranked side-major (+t first, then the smallest index), an
+    entry wins a tie with a leave, and a correlation on a boundary it does
+    not move inward from enters at step 0. Zeros are exact, and iterations
+    counts segments; more than L1_MAX_ITERATIONS raise NoConvergence. A
+    segment's K[A], v, v K[A] and free indices depend only on its active set
     and signs: they are shared across calls through h.l1_segments, bit for
     bit as recomputed. The packet records fixed_bound as its threshold for
     comparison only; no feasibility is promised.

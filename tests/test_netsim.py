@@ -249,7 +249,7 @@ def test_scalar_trial_matches_the_reference_loop(scalar_case, p_drop):
 @pytest.mark.parametrize("n, N", [(12, 40), (20, 64)])
 def test_trial_lost_designs_stay_within_the_stacked_cap(n, N):
     # a trial's lost steps hold at most _STACKED_BYTES of Gram-Schmidt rows
-    # and R^-1 at once: in chunks of 25 rows at (12, 40) and of 6 at
+    # and R^-1 at once: in chunks of 12 rows at (12, 40) and of 3 at
     # (20, 64). The trials peak at 4.8 and 0.8 MiB;
     # in one pass their 92 lost steps peak at 17 and 67 MiB. The first run
     # fills the prefix cache, so the measured one adds no entries to it
@@ -484,7 +484,7 @@ def test_montecarlo_reproducible(example_case):
 
 
 def test_montecarlo_parallel_matches_sequential(example_case):
-    # OMP in one chunk of 4 trials, then both solvers in three chunks of 8 each
+    # OMP in two chunks of 2 trials, then both solvers in two chunks of 10 each
     _, syn, _ = example_case
     x0 = np.array([0.5, 0.5, 0.5, 0.5])
     for solver, trials in (("omp", 4), ("both", 20)):

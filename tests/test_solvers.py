@@ -276,7 +276,7 @@ def test_omp_repeated_column_is_rank_deficient():
 
 def test_stacked_omp_raises_what_omp_raises_on_a_row(example_case):
     # each failing state sits among states that design: the stacked pass
-    # raises _omp's error type on it
+    # designs the chunk again by _omp, which raises on the first failing row
     _, syn, h = example_case
     overflowing = np.array([[0.5] * 4, [1e300] * 4, [0.0] * 4])
     unreachable = HorizonData(N=2, G=np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]),
@@ -290,28 +290,59 @@ def test_stacked_omp_raises_what_omp_raises_on_a_row(example_case):
     with pytest.raises(errors.Infeasible):
         _omp_rows(unreachable, np.array([[0.5]]), rows)
     # from a cold prefix cache, then a warm one; the failing prefix is never
-    # stored, and the pass raises before it divides by the failing pivot
+    # stored, and the pass hands the chunk on before it divides by the pivot
     for _ in range(2):
         with warnings.catch_warnings(), pytest.raises(errors.RankDeficient):
             warnings.simplefilter("error")
             _omp_rows(repeated, np.array([[0.5]]), rows)
         assert set(repeated.omp_prefixes) == {(0,), (0, 1)}
     # at the third pick row 0 misses (0, 1, 3) and row 1 the failing (0, 1, 2):
-    # the pass raises before it stores any step of that pick
+    # the chunk goes to _omp, which fails on row 0 first, at its fourth pick,
+    # after it has stored (0, 1, 3)
     split = HorizonData(N=4, G=np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 0.0],
                                          [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0]]),
                         H=np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]))
-    with pytest.raises(errors.RankDeficient, match=r"column 2 .* columns \[0, 1\]"):
+    with pytest.raises(errors.RankDeficient, match=r"column 2 .* columns \[0, 1, 3\]"):
         _omp_rows(split, 0.5 * np.eye(2), np.array([[1.0, 0.5], [1.0, 0.0]]))
-    assert set(split.omp_prefixes) == {(0,), (0, 1)}
-    with pytest.raises(errors.RankDeficient, match=r"columns \[0, 1, 3\]"):
-        _omp(split, 0.5 * np.eye(2), np.array([1.0, 0.5]))
-    # of several failing rows the first check to fail wins, not the first
-    # row: _omp raises RankDeficient on row 0, the pass DegenerateInput on row 1
-    with pytest.raises(errors.RankDeficient):
-        _omp(repeated, np.array([[0.5]]), rows[1])
-    with np.errstate(over="ignore"), pytest.raises(errors.DegenerateInput):
+    assert set(split.omp_prefixes) == {(0,), (0, 1), (0, 1, 3)}
+    # of several failing rows the first row wins, whichever check fails first:
+    # RankDeficient on row 0 although row 1's x^T W x overflows
+    with np.errstate(over="ignore"), pytest.raises(errors.RankDeficient):
         _omp_rows(repeated, np.array([[0.5]]), np.array([[1.0], [1e300]]))
+
+
+@pytest.mark.parametrize("rows", [1, 2, None], ids=["1-row", "2-row", "one-chunk"])
+def test_stacked_omp_does_not_depend_on_chunking(monkeypatch, example_plant, rows):
+    # a pass's packets and its error are those of _omp row by row at every
+    # chunk size, and a pass that meets no failing row never calls _omp
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _omp(*args)
+
+    def chunked(h, W, X):
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers, "_STACKED_BYTES", (rows or len(X)) * 16 * h.N * (len(h.G) + h.N))
+            patch.setattr(solvers, "_omp", counted)
+            return _omp_rows(h, W, X)
+
+    syn = sppc.synthesize(example_plant, None, 20, 0.5)
+    trace = sppc.run_trial(example_plant, syn.horizon, syn, "omp", EXAMPLE_X0, 100, 1,
+                           p_drop=0.9)
+    X = trace.states[np.flatnonzero(trace.dropped[:-1])]
+    assert len(X) > 50
+    expected = np.array([_omp(fresh_horizon(syn.horizon), syn.W, x)[0] for x in X])
+    assert chunked(fresh_horizon(syn.horizon), syn.W, X).tobytes() == expected.tobytes()
+    assert not calls
+    repeated = HorizonData(N=3, G=np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]]),
+                           H=np.ones((3, 1)))
+    X, W = np.array([[0.0], [1.0], [1e300]]), np.array([[0.5]])
+    with pytest.raises(errors.RankDeficient) as by_row:
+        [_omp(fresh_horizon(repeated), W, x) for x in X]
+    with np.errstate(over="ignore"), pytest.raises(errors.RankDeficient) as stacked:
+        chunked(repeated, W, X)
+    assert str(stacked.value) == str(by_row.value)
 
 
 def packet_bits(p):
