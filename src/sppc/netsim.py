@@ -7,20 +7,20 @@ count of consecutive drops and the last delivered packet (zeros before
 the first delivery). The plant plays the packet's element at that count,
 so the loop survives any admissible dropout pattern without exhausting
 the buffer. channel_step and buffer_apply are pure functions of that
-state, run every step (a wrong-typed argument raises ConfigError, at no
-cost to a right one); drop_schedule runs the channel for a whole trial
-and checks its arguments, the p_drop rule among them, once. run_trial
-owns the state. It checks W, x0 and lam once, and its designs skip those
-checks: the plant kernel keeps every later state finite. A lost packet
-leaves every state as it was, so the loop designs only the packets the
-buffer keeps, and the lost ones are designed after it (OMP's in stacked
-passes, solvers._omp_rows).
+state (a wrong-typed argument raises ConfigError); drop_schedule runs the
+channel for a whole trial and checks its arguments, the p_drop rule among
+them, once. _run_batch steps a batch of trials in lockstep: run_trial is
+its batch of one, and run_montecarlo gives it a worker's chunk of seeds.
+It checks W, x0 and lam once, and its designs skip those checks: the
+plant kernel keeps every later state finite. A lost packet leaves every
+state as it was, so the loop designs only the packets the buffer keeps,
+and a batch's lost ones after it (OMP's in one pass, solvers._omp_rows).
 
 Randomness comes exclusively from the channel: trial t of a Monte Carlo
-batch (run_trial mapped over seeds) owns one PCG64 generator seeded with
-base_seed + t, and drops are drawn by thresholding its 53-bit uniforms,
-so every trace field except the wall-clock design times is reproducible
-bit for bit across platforms and across sequential or parallel execution.
+batch owns one PCG64 generator seeded with base_seed + t, and drops are
+drawn by thresholding its 53-bit uniforms, so every trace field except
+the wall-clock design times is reproducible bit for bit across platforms,
+batch sizes and worker counts.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import BufferExhausted, ConfigError
+from .errors import BufferExhausted, ConfigError, SppcError
 from .lifting import HorizonData
 from .numerics import as_array, as_instance, as_int, as_real, record
 from .plant import PlantModel, _advance
@@ -82,18 +82,22 @@ def drop_schedule(rng: np.random.Generator, steps: int, p_drop: float,
     return np.array(ages, dtype=np.int64)
 
 
-def buffer_apply(held: np.ndarray, age: int) -> float:
-    """The input played `age` steps after the held packet was delivered.
+def buffer_apply(held: np.ndarray, age) -> float | np.ndarray:
+    """The input played `age` steps after the held packet was delivered; with
+    packets stacked by rows and one age a row, each row's own input.
 
-    Raises BufferExhausted when age falls outside the packet, which a
+    Raises BufferExhausted when an age falls outside its packet, which a
     channel honoring its drop bound can never cause.
     """
     try:
-        if 0 <= age < held.size:
-            return float(held[age])
+        ages = np.asarray(age)
+        listed = ages.ravel().tolist()      # on a few ints, cheaper than ndarray.min and max
+        if 0 <= min(listed) and max(listed) < held.shape[-1]:
+            return float(held[age]) if held.ndim == 1 else held[np.arange(len(held)), ages]
     except (AttributeError, IndexError, TypeError, ValueError) as exc:
-        raise ConfigError(f"buffer_apply needs an array and an integer age: {exc}") from exc
-    raise BufferExhausted(f"age {age} is outside the buffer of length {held.size}; "
+        raise ConfigError(f"buffer_apply needs an array and integer ages: {exc}") from exc
+    age = min(listed) if min(listed) < 0 else max(listed)      # an offending age
+    raise BufferExhausted(f"age {age} is outside the buffer of length {held.shape[-1]}; "
                           "the channel exceeded its consecutive-drop bound")
 
 
@@ -106,7 +110,7 @@ class SimTrace:
     when the packet sent at k was lost, and l0[k] counts that packet's
     nonzeros all the same. design_time_us is wall clock, the one field
     outside the determinism guarantee; a lost packet's is an equal share
-    of the pass that designed the lost packets after the loop.
+    of the pass that designed its batch's lost packets after the loop.
     """
 
     states: np.ndarray
@@ -129,6 +133,21 @@ def run_trial(plant: PlantModel, h: HorizonData, syn: SynthesisResult,
     plant and h are syn's own, by identity: W's margin holds for those only.
     solver is "omp" or "l1"; the l1 path needs lam, and both a finite
     x0^T W x0. The PRNG is PCG64(seed) and only the channel draws from it.
+    The trial is _run_batch's batch of one.
+    """
+    return SimTrace(*(a[0] for a in _run_batch(plant, h, syn, solver, x0, steps, (seed,),
+                                               p_drop, lam)))
+
+
+def _run_batch(plant: PlantModel, h: HorizonData, syn: SynthesisResult, solver: str,
+               x0, steps: int, seeds, p_drop: float, lam: float | None) -> tuple:
+    """run_trial at each of seeds in lockstep: SimTrace's fields stacked over the seeds.
+
+    Each step designs the received packets row by row in seed order, plays
+    held[t, age] through buffer_apply and advances all trials in one
+    plant._advance; the batch's lost packets share one pass after the loop.
+    Rows do not depend on their batch, so when a step raises, the batch runs
+    again a trial at a time: the error is the first failing trial's at any size.
     """
     if h is not as_instance(syn, SynthesisResult, "syn").horizon:
         raise ConfigError("h is not syn.horizon, the lifting syn certified")
@@ -136,7 +155,7 @@ def run_trial(plant: PlantModel, h: HorizonData, syn: SynthesisResult,
         raise ConfigError("plant is not syn.plant, the plant syn was synthesized for")
     if solver not in SOLVER_NAMES:
         raise ConfigError(f"solver must be one of {SOLVER_NAMES}, got {solver!r}")
-    seed = as_int(seed, "seed", 0, 2 ** 64)
+    seeds = [as_int(seed, "seed", 0, 2 ** 64) for seed in seeds]
     W, x = _design_inputs(h, syn.W, x0)
     with np.errstate(over="ignore"):
         energy = float(x @ (W @ x))
@@ -144,47 +163,45 @@ def run_trial(plant: PlantModel, h: HorizonData, syn: SynthesisResult,
         raise ConfigError(f"x0^T W x0 is {energy!r}; the designs need an x0 "
                           "small enough for it to be finite")
     omp = solver == "omp"
-    if not omp:
-        lam = _l1_weight(lam)
+    lam = lam if omp else _l1_weight(lam)
 
-    ages = drop_schedule(np.random.Generator(np.random.PCG64(seed)), steps, p_drop, h.N - 1)
-    steps = ages.size
-    clock = time.perf_counter
-    A, b, H = plant.A, plant.B[:, 0], h.H
-    held = np.zeros(h.N)
-
-    states = np.zeros((steps + 1, h.n))
-    inputs = np.zeros(steps + 1)
-    dropped = np.zeros(steps + 1, dtype=np.uint8)
-    dropped[:steps] = ages != 0
-    l0 = np.zeros(steps + 1, dtype=np.int64)
-    design_time_us = np.zeros(steps + 1)
-
-    for k, age in enumerate(ages.tolist()):
-        states[k] = x
-        if not age:
+    ages = np.array([drop_schedule(np.random.Generator(np.random.PCG64(seed)), steps, p_drop,
+                                   h.N - 1) for seed in seeds])
+    (T, steps), clock, A, b, H = ages.shape, time.perf_counter, plant.A, plant.B[:, 0], h.H
+    X, held, states = np.tile(x, (T, 1)), np.zeros((T, h.N)), np.zeros((T, steps + 1, h.n))
+    inputs, design_time_us = np.zeros((2, T, steps + 1))
+    dropped, l0 = np.zeros((T, steps + 1), np.uint8), np.zeros((T, steps + 1), np.int64)
+    dropped[:, :steps] = lost = ages != 0     # packets that left every state as it was
+    try:
+        for k, (age, row) in enumerate(zip(ages.T, ages.T.tolist())):
+            states[:, k] = X
+            for t in [t for t, a in enumerate(row) if not a]:
+                t0 = clock()
+                held[t] = _omp(h, W, X[t])[0] if omp else _l1(h, H.dot(X[t]), lam)[0]
+                design_time_us[t, k] = (clock() - t0) * 1e6
+                l0[t, k] = np.count_nonzero(held[t])
+            inputs[:, k] = u = buffer_apply(held, age)
+            X = _advance(A, b, X, u)
+        states[:, steps] = X
+        if lost.any():
             t0 = clock()
-            held = _omp(h, W, x)[0] if omp else _l1(h, H.dot(x), lam)[0]
-            design_time_us[k] = (clock() - t0) * 1e6
-            l0[k] = np.count_nonzero(held)
-        inputs[k] = u = buffer_apply(held, age)
-        x = _advance(A, b, x, u)
-    states[steps] = x
-    lost = np.flatnonzero(ages)     # packets that left every state as it was
-    if lost.size:
-        t0 = clock()
-        coeffs = (_omp_rows(h, W, states[lost]) if omp
-                  else np.array([_l1(h, H.dot(x), lam)[0] for x in states[lost]]))
-        design_time_us[lost] = (clock() - t0) * 1e6 / lost.size
-        l0[lost] = np.count_nonzero(coeffs, axis=1)
-    # one ddot per row, the arithmetic of np.linalg.norm on each state, on the
-    # row scaled by 2^-e (max |x_i| = m 2^e, 0.5 <= m < 1) so that x.x cannot
-    # underflow: in x.x's normal range both scalings are exact
-    _, e = np.frexp(np.abs(states).max(axis=1))
-    scaled = np.ldexp(states, -e[:, None])
-    norm_x = np.ldexp(np.sqrt((scaled[:, None, :] @ scaled[:, :, None]).ravel()), e)
-    return SimTrace(states=states, norm_x=norm_x, inputs=inputs, dropped=dropped,
-                    l0=l0, design_time_us=design_time_us)
+            X = states[:, :steps][lost]
+            coeffs = (_omp_rows(h, W, X) if omp
+                      else np.array([_l1(h, H.dot(x), lam)[0] for x in X]))
+            design_time_us[:, :steps][lost] = (clock() - t0) * 1e6 / len(X)
+            l0[:, :steps][lost] = np.count_nonzero(coeffs, axis=1)
+        # one ddot per row, the arithmetic of np.linalg.norm on each state, on the
+        # row scaled by 2^-e (max |x_i| = m 2^e, 0.5 <= m < 1) so that x.x cannot
+        # underflow: in x.x's normal range both scalings are exact
+        _, e = np.frexp(np.abs(states).max(axis=2))
+        scaled = np.ldexp(states, -e[:, :, None])
+        norm_x = np.ldexp(np.sqrt((scaled[:, :, None, :] @ scaled[:, :, :, None])[:, :, 0, 0]), e)
+        return states, norm_x, inputs, dropped, l0, design_time_us
+    except (SppcError, ArithmeticError, Warning):    # a step's errors, and warnings raised
+        if T == 1:
+            raise
+    return tuple(map(np.concatenate, zip(*(
+        _run_batch(plant, h, syn, solver, x0, steps, (seed,), p_drop, lam) for seed in seeds))))
 
 
 @record
@@ -244,32 +261,30 @@ def run_montecarlo(setup: ExperimentSetup, trials: int, base_seed: int,
     """Repeat independent trials and average per time index, per solver.
 
     Returns one SolverAggregate per solver run, keyed and ordered as in
-    SOLVER_NAMES. A solver's batch is run_trial mapped over the seeds
-    base_seed + t, so omp and l1 batches see identical drop patterns; a
-    worker process takes one chunk of a batch, so it unpickles the lifting
-    and warms its caches once. Aggregation reduces in trial order, which
-    keeps the result identical for any worker count.
+    SOLVER_NAMES. A solver's batch runs the seeds base_seed + t, so omp and
+    l1 batches see identical drop patterns; a worker process runs one chunk
+    of them in lockstep (_run_batch), so it unpickles the lifting and warms
+    its caches once. Aggregation reduces in trial order, which keeps the
+    result identical for any worker count.
     """
     trials = as_int(trials, "trials", 1)
     base_seed = as_int(base_seed, "base_seed", 0, 2 ** 64 - trials + 1)   # base_seed + t < 2^64
     workers = as_int(workers, "workers", 1)
     steps = as_int(as_instance(setup, ExperimentSetup, "setup").steps, "steps", 1)
     solvers = SOLVER_NAMES if setup.solver == "both" else (setup.solver,)
-    seeds = range(base_seed, base_seed + trials)
-    runs = [partial(run_trial, setup.plant, setup.horizon, setup.synthesis, solver,
+    size = -(-trials // workers)
+    chunks = [range(base_seed, base_seed + trials)[i:i + size] for i in range(0, trials, size)]
+    runs = [partial(_run_batch, setup.plant, setup.horizon, setup.synthesis, solver,
                     setup.x0, steps, p_drop=setup.p_drop, lam=setup.lam)
             for solver in solvers]
     with (ProcessPoolExecutor(workers) if workers > 1 else nullcontext()) as pool:
-        # pool.map queues a solver's trials at once: no worker idles between solvers
-        batches = [map(run, seeds) if pool is None
-                   else pool.map(run, seeds, chunksize=-(-trials // workers)) for run in runs]
+        # pool.map queues a solver's chunks at once: no worker idles between solvers
+        batches = [map(run, chunks) if pool is None else pool.map(run, chunks) for run in runs]
         batches = [list(batch) for batch in batches]
 
     aggregates = {}
     for solver, batch in zip(solvers, batches):
-        mean_norm = np.vstack([trace.norm_x for trace in batch]).mean(axis=0)
-        mean_l0 = np.vstack([trace.l0 for trace in batch]).mean(axis=0)
-        times = np.vstack([trace.design_time_us for trace in batch])
-        aggregates[solver] = SolverAggregate(mean_norm, mean_l0,
+        _, norm_x, _, _, l0, times = (np.vstack(field) for field in zip(*batch))
+        aggregates[solver] = SolverAggregate(norm_x.mean(axis=0), l0.mean(axis=0),
                                              float(times[:, :steps].mean()))
     return aggregates

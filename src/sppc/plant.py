@@ -39,19 +39,20 @@ def step(plant: PlantModel, x, u: float) -> np.ndarray:
     """One plant update: A x + B u. plant, the state x and the input u pass the
     library's argument checks, and an overflow raises DimensionMismatch."""
     A = as_instance(plant, PlantModel, "plant").A
-    return _advance(A, plant.B[:, 0], as_array(x, "state", (len(A),)), as_real(u, "input"))
+    x = as_array(x, "state", (len(A),))
+    return _advance(A, plant.B[:, 0], x[None], np.array([as_real(u, "input")]))[0]
 
 
-def _advance(A: np.ndarray, b: np.ndarray, x: np.ndarray, u: float) -> np.ndarray:
-    """step on a checked state and input, b being B's column; the loop's own update.
-
-    The finiteness test reads the floats one by one: exact, and warning-free
-    at a sixth of np.isfinite's cost on a short state.
-    """
-    x = A.dot(x) + b * u
-    if not all(map(math.isfinite, x.tolist())):
+def _advance(A: np.ndarray, b: np.ndarray, X: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """step on checked states X and inputs u stacked by rows, b being B's column:
+    the loop's update of a batch. A @ X[:, :, None] makes A.dot's BLAS call on
+    each row, so a row's bits do not depend on its batch. The finiteness test
+    reads the floats one by one: exact, and warning-free at a sixth of
+    np.isfinite's cost on a few short states."""
+    X = (A @ X[:, :, None])[:, :, 0] + b * u[:, None]
+    if not all(map(math.isfinite, X.ravel().tolist())):
         raise DimensionMismatch("state, input and next state must be finite")
-    return x
+    return X
 
 
 def from_poles(poles) -> PlantModel:

@@ -1,5 +1,6 @@
 import dataclasses
 import pickle
+from pathlib import Path
 import tracemalloc
 import warnings
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sppc
-from sppc import errors, solvers
+from sppc import cli, errors, solvers
 from sppc.netsim import SOLVER_NAMES, buffer_apply, channel_step, drop_schedule
 from sppc.numerics import cholesky, congruent_spectrum
 from sppc.solvers import FEASIBILITY_REL_SLACK
@@ -129,6 +130,46 @@ def test_buffer_plays_packet_then_tail():
         buffer_apply(np.arange(3.0), -1)
 
 
+def test_stacked_buffer_reads_each_row_alone():
+    # packets stacked by rows, one age a row: row t plays held[t, age[t]]. An
+    # age past a row's end is the next row's head in the flat buffer, and
+    # raises instead; so does a negative age, which would play the row's tail
+    held = np.arange(12.0).reshape(3, 4)
+    assert buffer_apply(held, np.array([0, 3, 1])).tolist() == [0.0, 7.0, 9.0]
+    for ages, bad in (([4, 0, 0], 4), ([0, 0, -1], -1), ([0, 9, -2], -2)):
+        with pytest.raises(errors.BufferExhausted, match=rf"^age {bad} is outside"):
+            buffer_apply(held, np.array(ages))
+
+
+def test_an_age_past_the_packet_exhausts_every_path(example_case, monkeypatch, tmp_path,
+                                                    capsys):
+    # a channel that broke its drop bound: trial seed 1's schedule reaches
+    # age N at step 3. The trial, a Monte Carlo batch holding it and the
+    # console script all stop with BufferExhausted (exit code 3)
+    plant, syn, h = example_case
+    schedule = sppc.netsim.drop_schedule
+
+    def broken(rng, *args):
+        ages = schedule(rng, *args)
+        if rng.bit_generator.seed_seq.entropy == 1:
+            ages[3] = h.N
+        return ages
+
+    monkeypatch.setattr(sppc.netsim, "drop_schedule", broken)
+    sppc.run_trial(plant, h, syn, "omp", EXAMPLE_X0, 10, 0, p_drop=0.5)
+    with pytest.raises(errors.BufferExhausted, match=rf"^age {h.N} is outside"):
+        sppc.run_trial(plant, h, syn, "omp", EXAMPLE_X0, 10, 1, p_drop=0.5)
+    setup = sppc.ExperimentSetup(synthesis=syn, solver="both", x0=EXAMPLE_X0, steps=10,
+                                 p_drop=0.5, lam=1.0)
+    with pytest.raises(errors.BufferExhausted, match=rf"^age {h.N} is outside"):
+        sppc.run_montecarlo(setup, 3, 0)
+    example = Path(__file__).resolve().parents[1] / "configs" / "example.json"
+    code = cli.main(["montecarlo", "--config", str(example), "--trials", "3", "--seed", "0",
+                     "--out", str(tmp_path)])
+    assert code == 3
+    assert '"BufferExhausted"' in capsys.readouterr().err
+
+
 def test_buffer_fresh_packet_resets_cursor(example_case):
     # every delivery plays the head of the packet designed at that step
     plant, syn, h = example_case
@@ -244,6 +285,69 @@ def test_scalar_trial_matches_the_reference_loop(scalar_case, p_drop):
         tr = sppc.run_trial(plant, h, syn, "omp", np.array([1.0]), 10, seed, p_drop=p_drop)
         for name, expected in reference_trial(syn, "omp", [1.0], 10, seed, p_drop).items():
             assert getattr(tr, name).tobytes() == expected.tobytes(), (name, seed)
+
+
+def run_in_batches(syn, solver, x0, steps, seeds, size, p_drop):
+    """_run_batch over seeds in consecutive batches of `size`, fields joined in seed order."""
+    batches = [sppc.netsim._run_batch(syn.plant, syn.horizon, syn, solver, x0, steps,
+                                      seeds[i:i + size], p_drop, 1.0)
+               for i in range(0, len(seeds), size)]
+    return [np.concatenate(field) for field in zip(*batches)]
+
+
+@pytest.mark.parametrize("solver", SOLVER_NAMES)
+@pytest.mark.parametrize("N, p_drop", [(10, 0.5), (20, 0.9), (10, 0.0), (10, 1.0)])
+def test_batch_of_any_size_gives_each_trial_its_run_trial_bits(request, solver, N, p_drop):
+    # trials stepped in lockstep, with every lost packet of the batch designed
+    # in one pass, keep each trial's bits: at p_drop 0 every packet is
+    # received, at 1 only the forced deliveries are
+    syn, x0 = loop_case(request, N)
+    seeds = range(5)
+    traces = [sppc.run_trial(syn.plant, syn.horizon, syn, solver, x0, 60, seed,
+                             p_drop=p_drop, lam=1.0) for seed in seeds]
+    for size in (1, 2, len(seeds)):
+        states, norm_x, inputs, dropped, l0, _ = run_in_batches(syn, solver, x0, 60, seeds,
+                                                                 size, p_drop)
+        for name, batch in (("states", states), ("norm_x", norm_x), ("inputs", inputs),
+                            ("dropped", dropped), ("l0", l0)):
+            for t, trace in enumerate(traces):
+                assert batch[t].tobytes() == getattr(trace, name).tobytes(), (name, size, t)
+
+
+def test_batch_raises_its_first_failing_trials_error(example_case, monkeypatch):
+    # seed 1 exhausts its buffer at step 2, before seed 0's poisoned packet
+    # (a non-finite design at a later reception) reaches the plant: every
+    # batch size raises seed 0's DimensionMismatch, run_trial's error on it
+    plant, syn, h = example_case
+    clean = sppc.run_trial(plant, h, syn, "omp", EXAMPLE_X0, 20, 0, p_drop=0.5)
+    k0 = next(k for k in range(8, 20) if not clean.dropped[k])
+    poisoned = clean.states[k0].tobytes()
+    omp, schedule = sppc.netsim._omp, sppc.netsim.drop_schedule
+
+    def design(h, W, x):
+        return (np.full(h.N, np.inf),) if x.tobytes() == poisoned else omp(h, W, x)
+
+    def broken(rng, *args):
+        ages = schedule(rng, *args)
+        if rng.bit_generator.seed_seq.entropy == 1:
+            ages[2] = h.N
+        return ages
+
+    monkeypatch.setattr(sppc.netsim, "_omp", design)
+    monkeypatch.setattr(sppc.netsim, "drop_schedule", broken)
+    raised = []
+    with np.errstate(all="ignore"):     # inf * 0 on B's zero entries makes NaN quietly
+        for size in (1, 2, 4):
+            with pytest.raises(errors.SppcError) as info:
+                run_in_batches(syn, "omp", EXAMPLE_X0, 20, range(4), size, 0.5)
+            raised.append((type(info.value), str(info.value)))
+        setup = sppc.ExperimentSetup(synthesis=syn, solver="omp", x0=EXAMPLE_X0, steps=20,
+                                     p_drop=0.5)
+        with pytest.raises(errors.SppcError) as info:
+            sppc.run_montecarlo(setup, 4, 0)
+        raised.append((type(info.value), str(info.value)))
+    assert raised == [(errors.DimensionMismatch,
+                       "state, input and next state must be finite")] * 4
 
 
 @pytest.mark.parametrize("n, N", [(12, 40), (20, 64)])
@@ -526,10 +630,11 @@ def test_montecarlo_seed_range_covers_every_trial(example_case, monkeypatch):
     _, syn, _ = example_case
     setup = sppc.ExperimentSetup(synthesis=syn, solver="omp", x0=EXAMPLE_X0, steps=5,
                                  p_drop=0.5)
+    # each trial's schedule is drawn from its own PCG64(seed), whose entropy is the seed
     seeds = []
-    run_trial = sppc.netsim.run_trial
-    monkeypatch.setattr(sppc.netsim, "run_trial",
-                        lambda *args, **kw: seeds.append(args[-1]) or run_trial(*args, **kw))
+    schedule = sppc.netsim.drop_schedule
+    monkeypatch.setattr(sppc.netsim, "drop_schedule", lambda rng, *args: seeds.append(
+        rng.bit_generator.seed_seq.entropy) or schedule(rng, *args))
     for base_seed in (2 ** 64 - 1, 2 ** 64 - 2):
         with pytest.raises(errors.ConfigError, match=r"^base_seed must be an integer"):
             sppc.run_montecarlo(setup, 3, base_seed)
