@@ -56,7 +56,7 @@ def _emit_manifest(command: str, cfg, syn, out_dir: str) -> bool:
     passed = all(c.passed for c in checks)
     _write_json(os.path.join(out_dir, "manifest.json"), {
         "command": command,
-        "config": config_mod.to_dict(cfg),
+        "config": cfg,
         "synthesis": {
             "P": syn.P.tolist(),
             "rho": syn.rho,
@@ -84,7 +84,7 @@ def cmd_synthesize(cfg, out_dir: str) -> int:
 def cmd_simulate(cfg, out_dir: str) -> int:
     setup = config_mod.build_setup(cfg)
     trace = run_trial(setup.plant, setup.horizon, setup.synthesis, setup.solver,
-                      setup.x0, setup.steps, cfg.seed, p_drop=setup.p_drop,
+                      setup.x0, setup.steps, cfg["seed"], p_drop=setup.p_drop,
                       lam=setup.lam)
     _write_csv(os.path.join(out_dir, "trace.csv"), {
         "k": np.arange(setup.steps + 1), "norm_x": trace.norm_x, "l0_u": trace.l0,
@@ -108,7 +108,7 @@ def _summary(result: dict[str, SolverAggregate]) -> dict:
 
 def cmd_montecarlo(cfg, out_dir: str, workers: int) -> int:
     setup = config_mod.build_setup(cfg)
-    result = run_montecarlo(setup, cfg.trials, cfg.seed, workers=workers)
+    result = run_montecarlo(setup, cfg["trials"], cfg["seed"], workers=workers)
     ok = _emit_manifest("montecarlo", cfg, setup.synthesis, out_dir)
     columns = {"k": np.arange(setup.steps + 1)}
     for solver, agg in result.items():

@@ -1,52 +1,31 @@
 """Experiment configuration: one JSON document describes a whole run.
 
-The document is canonicalized on parse (complex poles become [re, im]
-pairs, matrices become nested float lists) so parse -> serialize ->
-parse is the identity, and the resolved form is embedded verbatim in
-every run manifest. Arrays pass the library's own checks (PlantModel for
-A and B, as_array for the rest); a misshapen one too is a ConfigError.
+A config is its canonical document, a plain dict that every run manifest
+embeds as it is. from_dict returns it with plant and N first and the
+optional keys after them in _DEFAULTS' order, each default filled in and
+the unset ones (x0, lambda) left out; complex poles become [re, im]
+pairs and matrices nested float lists, so from_dict of the document is
+the document. Arrays pass the library's own checks (PlantModel for A
+and B, as_array for the rest), and a misshapen one too is a ConfigError;
+alpha, lambda and p_drop pass the rules of the functions that take them.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, dataclass, fields
 
 from .errors import ConfigError, DimensionMismatch
-from .netsim import SOLVER_NAMES, ExperimentSetup
+from .netsim import SOLVER_NAMES, ExperimentSetup, _p_drop
 from .numerics import as_array, as_int, as_real
 from .plant import PlantModel, from_poles
 from .solvers import _l1_weight
-from .synthesis import SynthesisResult, synthesize
+from .synthesis import SynthesisResult, _alpha, synthesize
 
 SOLVER_CHOICES = SOLVER_NAMES + ("both",)
 
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Validated, JSON-shaped experiment description.
-
-    Each field is the document key of the same name, except lam, which is
-    "lambda"; the field order is the serialized key order.
-    """
-
-    plant: dict
-    N: int
-    Q: object = "identity"
-    alpha: float = 0.5
-    solver: str = "omp"
-    x0: list | None = None
-    p_drop: float = 0.5
-    steps: int = 100
-    trials: int = 1
-    seed: int = 0
-    lam: float | None = None
-
-
-_KEYS = {f.name: "lambda" if f.name == "lam" else f.name
-         for f in fields(ExperimentConfig)}
-_DEFAULTS = {_KEYS[f.name]: f.default for f in fields(ExperimentConfig)
-             if f.default is not MISSING}
+# the optional keys in document order, with their defaults; None is unset
+_DEFAULTS = {"Q": "identity", "alpha": 0.5, "solver": "omp", "x0": None, "p_drop": 0.5,
+             "steps": 100, "trials": 1, "seed": 0, "lambda": None}
 
 
 def _require(condition: bool, message: str) -> None:
@@ -67,60 +46,43 @@ def _canon_plant(value) -> dict:
                       for pole in poles]}
 
 
-def from_dict(document: dict) -> ExperimentConfig:
-    """Validate and canonicalize a raw JSON object."""
+def from_dict(document: dict) -> dict:
+    """Validate a raw JSON object and return its canonical document."""
     _require(isinstance(document, dict), "config root must be an object")
     # a key left from when c had two readings: its one remaining value is dropped
     document = {key: value for key, value in document.items()
                 if (key, value) != ("c_interpretation", "column_lift")}
-    unknown = set(document) - set(_KEYS.values())
+    unknown = set(document) - {"plant", "N", *_DEFAULTS}
     _require(not unknown, f"unknown config keys: {sorted(unknown)}")
     _require("plant" in document, "config requires a plant")
     _require("N" in document, "config requires a horizon N")
-    document = {**_DEFAULTS, **document}
-    horizon = as_int(document["N"], "N", 1)
+    # a key keeps its place when its value is replaced, so this is the document order
+    cfg = {"plant": None, "N": None, **_DEFAULTS, **document}
+    cfg["N"] = as_int(cfg["N"], "N", 1)
 
     try:
-        plant = _canon_plant(document["plant"])
+        plant = cfg["plant"] = _canon_plant(cfg["plant"])
         n = len(plant["A"]) if "A" in plant else len(plant["poles"])
-        q, x0 = document["Q"], document["x0"]
-        if not isinstance(q, str) or q != "identity":
-            q = as_array(q, "Q", (n, n)).tolist()
-        if x0 is not None:
-            x0 = as_array(x0, "x0", (n,)).tolist()
+        if not isinstance(cfg["Q"], str) or cfg["Q"] != "identity":
+            cfg["Q"] = as_array(cfg["Q"], "Q", (n, n)).tolist()
+        if cfg["x0"] is not None:
+            cfg["x0"] = as_array(cfg["x0"], "x0", (n,)).tolist()
     except DimensionMismatch as exc:
         raise ConfigError(str(exc)) from exc
 
-    alpha = as_real(document["alpha"], "alpha")
-    _require(0.0 < alpha < 1.0, f"alpha must lie in (0, 1), got {alpha}")
-
-    solver = document["solver"]
-    _require(solver in SOLVER_CHOICES,
-             f"solver must be one of {SOLVER_CHOICES}, got {solver!r}")
-
-    lam = document["lambda"]
-    if lam is not None:
-        lam = _l1_weight(lam)
-
-    p_drop = as_real(document["p_drop"], "p_drop")
-    _require(0.0 <= p_drop <= 1.0, f"p_drop must lie in [0, 1], got {p_drop}")
-
-    steps = as_int(document["steps"], "steps", 0)
-    trials = as_int(document["trials"], "trials", 1)
-    seed = as_int(document["seed"], "seed", 0, 2 ** 64)
-
-    return ExperimentConfig(plant=plant, N=horizon, Q=q, alpha=alpha,
-                            solver=solver, lam=lam, x0=x0, p_drop=p_drop,
-                            steps=steps, trials=trials, seed=seed)
+    cfg["alpha"] = _alpha(cfg["alpha"])
+    _require(cfg["solver"] in SOLVER_CHOICES,
+             f"solver must be one of {SOLVER_CHOICES}, got {cfg['solver']!r}")
+    if cfg["lambda"] is not None:
+        cfg["lambda"] = _l1_weight(cfg["lambda"])
+    cfg["p_drop"] = _p_drop(cfg["p_drop"])
+    cfg["steps"] = as_int(cfg["steps"], "steps", 0)
+    cfg["trials"] = as_int(cfg["trials"], "trials", 1)
+    cfg["seed"] = as_int(cfg["seed"], "seed", 0, 2 ** 64)
+    return {key: value for key, value in cfg.items() if value is not None}
 
 
-def to_dict(config: ExperimentConfig) -> dict:
-    """Serialize back to the canonical JSON shape; unset optionals are omitted."""
-    document = {key: getattr(config, name) for name, key in _KEYS.items()}
-    return {key: value for key, value in document.items() if value is not None}
-
-
-def load_config(path: str, **overrides) -> ExperimentConfig:
+def load_config(path: str, **overrides) -> dict:
     """Read a config file, fold in the overrides that are set, validate once."""
     try:
         with open(path, encoding="utf-8") as handle:
@@ -134,25 +96,26 @@ def load_config(path: str, **overrides) -> ExperimentConfig:
     return from_dict(document)
 
 
-def build_plant(config: ExperimentConfig) -> PlantModel:
-    if "poles" in config.plant:
+def build_plant(config: dict) -> PlantModel:
+    if "poles" in config["plant"]:
         poles = [pole if isinstance(pole, float) else complex(pole[0], pole[1])
-                 for pole in config.plant["poles"]]
+                 for pole in config["plant"]["poles"]]
         return from_poles(poles)
-    return PlantModel(**config.plant)
+    return PlantModel(**config["plant"])
 
 
-def run_synthesis(config: ExperimentConfig) -> SynthesisResult:
+def run_synthesis(config: dict) -> SynthesisResult:
     """Synthesize for the config's plant; the result holds that plant."""
-    q = None if config.Q == "identity" else config.Q
-    return synthesize(build_plant(config), q, config.N, config.alpha)
+    q = None if config["Q"] == "identity" else config["Q"]
+    return synthesize(build_plant(config), q, config["N"], config["alpha"])
 
 
-def build_setup(config: ExperimentConfig) -> ExperimentSetup:
+def build_setup(config: dict) -> ExperimentSetup:
     """Resolve the document into simulation-ready objects."""
     result = run_synthesis(config)
-    _require(config.x0 is not None, "simulation requires x0")
-    if config.solver in ("l1", "both"):
-        _require(config.lam is not None, "l1 solver requires lambda")
-    return ExperimentSetup(synthesis=result, solver=config.solver, x0=config.x0,
-                           steps=config.steps, p_drop=config.p_drop, lam=config.lam)
+    _require("x0" in config, "simulation requires x0")
+    if config["solver"] in ("l1", "both"):
+        _require("lambda" in config, "l1 solver requires lambda")
+    return ExperimentSetup(synthesis=result, solver=config["solver"], x0=config["x0"],
+                           steps=config["steps"], p_drop=config["p_drop"],
+                           lam=config.get("lambda"))

@@ -9,10 +9,11 @@ so the loop survives any admissible dropout pattern without exhausting
 the buffer. channel_step and buffer_apply are pure functions of that
 state (a wrong-typed argument raises ConfigError); drop_schedule runs the
 channel for a whole trial and checks its arguments, the p_drop rule among
-them, once. _run_batch steps a batch of trials in lockstep: run_trial is
-its batch of one, and run_montecarlo gives it a worker's chunk of seeds.
-It checks W, x0 and lam once, and its designs skip those checks: the
-plant kernel keeps every later state finite. A lost packet leaves every
+them, once. _run_batch steps a batch of trials in lockstep on the plant
+and the lifting its synthesis holds: run_trial is its batch of one, and
+run_montecarlo gives it a worker's chunk of seeds. It checks W, x0 and
+lam once, and its designs skip those checks: the plant kernel keeps
+every later state finite. A lost packet leaves every
 state as it was, so the loop designs only the packets the buffer keeps,
 and a batch's lost ones after it (OMP's in one pass, solvers._omp_rows).
 
@@ -57,6 +58,13 @@ def channel_step(drops: int, p_drop: float, max_consecutive: int,
         raise ConfigError(f"channel_step needs numbers and a Generator: {exc}") from exc
 
 
+def _p_drop(p_drop) -> float:
+    p_drop = as_real(p_drop, "p_drop")
+    if not 0.0 <= p_drop <= 1.0:
+        raise ConfigError(f"p_drop must lie in [0, 1], got {p_drop!r}")
+    return p_drop
+
+
 def drop_schedule(rng: np.random.Generator, steps: int, p_drop: float,
                   max_consecutive: int) -> np.ndarray:
     """The consecutive losses ending at each of `steps` transmissions; 0 is a delivery.
@@ -70,9 +78,7 @@ def drop_schedule(rng: np.random.Generator, steps: int, p_drop: float,
     """
     steps = as_int(steps, "steps", 0)
     max_consecutive = as_int(max_consecutive, "max_consecutive", 0)
-    p_drop = as_real(p_drop, "p_drop")
-    if not 0.0 <= p_drop <= 1.0:
-        raise ConfigError(f"p_drop must lie in [0, 1], got {p_drop!r}")
+    p_drop = _p_drop(p_drop)
     uniforms = as_instance(rng, np.random.Generator, "rng").random(steps)
     draws = SimpleNamespace(random=iter(uniforms.tolist()).__next__)
     ages, drops = [], 0
@@ -135,27 +141,28 @@ def run_trial(plant: PlantModel, h: HorizonData, syn: SynthesisResult,
     x0^T W x0. The PRNG is PCG64(seed) and only the channel draws from it.
     The trial is _run_batch's batch of one.
     """
-    return SimTrace(*(a[0] for a in _run_batch(plant, h, syn, solver, x0, steps, (seed,),
-                                               p_drop, lam)))
-
-
-def _run_batch(plant: PlantModel, h: HorizonData, syn: SynthesisResult, solver: str,
-               x0, steps: int, seeds, p_drop: float, lam: float | None) -> tuple:
-    """run_trial at each of seeds in lockstep: SimTrace's fields stacked over the seeds.
-
-    Each step designs the received packets row by row in seed order, plays
-    held[t, age] through buffer_apply and advances all trials in one
-    plant._advance; the batch's lost packets share one pass after the loop.
-    Rows do not depend on their batch, so when a step raises, the batch runs
-    again a trial at a time: the error is the first failing trial's at any size.
-    """
     if h is not as_instance(syn, SynthesisResult, "syn").horizon:
         raise ConfigError("h is not syn.horizon, the lifting syn certified")
     if plant is not syn.plant:
         raise ConfigError("plant is not syn.plant, the plant syn was synthesized for")
+    return SimTrace(*(a[0] for a in _run_batch(syn, solver, x0, steps, (seed,), p_drop, lam)))
+
+
+def _run_batch(syn: SynthesisResult, solver: str, x0, steps: int, seeds, p_drop: float,
+               lam: float | None) -> tuple:
+    """run_trial at each of seeds in lockstep: SimTrace's fields stacked over the seeds.
+
+    The plant and the lifting are syn's. Each step designs the received
+    packets row by row in seed order, plays held[t, age] through
+    buffer_apply and advances all trials in one plant._advance; the batch's
+    lost packets share one pass after the loop. Rows do not depend on their
+    batch, so when a step raises, the batch runs again a trial at a time:
+    the error is the first failing trial's at any size.
+    """
     if solver not in SOLVER_NAMES:
         raise ConfigError(f"solver must be one of {SOLVER_NAMES}, got {solver!r}")
     seeds = [as_int(seed, "seed", 0, 2 ** 64) for seed in seeds]
+    plant, h = syn.plant, syn.horizon
     W, x = _design_inputs(h, syn.W, x0)
     with np.errstate(over="ignore"):
         energy = float(x @ (W @ x))
@@ -201,7 +208,7 @@ def _run_batch(plant: PlantModel, h: HorizonData, syn: SynthesisResult, solver: 
         if T == 1:
             raise
     return tuple(map(np.concatenate, zip(*(
-        _run_batch(plant, h, syn, solver, x0, steps, (seed,), p_drop, lam) for seed in seeds))))
+        _run_batch(syn, solver, x0, steps, (seed,), p_drop, lam) for seed in seeds))))
 
 
 @record
@@ -216,7 +223,7 @@ class ExperimentSetup:
     p_drop: float
     lam: float | None = None
 
-    def __post_init__(self):    # x0's length is run_trial's to check, against the plant
+    def __post_init__(self):    # x0's length is _run_batch's to check, against the lifting
         as_instance(self.synthesis, SynthesisResult, "synthesis")
         object.__setattr__(self, "x0", as_array(self.x0, "x0", (None,)))
 
@@ -274,8 +281,8 @@ def run_montecarlo(setup: ExperimentSetup, trials: int, base_seed: int,
     solvers = SOLVER_NAMES if setup.solver == "both" else (setup.solver,)
     size = -(-trials // workers)
     chunks = [range(base_seed, base_seed + trials)[i:i + size] for i in range(0, trials, size)]
-    runs = [partial(_run_batch, setup.plant, setup.horizon, setup.synthesis, solver,
-                    setup.x0, steps, p_drop=setup.p_drop, lam=setup.lam)
+    runs = [partial(_run_batch, setup.synthesis, solver, setup.x0, steps,
+                    p_drop=setup.p_drop, lam=setup.lam)
             for solver in solvers]
     with (ProcessPoolExecutor(workers) if workers > 1 else nullcontext()) as pool:
         # pool.map queues a solver's chunks at once: no worker idles between solvers

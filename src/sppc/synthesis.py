@@ -170,6 +170,13 @@ def compute_c(h: HorizonData, rho: float) -> float:
     return float(prefactor * (last.dot(last) / lam_min))
 
 
+def _alpha(alpha) -> float:
+    alpha = as_real(alpha, "alpha")
+    if not 0.0 < alpha < 1.0:
+        raise ConfigError(f"alpha must lie in (0, 1), got {alpha!r}")
+    return alpha
+
+
 def synthesize(plant: PlantModel, Q, N: int, alpha: float = 0.5) -> SynthesisResult:
     """Run the synthesis procedure end to end.
 
@@ -180,9 +187,7 @@ def synthesize(plant: PlantModel, Q, N: int, alpha: float = 0.5) -> SynthesisRes
     argument is checked once; one factor of P serves rho and the lifting.
     """
     as_instance(plant, PlantModel, "plant")
-    alpha = as_real(alpha, "alpha")
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha must lie in (0, 1), got {alpha!r}")
+    alpha = _alpha(alpha)
     Q = np.eye(plant.n) if Q is None else as_symmetric(Q, "Q", plant.n)
     P, iterations = _riccati(plant, Q)
     lower_p = cholesky(P)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import sppc.cli as cli
-from sppc import solvers
+from sppc import config, solvers
 from sppc.errors import BufferExhausted
 
 
@@ -247,6 +247,21 @@ def test_override_replaces_invalid_file_value(tmp_path):
                      "--out", str(out), "--trials", "2"])
     assert code == 0
     assert read_manifest(out)["config"]["trials"] == 2
+
+
+def test_manifest_embeds_the_canonical_document(tmp_path):
+    # json.dump keeps dict order, so the key order is part of the manifest's bytes
+    path, out = tmp_path / "scrambled.json", tmp_path / "o"
+    path.write_text(json.dumps({"steps": 4, "seed": 3, "N": 2,
+                                "plant": {"A": [[2]], "B": [1]}}))
+    overrides = {"seed": 99, "trials": 5, "solver": "l1"}
+    flags = [f"--{key}={value}" for key, value in overrides.items()]
+    assert cli.main(["synthesize", "--config", str(path), "--out", str(out), *flags]) == 0
+    embedded = read_manifest(out)["config"]
+    assert embedded == config.load_config(str(path), **overrides)
+    assert list(embedded) == ["plant", "N", "Q", "alpha", "solver", "p_drop", "steps",
+                              "trials", "seed"]      # x0 and lambda are unset
+    assert (embedded["plant"], embedded["seed"]) == ({"A": [[2.0]], "B": [[1.0]]}, 99)
 
 
 def test_non_conjugate_poles_exit_one(tmp_path, capsys):

@@ -34,42 +34,43 @@ def minimal_doc(**extra):
 
 def test_full_document_round_trip():
     cfg = cfgmod.from_dict(FULL_DOC)
-    assert cfgmod.to_dict(cfg) == FULL_DOC
-    assert cfgmod.from_dict(cfgmod.to_dict(cfg)) == cfg
+    assert cfg == FULL_DOC
+    assert list(cfg) == ["plant", "N", "Q", "alpha", "solver", "x0", "p_drop", "steps",
+                         "trials", "seed", "lambda"]
+    assert cfgmod.from_dict(cfg) == cfg
 
 
 def test_defaults_applied():
     cfg = cfgmod.from_dict(minimal_doc())
-    assert cfg.Q == "identity"
-    assert cfg.alpha == 0.5
-    assert cfg.solver == "omp"
-    assert cfg.lam is None
-    assert cfg.x0 is None
-    assert cfg.p_drop == 0.5
-    assert cfg.steps == 100
-    assert cfg.trials == 1
-    assert cfg.seed == 0
+    assert cfg["Q"] == "identity"
+    assert cfg["alpha"] == 0.5
+    assert cfg["solver"] == "omp"
+    assert "lambda" not in cfg
+    assert "x0" not in cfg
+    assert cfg["p_drop"] == 0.5
+    assert cfg["steps"] == 100
+    assert cfg["trials"] == 1
+    assert cfg["seed"] == 0
 
 
 def test_default_round_trip_omits_optionals():
-    cfg = cfgmod.from_dict(minimal_doc())
-    doc = cfgmod.to_dict(cfg)
+    doc = cfgmod.from_dict(minimal_doc())
     assert "lambda" not in doc
     assert "x0" not in doc
-    assert cfgmod.from_dict(doc) == cfg
+    assert cfgmod.from_dict(doc) == doc
 
 
 def test_integer_entries_canonicalized_to_floats():
     doc = {"plant": {"A": [[2]], "B": [1]}, "N": 2, "x0": [1]}
     cfg = cfgmod.from_dict(doc)
-    assert cfg.plant == {"A": [[2.0]], "B": [[1.0]]}
-    assert cfg.x0 == [1.0]
+    assert cfg["plant"] == {"A": [[2.0]], "B": [[1.0]]}
+    assert cfg["x0"] == [1.0]
 
 
 def test_flat_b_becomes_column():
     cfg = cfgmod.from_dict({"plant": {"A": [[0.0, 1.0], [0.25, 0.0]],
                                       "B": [0.0, 1.0]}, "N": 2})
-    assert cfg.plant["B"] == [[0.0], [1.0]]
+    assert cfg["plant"]["B"] == [[0.0], [1.0]]
 
 
 @pytest.mark.parametrize("mutate", [
@@ -127,7 +128,7 @@ def test_legacy_c_key_accepted_and_dropped():
     # c has one reading; documents that still name it parse to the same config
     cfg = cfgmod.from_dict(minimal_doc(c_interpretation="column_lift"))
     assert cfg == cfgmod.from_dict(minimal_doc())
-    assert "c_interpretation" not in cfgmod.to_dict(cfg)
+    assert "c_interpretation" not in cfg
 
 
 def test_load_config_round_trip(tmp_path):
@@ -153,8 +154,8 @@ def test_load_config_overrides(tmp_path):
     path.write_text(json.dumps(minimal_doc(**{"lambda": 1.0})))
     cfg = cfgmod.load_config(str(path))
     out = cfgmod.load_config(str(path), seed=7, trials=9, solver="l1")
-    assert (out.seed, out.trials, out.solver) == (7, 9, "l1")
-    assert out.N == cfg.N
+    assert (out["seed"], out["trials"], out["solver"]) == (7, 9, "l1")
+    assert out["N"] == cfg["N"]
     assert cfgmod.load_config(str(path), seed=None, trials=None,
                               solver=None) == cfg
     with pytest.raises(ConfigError):
@@ -166,7 +167,7 @@ def test_load_config_overrides(tmp_path):
     # overrides are merged before the one validation, so a file value they
     # replace is never checked
     path.write_text(json.dumps(minimal_doc(trials=0)))
-    assert cfgmod.load_config(str(path), trials=2).trials == 2
+    assert cfgmod.load_config(str(path), trials=2)["trials"] == 2
 
 
 def test_build_plant_explicit():
@@ -197,7 +198,7 @@ def test_q_matrix():
 
 def test_array_arguments_may_be_ndarrays():
     cfg = cfgmod.from_dict(minimal_doc(plant=TWO_POLES, Q=np.eye(2), x0=np.ones(2)))
-    assert (cfg.Q, cfg.x0) == ([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0])
+    assert (cfg["Q"], cfg["x0"]) == ([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0])
 
 
 def test_run_synthesis_produces_valid_parameters():

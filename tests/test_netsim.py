@@ -289,8 +289,7 @@ def test_scalar_trial_matches_the_reference_loop(scalar_case, p_drop):
 
 def run_in_batches(syn, solver, x0, steps, seeds, size, p_drop):
     """_run_batch over seeds in consecutive batches of `size`, fields joined in seed order."""
-    batches = [sppc.netsim._run_batch(syn.plant, syn.horizon, syn, solver, x0, steps,
-                                      seeds[i:i + size], p_drop, 1.0)
+    batches = [sppc.netsim._run_batch(syn, solver, x0, steps, seeds[i:i + size], p_drop, 1.0)
                for i in range(0, len(seeds), size)]
     return [np.concatenate(field) for field in zip(*batches)]
 
