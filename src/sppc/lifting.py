@@ -68,9 +68,9 @@ class HorizonData:
 
     @cached_property
     def l1_segments(self) -> dict:
-        """l1's cache: (active set, signs) -> K[A], v = K_AA^-1 sign_A, v K[A]
-        and the free indices, filled by solvers._l1 through solvers._store,
-        which counts the bytes stored in its nbytes (8 per list entry)."""
+        """l1's cache: (active set, signs) -> K[A], v = K_AA^-1 sign_A, v K[A] and the
+        free indices, which solvers._l1_segment solves for _l1 and _l1_rows and stores
+        through solvers._store, counting 8 bytes per list entry in its nbytes."""
         return _ByteCountedDict()
 
 

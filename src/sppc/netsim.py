@@ -15,7 +15,7 @@ run_montecarlo gives it a worker's chunk of seeds. It checks W, x0 and
 lam once, and its designs skip those checks: the plant kernel keeps
 every later state finite. A lost packet leaves every
 state as it was, so the loop designs only the packets the buffer keeps,
-and a batch's lost ones after it (OMP's in one pass, solvers._omp_rows).
+and a batch's lost ones after it in one pass (solvers._omp_rows, _l1_rows).
 
 Randomness comes exclusively from the channel: trial t of a Monte Carlo
 batch owns one PCG64 generator seeded with base_seed + t, and drops are
@@ -39,7 +39,7 @@ from .errors import BufferExhausted, ConfigError, SppcError
 from .lifting import HorizonData
 from .numerics import as_array, as_instance, as_int, as_real, record
 from .plant import PlantModel, _advance
-from .solvers import _design_inputs, _l1, _l1_weight, _omp, _omp_rows
+from .solvers import _design_inputs, _l1, _l1_rows, _l1_weight, _omp, _omp_rows
 from .synthesis import SynthesisResult
 
 SOLVER_NAMES = ("omp", "l1")
@@ -155,9 +155,9 @@ def _run_batch(syn: SynthesisResult, solver: str, x0, steps: int, seeds, p_drop:
     The plant and the lifting are syn's. Each step designs the received
     packets row by row in seed order, plays held[t, age] through
     buffer_apply and advances all trials in one plant._advance; the batch's
-    lost packets share one pass after the loop. Rows do not depend on their
-    batch, so when a step raises, the batch runs again a trial at a time:
-    the error is the first failing trial's at any size.
+    lost packets share one stacked pass after the loop (_omp_rows, _l1_rows).
+    Rows do not depend on their batch, so when a step raises, the batch runs
+    again a trial at a time: the error is the first failing trial's at any size.
     """
     if solver not in SOLVER_NAMES:
         raise ConfigError(f"solver must be one of {SOLVER_NAMES}, got {solver!r}")
@@ -193,8 +193,7 @@ def _run_batch(syn: SynthesisResult, solver: str, x0, steps: int, seeds, p_drop:
         if lost.any():
             t0 = clock()
             X = states[:, :steps][lost]
-            coeffs = (_omp_rows(h, W, X) if omp
-                      else np.array([_l1(h, H.dot(x), lam)[0] for x in X]))
+            coeffs = _omp_rows(h, W, X) if omp else _l1_rows(h, (H @ X[:, :, None])[:, :, 0], lam)
             design_time_us[:, :steps][lost] = (clock() - t0) * 1e6 / len(X)
             l0[:, :steps][lost] = np.count_nonzero(coeffs, axis=1)
         # one ddot per row, the arithmetic of np.linalg.norm on each state, on the

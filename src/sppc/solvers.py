@@ -302,9 +302,20 @@ def _l1_weight(lam) -> float:
     return lam
 
 
+def _l1_segment(h: HorizonData, key: tuple):
+    """h.l1_segments' entry at key (active set, signs); None where K_AA is not definite."""
+    segment = h.l1_segments.get(key)
+    if segment is None:
+        rows = h.gram.take(key[0], axis=0)              # K[A]
+        _, v, info = dposv(rows.take(key[0], axis=1), key[1])
+        if not info:                    # v and free hold N entries, v K[A] another N
+            segment = rows, v.tolist(), (v @ rows).tolist(), sorted({*range(h.N)} - {*key[0]})
+            _store(h.l1_segments, key, segment, rows.nbytes + 16 * h.N)
+    return segment
+
+
 def _l1(h: HorizonData, y: np.ndarray, lam: float):
     """l1_design's homotopy on y = H x and a checked lam: (coeffs, segments)."""
-    K, cache = h.gram, h.l1_segments
     b = h.G.T @ y
     first = int(np.abs(b).argmax())
     t = abs(float(b[first]))
@@ -317,17 +328,9 @@ def _l1(h: HorizonData, y: np.ndarray, lam: float):
             raise NoConvergence(f"l1 homotopy still at weight {t:.6e} > {lam:.6e} "
                                 f"after {L1_MAX_ITERATIONS} segments")
         segments += 1
-        key = (tuple(active), tuple(sign))
-        segment = cache.get(key)
+        segment = _l1_segment(h, (tuple(active), tuple(sign)))
         if segment is None:
-            rows = K.take(active, axis=0)              # K[A]
-            _, v, info = dposv(rows.take(active, axis=1), sign)
-            if info:
-                raise RankDeficient(f"active columns {active} are linearly dependent")
-            free = [j for j in range(h.N) if j not in active]
-            segment = rows, v.tolist(), (v @ rows).tolist(), free
-            # v and free hold N entries, v K[A] another N
-            _store(cache, key, segment, rows.nbytes + 16 * h.N)
+            raise RankDeficient(f"active columns {active} are linearly dependent")
         rows, v, a, free = segment
         # u = 0 on the first segment, where b - u K[A] is b exactly
         c = (b - np.dot(u, rows)).tolist() if segments > 1 else b.tolist()
@@ -365,3 +368,61 @@ def _l1(h: HorizonData, y: np.ndarray, lam: float):
     coeffs = np.zeros(h.N)
     coeffs[active] = u
     return coeffs, segments
+
+
+def _l1_rows(h: HorizonData, Y: np.ndarray, lam: float) -> np.ndarray:
+    """_l1's coefficients at each row of Y = H X, bit for bit: its homotopy on all
+    rows at once, in chunks whose arrays hold at most _STACKED_BYTES.
+
+    A segment groups the rows by key (active set, signs) to share its _l1_segment
+    entry, and takes c = b - u K[A] per group in one product on the C-ordered
+    gather U[m[:, None], A], np.dot's call on each row (b = G^T y is G.T @ y's);
+    at u = 0, c is b but for signed zeros, which the rules never see. The rules
+    run elementwise, as silent as Python's floats, and first-occurrence argmins
+    keep _l1's order and ties. A chunk where a segment solve fails or a row
+    reaches L1_MAX_ITERATIONS goes to _l1 row by row, raising its first failure.
+    """
+    N, sides = h.N, np.array([[1.0], [-1.0]])
+    chunk = max(1, _STACKED_BYTES // (192 * N))     # up to 24 floats a row per index
+    if len(Y) > chunk:
+        return np.vstack([_l1_rows(h, Y[i:i + chunk], lam) for i in range(0, len(Y), chunk)])
+    B = (Y[:, None, :] @ h.G)[:, 0, :]
+    coeffs, rows = np.zeros((len(Y), N)), np.flatnonzero(np.abs(B).max(axis=1) > lam)
+    B, U, S, at = B[rows], np.zeros((rows.size, N)), np.zeros((rows.size, N)), np.arange(rows.size)
+    first = np.abs(B).argmax(axis=1)
+    T, S[at, first] = np.abs(B[at, first]), np.sign(B[at, first])
+    for _ in range(L1_MAX_ITERATIONS):
+        if not rows.size:
+            break
+        _, group, sizes = np.unique(S.astype(np.int8).view(np.dtype((np.void, N))).ravel(),
+                                    return_inverse=True, return_counts=True)
+        V, a, C = np.zeros((sizes.size, N)), np.empty((sizes.size, N)), np.empty_like(B)
+        for k, m in enumerate(np.split(np.argsort(group, kind="stable"), np.cumsum(sizes)[:-1])):
+            A = np.flatnonzero(S[m[0]])
+            entry = _l1_segment(h, (tuple(A.tolist()), tuple(S[m[0], A].tolist())))
+            if entry is None:
+                return np.array([_l1(h, y, lam)[0] for y in Y])
+            V[k, A], a[k] = entry[1], entry[2]
+            C[m] = B[m] - (U[m[:, None], A][:, None, :] @ entry[0])[:, 0, :]
+        V, a, at = V[group], a[group], np.arange(rows.size)
+        with np.errstate(all="ignore"):
+            den, num = 1.0 - sides * a[:, None, :], T[:, None, None] - sides * C[:, None, :]
+            g = np.where((den > 0.0) & (S == 0.0)[:, None, :], 0.0, np.inf)   # 0 where free
+            np.divide(num, den, out=g, where=(g == 0.0) & (num > 0.0))
+            g = np.where(g < np.inf, g, np.inf).reshape(rows.size, 2 * N)   # no NaN
+            enter = g.argmin(axis=1)
+            gamma = g[at, enter]
+            L = np.divide(-U, V, out=np.full_like(U, np.inf), where=U * V < 0.0)
+            out = np.where(L < gamma[:, None], L, np.inf).argmin(axis=1)
+            leave = L[at, out] < gamma
+            gamma[leave], room = L[at[leave], out[leave]], T - lam
+            U = np.where(S != 0.0, U + np.where(room < gamma, room, gamma)[:, None] * V, 0.0)
+            T = T - gamma
+        moving = ~(gamma >= room)
+        o, e = at[moving & leave], at[moving & ~leave]
+        S[o, out[o]] = U[o, out[o]] = 0.0
+        S[e, enter[e] % N] = sides[enter[e] // N, 0]
+        moving &= T > lam
+        coeffs[rows[~moving]] = U[~moving]
+        rows, B, T, S, U = (x[moving] for x in (rows, B, T, S, U))
+    return np.array([_l1(h, y, lam)[0] for y in Y]) if rows.size else coeffs

@@ -351,23 +351,37 @@ def test_batch_raises_its_first_failing_trials_error(example_case, monkeypatch):
 
 @pytest.mark.parametrize("n, N", [(12, 40), (20, 64)])
 def test_trial_lost_designs_stay_within_the_stacked_cap(n, N):
-    # a trial's lost steps hold at most _STACKED_BYTES of Gram-Schmidt rows
-    # and R^-1 at once: in chunks of 12 rows at (12, 40) and of 3 at
-    # (20, 64). The trials peak at 4.8 and 0.8 MiB;
-    # in one pass their 92 lost steps peak at 17 and 67 MiB. The first run
-    # fills the prefix cache, so the measured one adds no entries to it
+    # a trial's lost steps hold at most _STACKED_BYTES at once, in each
+    # solver's pass: OMP's Gram-Schmidt rows and R^-1 in chunks of 12 rows at
+    # (12, 40) and of 3 at (20, 64), where the trials peak at 2.6 and 4.1 MiB
+    # (in one pass their 92 lost steps peak at 17 and 67 MiB); l1's homotopy
+    # arrays in chunks of 546 and 341 rows, so a trial's 92 take one pass (0.5
+    # and 1.7 MiB) and ten times as many take two and three (1.0 and 2.7 MiB,
+    # 6.6 MiB at (20, 64) in one chunk). The first run fills the caches, so
+    # the measured one adds no entries to them
     rng = np.random.default_rng(0)
     syn = sppc.synthesize(random_reachable_plant(rng, n), None, N, 0.5)
     x0 = rng.standard_normal(n)
-    sppc.run_trial(syn.plant, syn.horizon, syn, "omp", x0, 100, 1, p_drop=0.9)
+    for solver in ("omp", "l1"):
+        sppc.run_trial(syn.plant, syn.horizon, syn, solver, x0, 100, 1, p_drop=0.9, lam=1.0)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            trace = sppc.run_trial(syn.plant, syn.horizon, syn, solver, x0, 100, 1, p_drop=0.9,
+                                   lam=1.0)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert trace.dropped.sum() >= 80
+        assert peak <= solvers._STACKED_BYTES + (2 << 20), solver
+    X = np.tile(trace.states[np.flatnonzero(trace.dropped[:-1])], (10, 1))
+    Y = (syn.horizon.H @ X[:, :, None])[:, :, 0]
     tracemalloc.start()
     try:
-        start = tracemalloc.get_traced_memory()[0]
-        trace = sppc.run_trial(syn.plant, syn.horizon, syn, "omp", x0, 100, 1, p_drop=0.9)
-        peak = tracemalloc.get_traced_memory()[1] - start
+        solvers._l1_rows(syn.horizon, Y, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert trace.dropped.sum() >= 80
     assert peak <= solvers._STACKED_BYTES + (2 << 20)
 
 

@@ -295,6 +295,22 @@ def test_stacked_l1_steps_match_the_homotopy_arithmetic(B):
             own = rng.standard_normal((B, a, N))
             dots = np.array([np.dot(u, r) for u, r in zip(U.tolist(), own)])
             assert (U[:, None, :] @ own)[:, 0, :].tobytes() == dots.tobytes(), (N, a)
+    # solvers._l1_rows rests on these too: its b = G^T y, stacked over the rows
+    # on the envelope shapes, is G.T @ y on each row, and a group's product over
+    # the C-ordered gather U[m[:, None], A] from the pass's (rows, N) array gives
+    # np.dot's bits on each row at every active-set size
+    for n, N in ((1, 1), (1, 4), (4, 10), (4, 20), (12, 40), (20, 64)):
+        G, Y = rng.standard_normal((n * N, N)), rng.standard_normal((B, n * N))
+        rows = np.array([G.T @ y for y in Y])
+        assert (Y[:, None, :] @ G)[:, 0, :].tobytes() == rows.tobytes(), (n, N)
+        K, U = G.T @ G, rng.standard_normal((2 * B + 3, N))
+        m = np.sort(rng.choice(len(U), B, replace=False))
+        for a in range(1, N + 1):
+            A = np.sort(rng.choice(N, a, replace=False))
+            rows = K.take(A, axis=0)
+            dots = np.array([np.dot(U[i, A].tolist(), rows) for i in m])
+            assert (U[m[:, None], A][:, None, :] @ rows)[:, 0, :].tobytes() == dots.tobytes(), \
+                (n, N, a)
     t, s, c, d = (rng.standard_normal(250) * 2.0 ** rng.integers(-30, 30, 250)
                   for _ in range(4))
     for step in (lambda t, s, c, d: t - s * c, lambda t, s, c, d: t / s,

@@ -1,6 +1,7 @@
 import collections
 import math
 import pickle
+import re
 import sys
 import threading
 import tracemalloc
@@ -15,7 +16,8 @@ from hypothesis import strategies as st
 import sppc
 from sppc import errors, solvers
 from sppc.lifting import HorizonData
-from sppc.solvers import FEASIBILITY_ABS_FLOOR, FEASIBILITY_REL_SLACK, _omp, _omp_rows
+from sppc.solvers import (FEASIBILITY_ABS_FLOOR, FEASIBILITY_REL_SLACK, _l1, _l1_rows, _omp,
+                          _omp_rows)
 
 import oracles
 from conftest import EXAMPLE_X0, random_reachable_plant, random_spd
@@ -706,6 +708,181 @@ def test_l1_segment_cache_stays_within_budget(monkeypatch):
     monkeypatch.setattr(solvers, "OMP_PREFIX_BUDGET_BYTES", full_entry)
     assert designs(tiny) == packets
     assert 0 < l1_stored_bytes(tiny.l1_segments) <= full_entry
+
+
+def l1_by_row(h, Y, lam):
+    """_l1's coefficients at each row of Y, stacked."""
+    return np.array([_l1(h, y, lam)[0] for y in Y]).reshape(len(Y), h.N)
+
+
+def lifted(h, X):
+    """H x at each row of X, as the engine hands the lost states to _l1_rows."""
+    return (h.H @ X[:, :, None])[:, :, 0]
+
+
+def assert_stacked_matches_l1(h, Y, lam):
+    """The stacked homotopy on a cold, a warm and an uncached copy of h, on one
+    whose budget fills partway through the pass, and on h itself, gives _l1's
+    coefficients at every row of Y, bit for bit. Cold, both kernels store the
+    same segments (the budget lifted, as they fill it in different orders)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solvers, "OMP_PREFIX_BUDGET_BYTES", 1 << 40)
+        cold, stacked = fresh_horizon(h), fresh_horizon(h)
+        expected = l1_by_row(cold, Y, lam).tobytes()
+        assert _l1_rows(stacked, Y, lam).tobytes() == expected
+        assert _l1_rows(stacked, Y, lam).tobytes() == expected
+        assert stacked.l1_segments.keys() == cold.l1_segments.keys()
+        patch.setattr(solvers, "OMP_PREFIX_BUDGET_BYTES", 0)
+        uncached = fresh_horizon(h)
+        assert _l1_rows(uncached, Y, lam).tobytes() == expected
+        assert not uncached.l1_segments
+        # half the bytes the cold designs stored: the pass stores segments until
+        # the budget is full and solves the rest again wherever they are reached
+        patch.setattr(solvers, "OMP_PREFIX_BUDGET_BYTES", cold.l1_segments.nbytes // 2)
+        partial = fresh_horizon(h)
+        assert _l1_rows(partial, Y, lam).tobytes() == expected
+        assert _l1_rows(partial, Y, lam).tobytes() == expected
+        assert len(cold.l1_segments) < 2 or (0 < len(partial.l1_segments)
+                                             < len(cold.l1_segments))
+    assert _l1_rows(h, Y, lam).tobytes() == expected
+
+
+@pytest.mark.parametrize("N, p_drop", [(10, 0.5), (20, 0.9)])
+def test_stacked_l1_matches_l1_on_example_trajectories(example_plant, N, p_drop):
+    # every state of three l1 trials, where past the first segment a key holds
+    # 8 rows and more in one segment (a gather that is not C-ordered moved the
+    # bits of 31 rows at N = 20); those states at 2^-540, where t <= lam = 1 gives
+    # zero packets and lam = 2^-540 runs the homotopy at that scale; single
+    # rows, a zero row and no rows
+    syn = sppc.synthesize(example_plant, None, N, 0.5)
+    h = syn.horizon
+    X = l1_states(example_plant, syn, p_drop, range(3))
+    Y, tiny = lifted(h, X), lifted(h, np.ldexp(X, -540))
+    paths, solve = [], solvers._l1_segment
+
+    def traced(h, key):
+        paths[-1].append(key)
+        return solve(h, key)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solvers, "_l1_segment", traced)
+        for y in Y:
+            paths.append([])
+            _l1(h, y, 1.0)
+    shared = collections.Counter((k, key) for path in paths for k, key in enumerate(path) if k)
+    assert max(shared.values()) >= 8
+    assert not _l1_rows(h, tiny, 1.0).any()
+    assert _l1_rows(h, tiny, 2.0 ** -540).any()
+    for lam, rows in ((1.0, Y), (1.0, tiny), (2.0 ** -540, tiny), (1.0, Y[:1]), (1.0, Y[-1:]),
+                      (1.0, np.zeros((1, len(h.G)))), (1.0, Y[:0])):
+        assert_stacked_matches_l1(h, rows, lam)
+
+
+def test_stacked_l1_enters_a_tie_together():
+    # the tie horizon of test_l1_tie_enters_together: both correlations reach
+    # the boundary at once, and every row enters both, a row below lam none
+    h = identity_horizon()
+    Y = lifted(h, np.array([[1.0], [-2.0], [0.25], [0.0], [3.0]]))
+    expected = [[0.5, 0.5], [-1.5, -1.5], [0.0, 0.0], [0.0, 0.0], [2.5, 2.5]]
+    np.testing.assert_allclose(_l1_rows(h, Y, 0.5), expected, rtol=1e-15)
+    assert_stacked_matches_l1(h, Y, 0.5)
+
+
+def test_stacked_l1_enters_when_a_leave_ties():
+    # dyadic G and y where, in the second segment, a free correlation meets
+    # the boundary at the very step an active coefficient reaches zero: _l1
+    # enters (a leave wins only when strictly smaller), and so does every row
+    # here, each y scaled by a power of two, which keeps the tie exact
+    h = HorizonData(N=3, G=np.array([[0.0, 0.5, -0.5], [2.0, 0.5, -0.5], [1.0, -1.0, -0.5]]),
+                    H=np.eye(3))
+    Y = np.array([[-3.0, -1.0, -4.0]]) * np.array([[1.0], [2.0], [-1.0], [0.5]])
+    assert [_l1(h, y, 0.125)[1] for y in Y] == [3] * 4
+    assert_stacked_matches_l1(h, Y, 0.125)
+
+
+@settings(derandomize=True, deadline=None, max_examples=15, database=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_stacked_l1_matches_l1_on_envelope(seed):
+    # random plants of the envelope (n <= 20, N <= 64) at 1 to 40 states, with
+    # lam from 1e-4 to 0.5 of the largest ||G^T y||_inf, log-uniform; where a
+    # row fails, the pass raises _l1's error on the first failing row
+    rng = np.random.default_rng(seed)
+    n, N, rows = int(rng.integers(2, 21)), int(rng.integers(4, 65)), int(rng.integers(1, 41))
+    plant = random_reachable_plant(rng, n)
+    try:
+        syn = sppc.synthesize(plant, None, N, 0.5)
+    except sppc.SppcError:
+        reject()
+    h = syn.horizon
+    Y = lifted(h, rng.standard_normal((rows, n)))
+    lam = 10.0 ** rng.uniform(-4.0, math.log10(0.5)) * float(np.abs(Y @ h.G).max())
+    try:
+        l1_by_row(fresh_horizon(h), Y, lam)
+    except sppc.SppcError as error:
+        with pytest.raises(type(error), match=re.escape(str(error))):
+            _l1_rows(fresh_horizon(h), Y, lam)
+    else:
+        assert_stacked_matches_l1(h, Y, lam)
+
+
+@pytest.mark.parametrize("rows", [1, 2, None], ids=["1-row", "2-row", "one-chunk"])
+def test_stacked_l1_does_not_depend_on_chunking(monkeypatch, example_plant, rows):
+    # a pass's packets and its error are those of _l1 row by row at every chunk
+    # size: a long-horizon trial's lost packets with no _l1 call; RankDeficient
+    # on the horizon of test_l1_equal_columns_are_rank_deficient; NoConvergence
+    # where L1_MAX_ITERATIONS is below the segments a later row takes
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _l1(*args)
+
+    def chunked(h, Y, lam):
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers, "_STACKED_BYTES", (rows or len(Y)) * 192 * h.N)
+            patch.setattr(solvers, "_l1", counted)
+            return _l1_rows(h, Y, lam)
+
+    def raised(design, h, Y, lam):
+        with pytest.raises(errors.SppcError) as info:
+            design(fresh_horizon(h), Y, lam)
+        return type(info.value), str(info.value)
+
+    syn = sppc.synthesize(example_plant, None, 20, 0.5)
+    trace = sppc.run_trial(example_plant, syn.horizon, syn, "l1", EXAMPLE_X0, 100, 1,
+                           p_drop=0.9, lam=1.0)
+    Y = lifted(syn.horizon, trace.states[np.flatnonzero(trace.dropped[:-1])])
+    assert len(Y) > 50
+    expected = l1_by_row(fresh_horizon(syn.horizon), Y, 1.0).tobytes()
+    assert chunked(fresh_horizon(syn.horizon), Y, 1.0).tobytes() == expected
+    assert not calls
+    equal = HorizonData(N=2, G=np.array([[7.0, 7.0], [0.0, 0.0]]), H=np.array([[1.0], [0.0]]))
+    Y_equal = lifted(equal, np.array([[0.0], [1.0], [-3.0]]))
+    by_row = raised(l1_by_row, equal, Y_equal, 0.1)
+    assert by_row[0] is errors.RankDeficient
+    assert raised(chunked, equal, Y_equal, 0.1) == by_row
+    segments = [_l1(syn.horizon, y, 1.0)[1] for y in Y]
+    monkeypatch.setattr(solvers, "L1_MAX_ITERATIONS", segments[0])
+    assert segments.index(max(segments)) > 0 and max(segments) > segments[0]
+    by_row = raised(l1_by_row, syn.horizon, Y, 1.0)
+    assert by_row[0] is errors.NoConvergence
+    assert raised(chunked, syn.horizon, Y, 1.0) == by_row
+
+
+def test_stacked_l1_stores_the_entries_l1_stores(example_plant):
+    # on a cold lifting many rows reach one segment key in the same segment;
+    # the pass solves it once for all of them and stores the entry _l1 stores
+    # for the key, bit for bit and with the same byte count
+    syn = sppc.synthesize(example_plant, None, 20, 0.5)
+    Y = lifted(syn.horizon, l1_states(example_plant, syn, 0.9, range(2)))
+    stacked, single = fresh_horizon(syn.horizon), fresh_horizon(syn.horizon)
+    assert _l1_rows(stacked, Y, 1.0).tobytes() == l1_by_row(single, Y, 1.0).tobytes()
+    assert len(single.l1_segments) > 20
+    assert stacked.l1_segments.keys() == single.l1_segments.keys()
+    assert stacked.l1_segments.nbytes == single.l1_segments.nbytes
+    for key, entry in single.l1_segments.items():
+        assert ([np.asarray(field).tobytes() for field in stacked.l1_segments[key]]
+                == [np.asarray(field).tobytes() for field in entry])
 
 
 def test_omp_state_scaling_covariance():
